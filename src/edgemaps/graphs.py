@@ -441,49 +441,87 @@ def _mask_of(vertices) -> int:
     return m
 
 
+def _orbit(P: SimpleGraph, order: list[int], i: int) -> list[int]:
+    """Pattern vertices that some automorphism of P fixing order[:i] pointwise
+    sends order[i] to (order[i] itself included)."""
+    adj, deg, k = P.adj, P.degrees, len(order)
+    img = [0] * k
+
+    def extend(p: int, used: int, forced: list[int]) -> bool:
+        if p == k:
+            return True
+        v = order[p]
+        for x in (forced[p],) if p < len(forced) else range(k):
+            if used >> x & 1 or deg[x] != deg[v]:
+                continue
+            if any(adj[v] >> order[q] & 1 != adj[x] >> img[q] & 1 for q in range(p)):
+                continue
+            img[p] = x
+            if extend(p + 1, used | 1 << x, forced):
+                return True
+        return False
+
+    return [w for w in range(k) if extend(0, 0, order[:i] + [w])]
+
+
+@lru_cache(maxsize=1024)
+def _copy_plan(P: SimpleGraph):
+    """Walk plan of enumerate_copies for pattern P.
+
+    Returns the embedding order and, per position i, the earlier positions
+    adjacent to order[i] and the earlier positions j whose stabiliser orbit
+    holds order[i]; the walk places order[i] above the host vertex of each
+    such j, which keeps exactly the lex-least embedding of every copy.
+    """
+    order = _embedding_order(P)
+    pos = {v: i for i, v in enumerate(order)}
+    back = [[j for j in range(i) if P.has_edge(v, order[j])] for i, v in enumerate(order)]
+    above: list[list[int]] = [[] for _ in order]
+    for j in range(len(order)):
+        for w in _orbit(P, order, j):
+            if w != order[j]:
+                above[pos[w]].append(j)
+    return tuple(order), tuple(map(tuple, back)), tuple(map(tuple, above))
+
+
 def enumerate_copies(P: PatternGraph | SimpleGraph, host: SimpleGraph):
     """Yield each copy of P in host exactly once, as a vertex map tuple.
 
-    A copy is a subgraph of the host isomorphic to P; two embeddings that
-    differ by an automorphism of P describe the same copy and are deduped
-    on the (vertex set, edge set) image.  The map sends pattern vertex i
-    to embedding[i].
+    A copy is a subgraph of the host isomorphic to P; embeddings that differ
+    by an automorphism of P describe the same copy.  The walk reaches each
+    copy at one leaf only: the yielded map is the copy's lex-least
+    embedding, compared along the embedding order of P, and copies come in
+    that order.  The map sends pattern vertex i to embedding[i].
     """
     pg = P.graph if isinstance(P, PatternGraph) else P
     if pg.n > host.n:
         return
-    order = _embedding_order(pg)
-    prev_nbrs = []
-    for i, v in enumerate(order):
-        prev_nbrs.append([(j, order[j]) for j in range(i) if pg.has_edge(v, order[j])])
-    assign = [-1] * pg.n
-    seen: set[tuple[int, int]] = set()
+    if not pg.n:
+        yield ()
+        return
+    order, back, above = _copy_plan(pg)
+    last = len(order) - 1
+    adj = host.adj
+    free = (1 << host.n) - 1
+    emb = [0] * len(order)
+    assign = [0] * pg.n
 
     def extend(i: int, used: int):
-        if i == len(order):
-            vmask = used
-            emask = 0
-            for e in pg.edges:
-                a, b = edge_pair(e)
-                emask |= 1 << edge_id(assign[a], assign[b])
-            key = (vmask, emask)
-            if key not in seen:
-                seen.add(key)
-                yield tuple(assign)
-            return
+        cand = free & ~used
+        for j in back[i]:
+            cand &= adj[emb[j]]
+        for j in above[i]:
+            cand &= -2 << emb[j]
         pv = order[i]
-        for hv in range(host.n):
-            if used & (1 << hv):
-                continue
-            ok = True
-            for _, pu in prev_nbrs[i]:
-                if not host.adj[hv] & (1 << assign[pu]):
-                    ok = False
-                    break
-            if ok:
-                assign[pv] = hv
-                yield from extend(i + 1, used | (1 << hv))
-        assign[pv] = -1
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            emb[i] = hv = low.bit_length() - 1
+            assign[pv] = hv
+            if i == last:
+                yield tuple(assign)
+            else:
+                yield from extend(i + 1, used | low)
 
     yield from extend(0, 0)
 
@@ -491,34 +529,6 @@ def enumerate_copies(P: PatternGraph | SimpleGraph, host: SimpleGraph):
 def count_copies(P: PatternGraph | SimpleGraph, host: SimpleGraph) -> int:
     """Number of distinct copies (subgraphs isomorphic to P) in host."""
     return sum(1 for _ in enumerate_copies(P, host))
-
-
-def count_labeled_copies(P: PatternGraph | SimpleGraph, host: SimpleGraph) -> int:
-    """Number of injective vertex maps carrying pattern edges onto host edges."""
-    pg = P.graph if isinstance(P, PatternGraph) else P
-    if pg.n > host.n:
-        return 0
-    order = _embedding_order(pg)
-    prev_nbrs = []
-    for i, v in enumerate(order):
-        prev_nbrs.append([order[j] for j in range(i) if pg.has_edge(v, order[j])])
-    assign = [-1] * pg.n
-
-    def extend(i: int, used: int) -> int:
-        if i == len(order):
-            return 1
-        total = 0
-        pv = order[i]
-        for hv in range(host.n):
-            if used & (1 << hv):
-                continue
-            if all(host.adj[hv] & (1 << assign[pu]) for pu in prev_nbrs[i]):
-                assign[pv] = hv
-                total += extend(i + 1, used | (1 << hv))
-        assign[pv] = -1
-        return total
-
-    return extend(0, 0)
 
 
 def contains_copy(P: PatternGraph | SimpleGraph, host: SimpleGraph) -> bool:

@@ -115,10 +115,9 @@ def pair_cover_max(n: int, H: PatternGraph) -> int:
         return 0
     host = SimpleGraph.complete(n)
     counts: dict[tuple[int, int], int] = {}
+    pairs = H.graph.pairs()
     for emb in enumerate_copies(H, host):
-        eids = sorted(
-            edge_id(emb[u], emb[v]) for u, v in H.graph.pairs()
-        )
+        eids = sorted(edge_id(emb[u], emb[v]) for u, v in pairs)
         for i in range(len(eids)):
             for j in range(i + 1, len(eids)):
                 key = (eids[i], eids[j])

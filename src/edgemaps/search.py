@@ -245,9 +245,10 @@ class _Engine:
     def _add_mask_constraint(self, rel: str, P: PatternGraph, host: SimpleGraph) -> None:
         emasks: list[int] = []
         by_edge: list[list[int]] = [[] for _ in range(self.m_edges)]
+        pairs = P.graph.pairs()
         for emb in enumerate_copies(P, host):
             emask = 0
-            for a, b in P.graph.pairs():
+            for a, b in pairs:
                 emask |= 1 << edge_id(emb[a], emb[b])
             ci = len(emasks)
             emasks.append(emask)
@@ -260,10 +261,11 @@ class _Engine:
         vmasks: list[int] = []
         by_edge: list[list[int]] = [[] for _ in range(self.m_edges)]
         n_edges_in_copy = P.m
+        pairs = P.graph.pairs()
         for emb in enumerate_copies(P, host):
             emask = 0
             vmask = 0
-            for a, b in P.graph.pairs():
+            for a, b in pairs:
                 emask |= 1 << edge_id(emb[a], emb[b])
             for v in emb:
                 vmask |= 1 << v

@@ -60,14 +60,16 @@ def test_is_isomorphic_basics():
     assert is_isomorphic(cycle(5).graph, _graph(5, shuffled))
 
 
-# iso-class counts per edge level on 4 vertices, then well-known totals
+# iso-class counts per edge level (OEIS A008406), then totals (OEIS A000088)
 N4_LEVELS = (1, 1, 2, 3, 2, 1, 1)
-GRAPH_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+N7_LEVELS = (1, 1, 2, 5, 10, 21, 41, 65, 97, 131, 148, 148, 131, 97, 65, 41, 21, 10, 5, 2, 1, 1)
+GRAPH_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
 
 
 def test_catalogue_levels_n4():
     levels = graphs_by_edge_count(4)
     assert tuple(len(lv) for lv in levels) == N4_LEVELS
+    assert tuple(len(lv) for lv in graphs_by_edge_count(7)) == N7_LEVELS
 
 
 def test_catalogue_totals():

@@ -1,9 +1,13 @@
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from edgemaps.graphs import (
+    PatternGraph,
+    SimpleGraph,
+    _embedding_order,
     all_trees,
     chromatic_number,
     complete,
@@ -12,13 +16,13 @@ from edgemaps.graphs import (
     complete_minus_factor,
     contains_copy,
     count_copies,
-    count_labeled_copies,
     cycle,
     deck,
     edge_count,
     edge_id,
     edge_pair,
     edges_overlap,
+    enumerate_copies,
     format_edge_list,
     format_graph6,
     from_edge_list,
@@ -163,12 +167,88 @@ def test_copy_counts_in_complete_host():
     K5 = complete(5).graph
     assert count_copies(complete(3), K5) == math.comb(5, 3)
     assert count_copies(complete(2), K5) == 10
-    # each triangle admits |Aut(K3)| = 6 labelings
-    assert count_labeled_copies(complete(3), K5) == 6 * math.comb(5, 3)
     assert count_copies(matching(2), K5) == 15
     assert contains_copy(cycle(5), K5)
     assert not contains_copy(complete(4), cycle(5).graph)
 
+
+
+def _reference_copies(P: PatternGraph | SimpleGraph, host: SimpleGraph):
+    """Yield each copy of P in host exactly once, as a vertex map tuple.
+
+    A copy is a subgraph of the host isomorphic to P; two embeddings that
+    differ by an automorphism of P describe the same copy and are deduped
+    on the (vertex set, edge set) image.  The map sends pattern vertex i
+    to embedding[i].
+    """
+    pg = P.graph if isinstance(P, PatternGraph) else P
+    if pg.n > host.n:
+        return
+    order = _embedding_order(pg)
+    prev_nbrs = []
+    for i, v in enumerate(order):
+        prev_nbrs.append([(j, order[j]) for j in range(i) if pg.has_edge(v, order[j])])
+    assign = [-1] * pg.n
+    seen: set[tuple[int, int]] = set()
+
+    def extend(i: int, used: int):
+        if i == len(order):
+            vmask = used
+            emask = 0
+            for e in pg.edges:
+                a, b = edge_pair(e)
+                emask |= 1 << edge_id(assign[a], assign[b])
+            key = (vmask, emask)
+            if key not in seen:
+                seen.add(key)
+                yield tuple(assign)
+            return
+        pv = order[i]
+        for hv in range(host.n):
+            if used & (1 << hv):
+                continue
+            ok = True
+            for _, pu in prev_nbrs[i]:
+                if not host.adj[hv] & (1 << assign[pu]):
+                    ok = False
+                    break
+            if ok:
+                assign[pv] = hv
+                yield from extend(i + 1, used | (1 << hv))
+        assign[pv] = -1
+
+    yield from extend(0, 0)
+
+
+def _graphs(max_n: int):
+    return st.integers(min_value=0, max_value=max_n).flatmap(
+        lambda n: st.builds(
+            lambda mask: SimpleGraph(n, frozenset(e for e in range(edge_count(n)) if mask >> e & 1)),
+            st.integers(min_value=0, max_value=(1 << edge_count(n)) - 1),
+        )
+    )
+
+
+@given(_graphs(6), _graphs(8))
+@settings(max_examples=300, deadline=None)
+def test_enumerate_copies_matches_leaf_dedup_reference(P, host):
+    # the same maps in the same order: one leaf per copy, the lex-least embedding
+    assert list(enumerate_copies(P, host)) == list(_reference_copies(P, host))
+
+
+def test_enumerate_copies_matches_reference_on_cliques_and_named_patterns():
+    K8 = SimpleGraph.complete(8)
+    for r in range(1, 9):
+        assert list(enumerate_copies(complete(r), K8)) == list(_reference_copies(complete(r), K8))
+    rng = random.Random(2007)
+    hosts = [K8] + [
+        SimpleGraph(n, frozenset(e for e in range(edge_count(n)) if rng.random() < 0.6))
+        for n in (6, 7, 8, 8)
+    ]
+    for spec in ("K3", "2K2", "P4", "K1,3", "K4-K2", "3K2", "C4"):
+        P = make_pattern(spec)
+        for host in hosts:
+            assert list(enumerate_copies(P, host)) == list(_reference_copies(P, host)), spec
 
 def test_deck_sizes():
     cards = deck(make_pattern("P4"))
