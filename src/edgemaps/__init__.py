@@ -13,7 +13,6 @@ from .mapping import (
     EdgeMapping,
     MappingClass,
     ShiftProfile,
-    classify,
     format_mapping,
     parse_mapping,
     random_mapping,
@@ -53,7 +52,6 @@ __all__ = [
     "SearchOutcome",
     "ShiftProfile",
     "SimpleGraph",
-    "classify",
     "compute_parameter",
     "edge_id",
     "edge_pair",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
 from . import oracles
 from .graphs import PatternGraph
@@ -31,13 +31,6 @@ def _exact(x, what: str = "value") -> Exact:
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError(f"{what} must be an int or Fraction, got {type(x).__name__}")
     return x
-
-
-def _ceil_sqrt(x: int) -> int:
-    if x < 0:
-        raise ValueError("negative radicand")
-    r = isqrt(x)
-    return r if r * r == x else r + 1
 
 
 # ---------------------------------------------------------------------------
@@ -284,63 +277,21 @@ def pair_cover_value(n: int, H: PatternGraph) -> int:
 # degree profile and the free-copy degree test
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Split of a pattern's edge pairs: P touching pairs (paths of length
-    two), M disjoint pairs, and the two host-ratio terms A, B whose sum
-    under 1 makes the free-copy degree test pass."""
-
-    P: int
-    M: int
-    A: Fraction
-    B: Fraction
-
-    def __post_init__(self) -> None:
-        if self.P < 0 or self.M < 0:
-            raise ValueError("pair counts cannot be negative")
-
-    @property
-    def satisfied(self) -> bool:
-        return self.A + self.B < 1
-
-
-def _pair_split(G: PatternGraph) -> tuple[int, int]:
-    if G.m < 2:
-        raise ValueError("need at least two edges to form a pair")
-    P = sum(comb(d, 2) for d in G.degseq())
-    return P, comb(G.m, 2) - P
-
-
-def degree_profile(G: PatternGraph, n: int) -> DegreeProfile:
-    if n < max(G.k, 4):
-        raise ValueError("host too small for the ratio terms")
-    P, M = _pair_split(G)
-    return DegreeProfile(
-        P=P,
-        M=M,
-        A=Fraction(P, n - 2),
-        B=Fraction(4 * M, (n - 2) * (n - 3)),
-    )
-
-
 def g_degree_check(G: PatternGraph, n: int) -> bool:
     """True certifies that every mapping moving each edge to a distinct edge
     sharing at most one endpoint leaves a free copy of G on n vertices.
 
-    The test is 4*C(m,2) + (n-7)*P < (n-2)(n-3), equivalently A + B < 1:
-    each copy that dies needs an edge pair inside it, and the pairs cannot
-    cover all copies once the inequality holds.
+    The test is 4*C(m,2) + (n-7)*P < (n-2)(n-3), where P counts the pairs
+    of pattern edges sharing a vertex: each copy that dies needs an edge
+    pair inside it, and the pairs cannot cover all copies once the
+    inequality holds.
     """
     if n < G.k:
         raise ValueError("pattern does not fit in the host")
-    P, _ = _pair_split(G)
+    if G.m < 2:
+        raise ValueError("need at least two edges to form a pair")
+    P = sum(comb(d, 2) for d in G.degseq())
     return 4 * comb(G.m, 2) + (n - 7) * P < (n - 2) * (n - 3)
-
-
-def g_upper_small(G: PatternGraph) -> int:
-    """Closed-form host size from the pair split alone: max(P, ceil(2*sqrt(M))) + 3."""
-    P, M = _pair_split(G)
-    return max(P, _ceil_sqrt(4 * M)) + 3
 
 
 def g_matching_certify(t: int, n: int) -> bool:
@@ -543,51 +494,3 @@ def tree_star_exclusive_upper(k: int, r: int) -> int:
     if r < 2:
         raise ValueError("need r >= 2")
     return k + 5 * r - 5
-
-
-# ---------------------------------------------------------------------------
-# structure-derived bounds: deck, chromatic blocks, joins
-
-
-def deck_combine(G: PatternGraph, Q: PatternGraph, deck_values, additive=None) -> int:
-    """Upper bound on the forcing threshold for (G, Q) from the thresholds
-    of G's one-vertex-deleted subgraphs: min(deck_values) + additive.
-
-    ``deck_values`` carries one threshold per deleted vertex (k entries).
-    For a star target the additive term defaults to 2r - 1; any other target
-    needs it supplied (from a moved-edge budget), never guessed.
-    """
-    values = list(deck_values)
-    if len(values) != G.k:
-        raise ValueError("need one deck value per deleted vertex")
-    if G.k < 2:
-        raise ValueError("deck of a single vertex is empty")
-    if additive is None:
-        r = Q.as_star()
-        if r is None:
-            raise ValueError("additive term required unless the target is a star")
-        additive = 2 * r - 1
-    return min(values) + _exact(additive, "additive")
-
-
-def chromatic_star_lower(chi: int, r: int) -> int:
-    """Lower bound (chi-1)(2r-1) + 1 on m(G, K_{1,r}) for any G of chromatic
-    number chi: blocks of 2r-1 vertices mapped internally leave no free
-    r-star, and the complete (chi-1)-partite fixed graph misses G."""
-    if chi < 3:
-        raise ValueError("need chromatic number >= 3")
-    if r < 1:
-        raise ValueError("need r >= 1")
-    return (chi - 1) * (2 * r - 1) + 1
-
-
-def join_star_value(chi: int, t: int, r: int) -> int:
-    """Exact value (chi+t-1)(2r-1) + 1 for the join of a chromatic-number-chi
-    pattern meeting its star lower bound with a t-clique."""
-    if chi < 3:
-        raise ValueError("need chromatic number >= 3")
-    if t < 1:
-        raise ValueError("need t >= 1")
-    if r < 1:
-        raise ValueError("need r >= 1")
-    return (chi + t - 1) * (2 * r - 1) + 1

@@ -13,7 +13,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .graphs import SimpleGraph, edge_count, edge_id, edge_pair
+from .graphs import SimpleGraph, edge_count, edge_id, edge_pair, mask_bits
 
 # below this many consistent relabelings we loop in python; above, numpy batches
 _PY_CAP = 64
@@ -92,7 +92,7 @@ def canonical_code(n: int, mask: int) -> int:
         return _codes_min(_all_perms_np(n), mask, n)
     if total <= _PY_CAP:
         best = None
-        pairs = [edge_pair(e) for e in _mask_bits(mask)]
+        pairs = [edge_pair(e) for e in mask_bits(mask)]
         for arrangement in _consistent_perms(classes):
             pos = [0] * n
             for tgt, src in enumerate(arrangement):
@@ -110,14 +110,6 @@ def canonical_code(n: int, mask: int) -> int:
     for i in range(len(perms)):
         inv[i, perms[i]] = rows
     return _codes_min(inv, mask, n)
-
-
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 def _consistent_perms(classes: list[list[int]]):

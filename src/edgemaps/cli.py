@@ -158,20 +158,13 @@ def _cmd_verify(args) -> int:
         ok = cls.admits(mapping)
         ok_all = ok_all and ok
         checks.append({"check": f"class {args.klass}", "status": "PASS" if ok else "FAIL"})
-    finders = {
-        "fixed": detect.find_fixed,
-        "shifted": detect.find_shifted,
-        "strong_shifted": lambda f, P: detect.find_shifted(f, P, strong=True),
-        "free": detect.find_free,
-        "exclusive": detect.find_exclusive,
-    }
     for claim in args.claim or ():
         rel, _, spec = claim.partition(":")
-        if rel not in finders or not spec:
+        if rel not in detect.FINDERS or not spec:
             print(f"error: claim {claim!r} is not RELATION:PATTERN", file=sys.stderr)
             return EXIT_USAGE
         P = _pattern_arg(spec)
-        cert = finders[rel](mapping, P)
+        cert = detect.FINDERS[rel](mapping, P)
         ok = cert is None
         ok_all = ok_all and ok
         entry = {"check": f"no {rel} {P}", "status": "PASS" if ok else "FAIL"}
@@ -190,14 +183,7 @@ def _cmd_verify(args) -> int:
 def _cmd_detect(args) -> int:
     mapping = _read_mapping(args.mapping)
     P = _pattern_arg(args.pattern)
-    finders = {
-        "fixed": detect.find_fixed,
-        "shifted": detect.find_shifted,
-        "strong_shifted": lambda f, Q: detect.find_shifted(f, Q, strong=True),
-        "free": detect.find_free,
-        "exclusive": detect.find_exclusive,
-    }
-    cert = finders[args.relation](mapping, P)
+    cert = detect.FINDERS[args.relation](mapping, P)
     record = {
         "relation": args.relation,
         "pattern": str(P),
@@ -383,10 +369,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="find one copy in a given relation")
     p.add_argument("--mapping", required=True, help="mapping file, or - for stdin")
     p.add_argument("--pattern", required=True)
-    p.add_argument(
-        "--relation", required=True,
-        choices=("fixed", "shifted", "strong_shifted", "free", "exclusive"),
-    )
+    p.add_argument("--relation", required=True, choices=detect.RELATIONS)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_detect)
 

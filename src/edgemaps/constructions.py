@@ -21,10 +21,11 @@ from .graphs import (
     edge_count,
     edge_id,
     edge_pair,
+    mask_bits,
     matching,
     star,
 )
-from .mapping import EdgeMapping, overlap
+from .mapping import EdgeMapping
 
 
 @dataclass(frozen=True)
@@ -46,23 +47,13 @@ class ConstructionResult:
         )
 
 
-_FINDERS = {
-    "fixed": detect.find_fixed,
-    "shifted": lambda f, P: detect.find_shifted(f, P),
-    "strong_shifted": lambda f, P: detect.find_shifted(f, P, strong=True),
-    "free": detect.find_free,
-    "exclusive": detect.find_exclusive,
-}
-
-
 def _emit(mapping: EdgeMapping, claims, provenance: str) -> ConstructionResult:
-    for relation, pattern in claims:
-        hit = _FINDERS[relation](mapping, pattern)
-        if hit is not None:
-            raise AssertionError(
-                f"{provenance}: claimed no {relation} {pattern}, found one at "
-                f"{hit.embedding}"
-            )
+    hit = detect.find_any(mapping, claims)
+    if hit is not None:
+        raise AssertionError(
+            f"{provenance}: claimed no {hit.kind} {hit.pattern}, found one at "
+            f"{hit.embedding}"
+        )
     return ConstructionResult(mapping, tuple(claims), provenance)
 
 
@@ -96,7 +87,7 @@ def euler_circuit(graph: SimpleGraph, component: list[int] | None = None) -> lis
     odd = [v for v in component if graph.degrees[v] % 2]
     if odd:
         raise ValueError(f"odd degrees at {odd}")
-    adj = {v: sorted(_bits(graph.adj[v])) for v in component}
+    adj = {v: mask_bits(graph.adj[v]) for v in component}
     used: set[int] = set()
     start = min(v for v in component if adj[v])
     stack = [start]
@@ -172,14 +163,6 @@ def bipartite_matching(left: int, right: int, edges: list[tuple[int, int]]) -> d
     for u in range(left):
         augment(u, set())
     return {u: v for v, u in match_r.items()}
-
-
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ Absence results from the ``find_*`` functions are exhaustive, so a ``None``
 return is a proof over all copies.  Star patterns take a polynomial path via
 an exact independent-set computation on the per-center conflict graph; the
 generic path is backtracking with fail-fast incremental checks.
+
+``FINDERS`` is the one table from relation name to finder, and
+``RELATIONS`` lists its keys; every other module looks relations up there.
 """
 from __future__ import annotations
 
@@ -18,12 +21,15 @@ from .graphs import (
     PatternGraph,
     SimpleGraph,
     _embedding_order,
+    adjacency_components,
     edge_id,
     edge_pair,
     edge_vertex_mask,
+    edges_overlap,
     enumerate_copies,
+    mask_bits,
 )
-from .mapping import EdgeMapping, overlap
+from .mapping import EdgeMapping
 
 _NEG = -(10**9)
 
@@ -55,7 +61,7 @@ def shifted_graph(mapping: EdgeMapping, strong: bool = False) -> SimpleGraph:
     """Subgraph of edges with f(e) != e; with ``strong``, of edges disjoint from f(e)."""
     if strong:
         keep = frozenset(
-            e for e, img in enumerate(mapping.images) if overlap(e, img) == 0
+            e for e, img in enumerate(mapping.images) if edges_overlap(e, img) == 0
         )
     else:
         keep = frozenset(e for e, img in enumerate(mapping.images) if img != e)
@@ -95,6 +101,26 @@ def find_exclusive(mapping: EdgeMapping, P: PatternGraph) -> Certificate | None:
             return None
         return Certificate("exclusive", P, _star_embedding(P, center, leaves[:r]))
     return _find_generic(mapping, P, exclusive=True)
+
+
+FINDERS = {
+    "fixed": find_fixed,
+    "shifted": find_shifted,
+    "strong_shifted": lambda f, P: find_shifted(f, P, strong=True),
+    "free": find_free,
+    "exclusive": find_exclusive,
+}
+
+RELATIONS = tuple(FINDERS)
+
+
+def find_any(mapping: EdgeMapping, avoid) -> Certificate | None:
+    """The first copy the mapping holds among (relation, pattern) pairs, or None."""
+    for rel, P in avoid:
+        cert = FINDERS[rel](mapping, P)
+        if cert is not None:
+            return cert
+    return None
 
 
 def _star_embedding(P: PatternGraph, center: int, leaves: tuple[int, ...]) -> tuple[int, ...]:
@@ -229,45 +255,22 @@ def max_exclusive_star(mapping: EdgeMapping) -> tuple[int, int, tuple[int, ...]]
             ends[l] = iv
         adj = {l: set() for l in eligible}
         for l in eligible:
-            iv = ends[l]
-            while iv:
-                t = (iv & -iv).bit_length() - 1
-                iv &= iv - 1
+            for t in mask_bits(ends[l]):
                 if t in adj:
                     adj[l].add(t)
                     adj[t].add(l)
         mis: list[int] = []
-        for comp in _components(eligible, adj):
+        for comp in adjacency_components(eligible, adj):
             mis.extend(_mis_exact(comp, adj))
         if len(mis) > best[0]:
             best = (len(mis), c, tuple(sorted(mis)))
     return best
 
 
-def _components(vertices: list[int], adj: dict[int, set]) -> list[list[int]]:
-    seen: set[int] = set()
-    out = []
-    for v in vertices:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        out.append(comp)
-    return out
-
-
 def _pseudoforest_mis(vertices: list[int], adj: dict[int, set]) -> list[int]:
     """Exact maximum independent set when every component has at most one cycle."""
     out: list[int] = []
-    for comp in _components(vertices, adj):
+    for comp in adjacency_components(vertices, adj):
         edges = sum(len(adj[v]) for v in comp) // 2
         if edges < len(comp):
             out.extend(_tree_mis(comp[0], adj, forbid=None))
@@ -371,7 +374,7 @@ def validate(mapping: EdgeMapping, cert: Certificate) -> bool:
     if cert.kind == "shifted":
         return all(mapping(e) != e for e in eids)
     if cert.kind == "strong_shifted":
-        return all(overlap(e, mapping(e)) == 0 for e in eids)
+        return all(edges_overlap(e, mapping(e)) == 0 for e in eids)
     if cert.kind == "free":
         eset = set(eids)
         return all(mapping(e) not in eset for e in eids)

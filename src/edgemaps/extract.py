@@ -1,4 +1,4 @@
-"""Turning bounded-out-degree structure into free and exclusive patterns.
+"""Turning bounded-out-degree structure into exclusive stars.
 
 A digraph with max out-degree d has a 2d-degenerate undirected version, hence
 a proper coloring with at most 2d+1 colors; the d=1 case supports a sharper
@@ -14,16 +14,16 @@ from functools import cached_property
 from . import detect
 from .detect import Certificate
 from .graphs import (
-    PatternGraph,
     SimpleGraph,
+    adjacency_components,
     edge_id,
     edge_pair,
     edge_vertex_mask,
-    matching,
-    multi,
+    edges_overlap,
+    mask_bits,
     star,
 )
-from .mapping import ContractError, EdgeMapping, overlap
+from .mapping import ContractError, EdgeMapping
 
 
 @dataclass(frozen=True)
@@ -127,21 +127,8 @@ def independent_set_d1(D: FunctionalDigraph) -> list[int]:
         bad = next(v for v, out in enumerate(D.arcs) if len(out) > 1)
         raise ContractError(f"vertex {bad} has out-degree {len(D.arcs[bad])}, need <= 1")
     adj = D.undirected
-    seen = [False] * D.n
     out: list[int] = []
-    for s in range(D.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    comp.append(y)
-                    stack.append(y)
+    for comp in adjacency_components(range(D.n), adj):
         edges = sum(len(adj[v]) for v in comp) // 2
         if edges == len(comp) - 1:
             out.extend(_larger_side(comp[0], adj))
@@ -199,13 +186,13 @@ def exclusive_star(
         raise ValueError("r must be positive")
     if _dominating_edge(host) is not None:
         raise ValueError("host has an edge incident to all other edges")
-    leaves = _bits(host.adj[v])
+    leaves = mask_bits(host.adj[v])
     deg = len(leaves)
     if deg < 5 * r - 4:
         raise ValueError(f"degree {deg} at vertex {v} is below 5r-4 = {5 * r - 4}")
     star_edges = [edge_id(v, l) for l in leaves]
     for e in star_edges:
-        if overlap(e, mapping(e)) != 0:
+        if edges_overlap(e, mapping(e)) != 0:
             raise ContractError(f"edge {edge_pair(e)} at v is not strong-shifted")
     arcs: list[list[int]] = [[] for _ in star_edges]
     index = {l: i for i, l in enumerate(leaves)}
@@ -224,14 +211,6 @@ def exclusive_star(
     return cert
 
 
-def _bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
-
-
 def _dominating_edge(host: SimpleGraph) -> tuple[int, int] | None:
     for e in host.edges:
         u, v = edge_pair(e)
@@ -242,85 +221,3 @@ def _dominating_edge(host: SimpleGraph) -> tuple[int, int] | None:
         ):
             return (u, v)
     return None
-
-
-def free_from_shifted(mapping: EdgeMapping, cert: Certificate) -> Certificate:
-    """Extract a free star / matching / star forest from an all-shifted copy.
-
-    Within a shifted star or matching, the only freeness conflicts are
-    image-equalities between its own edges, an out-degree-1 digraph; blocks of
-    a star forest additionally conflict when a selected image lands in another
-    block, still with bounded out-degree.
-    """
-    eids = cert.copy_edge_ids()
-    for e in eids:
-        if mapping(e) == e:
-            raise ContractError(f"copy edge {edge_pair(e)} is fixed, not shifted")
-    P = cert.pattern
-    if P.as_star() is not None:
-        center = cert.embedding[max(range(P.k), key=lambda x: P.graph.degrees[x])]
-        chosen = _free_subset(mapping, eids)
-        leaves = sorted(u if w == center else w for u, w in map(edge_pair, chosen))
-        out_pat = star(len(leaves))
-        out = Certificate("free", out_pat, detect._star_embedding(out_pat, center, tuple(leaves)))
-    elif P.as_matching() is not None:
-        chosen = sorted(_free_subset(mapping, eids))
-        emb: list[int] = []
-        for e in chosen:
-            emb.extend(edge_pair(e))
-        out = Certificate("free", matching(len(chosen)), tuple(emb))
-    elif P.as_star_forest() is not None:
-        out = _free_star_forest(mapping, cert)
-    else:
-        raise ValueError("shifted copy must be a star, a matching, or a star forest")
-    if not detect.validate(mapping, out):
-        raise AssertionError("extracted structure failed freeness revalidation")
-    return out
-
-
-def _free_subset(mapping: EdgeMapping, eids: list[int]) -> list[int]:
-    """Edges of the copy whose images avoid the chosen subset, via the d=1 digraph."""
-    order = sorted(eids)
-    index = {e: i for i, e in enumerate(order)}
-    arcs = [[] for _ in order]
-    for i, e in enumerate(order):
-        j = index.get(mapping(e))
-        if j is not None:
-            arcs[i].append(j)
-    D = FunctionalDigraph.from_arcs(len(order), arcs, d=1)
-    return [order[i] for i in independent_set_d1(D)]
-
-
-def _free_star_forest(mapping: EdgeMapping, cert: Certificate) -> Certificate:
-    P = cert.pattern
-    blocks = []
-    for comp in P.graph.components():
-        sub = sorted(comp)
-        center_pv = max(sub, key=lambda x: P.graph.degrees[x])
-        c = cert.embedding[center_pv]
-        block_eids = sorted(
-            edge_id(c, cert.embedding[x]) for x in sub if x != center_pv
-        )
-        selected = sorted(_free_subset(mapping, block_eids))
-        blocks.append((c, selected))
-    r_out = min(len(sel) for _, sel in blocks)
-    blocks = [(c, sel[:r_out]) for c, sel in blocks]
-    sel_sets = [set(sel) for _, sel in blocks]
-    arcs: list[list[int]] = [[] for _ in blocks]
-    for i, (_, sel) in enumerate(blocks):
-        for e in sel:
-            img = mapping(e)
-            for j, s in enumerate(sel_sets):
-                if j != i and img in s:
-                    arcs[i].append(j)
-    D = FunctionalDigraph.from_arcs(len(blocks), arcs)
-    cls = sorted(largest_color_class(color_bounded(D)))
-    emb: list[int] = []
-    for i in cls:
-        c, sel = blocks[i]
-        emb.append(c)
-        for e in sel:
-            u, w = edge_pair(e)
-            emb.append(u if w == c else w)
-    pattern = multi(len(cls), star(r_out))
-    return Certificate("free", pattern, tuple(emb))

@@ -49,6 +49,38 @@ def edges_overlap(e1: int, e2: int) -> int:
     return bin(edge_vertex_mask(e1) & edge_vertex_mask(e2)).count("1")
 
 
+def mask_bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def adjacency_components(vertices, adj) -> list[list[int]]:
+    """Connected components of the graph on ``vertices`` whose neighbours of
+    x are ``adj[x]``, each listed in depth-first discovery order."""
+    seen: set[int] = set()
+    out = []
+    for v in vertices:
+        if v in seen:
+            continue
+        comp = [v]
+        seen.add(v)
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        out.append(comp)
+    return out
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph on vertex set {0, ..., n-1}."""
@@ -209,22 +241,6 @@ class PatternGraph:
         if self.k >= 2 and self.k == 2 * self.m and all(d == 1 for d in self.graph.degrees):
             return self.m
         return None
-
-    def as_star_forest(self) -> tuple[int, int] | None:
-        """(t, r) if this is t disjoint copies of K_{1,r} with r >= 2."""
-        comps = self.graph.components()
-        if not comps:
-            return None
-        sizes = set()
-        for comp in comps:
-            sub = self.graph.subgraph(comp)
-            s = PatternGraph(sub).as_star()
-            if s is None or s < 2:
-                return None
-            sizes.add(s)
-        if len(sizes) != 1:
-            return None
-        return len(comps), sizes.pop()
 
 
 def pattern(graph: SimpleGraph, name: str = "", est_assumed: bool = False) -> PatternGraph:
@@ -535,15 +551,6 @@ def contains_copy(P: PatternGraph | SimpleGraph, host: SimpleGraph) -> bool:
     for _ in enumerate_copies(P, host):
         return True
     return False
-
-
-def deck(P: PatternGraph) -> list[PatternGraph]:
-    """The k vertex-deleted subgraphs, duplicates retained, in deletion order."""
-    out = []
-    for v in range(P.k):
-        rest = [u for u in range(P.k) if u != v]
-        out.append(pattern(P.graph.subgraph(rest), f"{P}-v{v}"))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ Overlap classes restrict |e ∩ f(e)|:
 * ``overlap_le_1``     every edge shares at most one endpoint with its image
 * ``disjoint``         every edge is disjoint from its image
 * ``fixed_or_strong``  no edge shares exactly one endpoint with its image
-* ``mostly_le_d``      at least ``m`` edges share at most ``d`` endpoints
 """
 from __future__ import annotations
 
@@ -17,12 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import edge_count, edge_id, edge_pair, edge_vertex_mask
-
-
-def overlap(e1: int, e2: int) -> int:
-    """Number of shared endpoints of two edges, 0..2."""
-    return bin(edge_vertex_mask(e1) & edge_vertex_mask(e2)).count("1")
+from .graphs import edge_count, edge_id, edge_pair, edge_vertex_mask, edges_overlap
 
 
 class ContractError(RuntimeError):
@@ -72,7 +66,7 @@ class EdgeMapping:
     def profile(self) -> "ShiftProfile":
         fixed = shifted = strong = 0
         for e, img in enumerate(self.images):
-            ov = overlap(e, img)
+            ov = edges_overlap(e, img)
             if ov == 2:
                 fixed += 1
             else:
@@ -80,9 +74,6 @@ class EdgeMapping:
                 if ov == 0:
                     strong += 1
         return ShiftProfile(fixed=fixed, shifted=shifted, strong_shifted=strong)
-
-    def overlap_of(self, e: int) -> int:
-        return overlap(e, self.images[e])
 
     @cached_property
     def shifted_degrees(self) -> tuple[int, ...]:
@@ -115,40 +106,26 @@ class ShiftProfile:
 class MappingClass:
     """An overlap-class restriction on mappings of K_n.
 
-    ``kind`` is one of all / overlap_le_1 / disjoint / fixed_or_strong /
-    mostly_le_d; the last takes the (m, d) pair.
+    ``kind`` is one of all / overlap_le_1 / disjoint / fixed_or_strong; each
+    is a rule on every edge and its image separately.
     """
 
     kind: str
-    m: int = 0
-    d: int = 0
 
-    KINDS = ("all", "overlap_le_1", "disjoint", "fixed_or_strong", "mostly_le_d")
+    KINDS = ("all", "overlap_le_1", "disjoint", "fixed_or_strong")
 
     def __post_init__(self) -> None:
         if self.kind not in self.KINDS:
             raise ValueError(f"unknown mapping class {self.kind!r}")
-        if self.kind == "mostly_le_d":
-            if self.m < 0 or not 0 <= self.d <= 2:
-                raise ValueError(f"bad mostly_le_d parameters m={self.m} d={self.d}")
 
     def admits(self, mapping: EdgeMapping) -> bool:
-        if self.kind == "all":
-            return True
-        if self.kind == "overlap_le_1":
-            return all(mapping.overlap_of(e) <= 1 for e in range(len(mapping.images)))
-        if self.kind == "disjoint":
-            return all(mapping.overlap_of(e) == 0 for e in range(len(mapping.images)))
-        if self.kind == "fixed_or_strong":
-            return all(mapping.overlap_of(e) != 1 for e in range(len(mapping.images)))
-        good = sum(1 for e in range(len(mapping.images)) if mapping.overlap_of(e) <= self.d)
-        return good >= self.m
+        return all(self.value_ok(e, img) for e, img in enumerate(mapping.images))
 
     def value_ok(self, e: int, img: int) -> bool:
-        """Per-edge admissibility; vacuous for mostly_le_d (a global count)."""
-        if self.kind == "all" or self.kind == "mostly_le_d":
+        """Whether the class lets edge ``e`` map to ``img``."""
+        if self.kind == "all":
             return True
-        ov = overlap(e, img)
+        ov = edges_overlap(e, img)
         if self.kind == "overlap_le_1":
             return ov <= 1
         if self.kind == "disjoint":
@@ -168,36 +145,11 @@ class MappingClass:
             return n < 3
         if self.kind == "disjoint":
             return n < 4
-        if self.kind == "mostly_le_d":
-            if self.m == 0:
-                return False
-            if self.m > edge_count(n):
-                return True
-            if self.d >= 2:
-                return False
-            return n < (3 if self.d == 1 else 4)
         return False
 
 
-def classify(mapping: EdgeMapping) -> list[MappingClass]:
-    """Every fixed-kind class the mapping belongs to, coarsest first."""
-    out = [MappingClass("all")]
-    prof = mapping.profile
-    m = len(mapping.images)
-    if prof.fixed == 0:
-        if all(mapping.overlap_of(e) <= 1 for e in range(m)):
-            out.append(MappingClass("overlap_le_1"))
-        if prof.strong_shifted == m:
-            out.append(MappingClass("disjoint"))
-    if prof.fixed + prof.strong_shifted == m:
-        out.append(MappingClass("fixed_or_strong"))
-    return out
-
-
 def random_mapping(n: int, rng: random.Random, cls: MappingClass | None = None) -> EdgeMapping:
-    """Uniform over per-edge admissible images; mostly_le_d is not supported."""
-    if cls is not None and cls.kind == "mostly_le_d":
-        raise ValueError("mostly_le_d has no per-edge sampler")
+    """Uniform over per-edge admissible images."""
     m = edge_count(n)
     images = []
     for e in range(m):
@@ -232,63 +184,3 @@ def parse_mapping(text: str) -> EdgeMapping:
         x, y = map(int, rhs.split())
         assoc.append(((u, v), (x, y)))
     return EdgeMapping.from_pairs(n, assoc)
-
-
-def in_class(mapping: EdgeMapping, d: int, m: int | None = None) -> bool:
-    """Membership test: every edge (or at least ``m`` edges) has overlap <= d."""
-    if d not in (0, 1):
-        raise ValueError(f"overlap bound must be 0 or 1, got {d}")
-    if m is not None and not 0 <= m <= edge_count(mapping.n):
-        raise ValueError(f"edge quota {m} out of range for n={mapping.n}")
-    good = sum(1 for e in range(len(mapping.images)) if mapping.overlap_of(e) <= d)
-    if m is None:
-        return good == len(mapping.images)
-    return good >= m
-
-
-def project(mapping: EdgeMapping, subset) -> EdgeMapping:
-    """Restrict a mapping to a vertex subset, redirecting escaped images.
-
-    Within the subset the mapping must move every edge clear of itself.
-    Images fully inside survive unchanged; images fully outside become the
-    smallest edge disjoint from the source; images straddling the boundary
-    keep their inside endpoint and take the smallest legal partner.  The
-    result moves every edge clear of itself, and any pattern copy whose
-    images avoid it under the result also avoids it under the original.
-    """
-    S = sorted(set(subset))
-    if len(S) < 4:
-        raise ValueError("need at least 4 vertices so a disjoint edge exists")
-    if any(not 0 <= v < mapping.n for v in S):
-        raise ValueError("subset leaves the host vertex range")
-    new_of = {v: i for i, v in enumerate(S)}
-    in_S = set(S)
-    k = len(S)
-    images = []
-    for e_new in range(edge_count(k)):
-        a, b = edge_pair(e_new)
-        u, v = S[a], S[b]
-        img = mapping(edge_id(u, v))
-        x, y = edge_pair(img)
-        if x in (u, v) or y in (u, v):
-            raise ContractError(
-                f"edge ({u}, {v}) is not moved clear of itself; image ({x}, {y})"
-            )
-        inside = [w for w in (x, y) if w in in_S]
-        if len(inside) == 2:
-            images.append(edge_id(new_of[x], new_of[y]))
-        elif len(inside) == 1:
-            xn = new_of[inside[0]]
-            zn = min(
-                z for z in range(k) if z not in (a, b, xn)
-            )
-            images.append(edge_id(xn, zn))
-        else:
-            images.append(
-                min(
-                    e2
-                    for e2 in range(edge_count(k))
-                    if not edge_vertex_mask(e2) & edge_vertex_mask(e_new)
-                )
-            )
-    return EdgeMapping(k, tuple(images))

@@ -18,6 +18,7 @@ from .graphs import (
     edge_count,
     edge_id,
     enumerate_copies,
+    mask_bits,
 )
 
 FULL_CATALOGUE_LIMIT = 8
@@ -42,13 +43,7 @@ def count_perfect_matchings(n: int) -> int:
 
 
 def _host(n: int, mask: int) -> SimpleGraph:
-    edges = []
-    m = mask
-    while m:
-        e = (m & -m).bit_length() - 1
-        m &= m - 1
-        edges.append(e)
-    return SimpleGraph(n, frozenset(edges))
+    return SimpleGraph(n, frozenset(mask_bits(mask)))
 
 
 def ex_bruteforce(n: int, G: PatternGraph) -> int:

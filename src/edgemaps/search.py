@@ -63,20 +63,12 @@ from .graphs import (
     edge_id,
     edge_pair,
     edge_vertex_mask,
+    edges_overlap,
     enumerate_copies,
+    mask_bits,
     path,
 )
-from .mapping import EdgeMapping, MappingClass, overlap, random_mapping
-
-RELATIONS = ("fixed", "shifted", "strong_shifted", "free", "exclusive")
-
-_FINDERS = {
-    "fixed": detect.find_fixed,
-    "shifted": lambda f, P: detect.find_shifted(f, P),
-    "strong_shifted": lambda f, P: detect.find_shifted(f, P, strong=True),
-    "free": detect.find_free,
-    "exclusive": detect.find_exclusive,
-}
+from .mapping import EdgeMapping, MappingClass, random_mapping
 
 # Largest host the plain engine accepts per class without force=True.  The
 # moved-clear class has the smallest pools and stretches one vertex further.
@@ -96,8 +88,7 @@ class AvoidanceSpec:
     """What to avoid: (relation, pattern) pairs over mappings of K_n.
 
     Patterns larger than the host are dropped by the engine (they cannot
-    occur).  The mostly_le_d class is a global count, not a per-edge rule,
-    and is not searchable here.
+    occur).  Relations are the keys of ``detect.FINDERS``.
     """
 
     n: int
@@ -107,11 +98,9 @@ class AvoidanceSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one vertex")
-        if self.klass.kind not in ENVELOPE:
-            raise ValueError(f"class {self.klass.kind!r} is not searchable")
         object.__setattr__(self, "avoid", tuple(self.avoid))
         for rel, P in self.avoid:
-            if rel not in RELATIONS:
+            if rel not in detect.RELATIONS:
                 raise ValueError(f"unknown relation {rel!r}")
             if not isinstance(P, PatternGraph):
                 raise TypeError("avoid entries take PatternGraph patterns")
@@ -252,7 +241,7 @@ class _Engine:
                 emask |= 1 << edge_id(emb[a], emb[b])
             ci = len(emasks)
             emasks.append(emask)
-            for x in _mask_bits(emask):
+            for x in mask_bits(emask):
                 by_edge[x].append(ci)
         self.mask_cons.append((rel, emasks, by_edge))
 
@@ -272,7 +261,7 @@ class _Engine:
             ci = len(emasks)
             emasks.append(emask)
             vmasks.append(vmask)
-            for x in _mask_bits(emask):
+            for x in mask_bits(emask):
                 by_edge[x].append(ci)
         con = {
             "rel": rel,
@@ -345,7 +334,7 @@ class _Engine:
                 raise _Timeout
         self.assign[e] = x
         bit = 1 << e
-        ov = overlap(e, x)
+        ov = edges_overlap(e, x)
         prev_masks = dict(self.rel_masks)
         dsh_touch: list[int] = []
         strong_pair = False
@@ -472,9 +461,9 @@ class _Engine:
         mp = EdgeMapping(self.n, tuple(self.assign))
         if not self.klass.admits(mp):
             raise RuntimeError("engine produced a mapping outside its class")
-        for rel, P in self.spec.avoid:
-            if _FINDERS[rel](mp, P) is not None:
-                raise RuntimeError(f"engine witness contains a {rel} copy of {P}")
+        hit = detect.find_any(mp, self.spec.avoid)
+        if hit is not None:
+            raise RuntimeError(f"engine witness contains a {hit.kind} copy of {hit.pattern}")
         if self.objective is not None:
             count = (
                 mp.profile.strong_shifted
@@ -551,15 +540,6 @@ class _Engine:
             verdict = "TIMEOUT"
         self.stats.wall_time = time.perf_counter() - start
         return SearchOutcome(verdict, self.witness, self.stats, self.symmetry_mode())
-
-
-def _mask_bits(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def _check_envelope(spec: AvoidanceSpec, options: SearchOptions) -> None:
@@ -642,7 +622,7 @@ def z_via_coloring(G: PatternGraph, H: PatternGraph, n: int) -> bool:
         raise ValueError("isomorph-free enumeration is capped at n = 8")
     for level in graphs_by_edge_count(n):
         for mask in level:
-            red = SimpleGraph(n, frozenset(_mask_bits(mask)))
+            red = SimpleGraph(n, frozenset(mask_bits(mask)))
             if contains_copy(G, red):
                 continue
             if not contains_copy(H, red.complement()):
@@ -702,13 +682,8 @@ def shift_capacity(
     relation = "exclusive" if exclusive else "free"
     klass = MappingClass("fixed_or_strong" if exclusive else "all")
     base = options or SearchOptions()
-    cap = ENVELOPE[klass.kind]
-    if n > cap and not base.force:
-        raise ValueError(
-            f"n={n} exceeds the {klass.kind} feasibility cap of {cap}; "
-            "pass SearchOptions(force=True) to run anyway"
-        )
     spec = AvoidanceSpec(n, klass, ((relation, H),))
+    _check_envelope(spec, base)
     opts = replace(base, budget=budget if budget is not None else base.budget)
     scan: list[tuple[int, str]] = []
     exact = True
@@ -810,7 +785,7 @@ def _valid_witness(
 ) -> bool:
     if mapping.n < 1 or not klass.admits(mapping):
         return False
-    return all(_FINDERS[rel](mapping, P) is None for rel, P in avoid)
+    return detect.find_any(mapping, avoid) is None
 
 
 def _construction_thunks(name: str, G: PatternGraph, H: PatternGraph | None, d: int):

@@ -5,9 +5,6 @@ import pytest
 
 from edgemaps.bounds import (
     OracleLimitError,
-    chromatic_star_lower,
-    deck_combine,
-    degree_profile,
     ex_value,
     exclusive_matching_certify,
     exclusive_star_certify,
@@ -16,8 +13,6 @@ from edgemaps.bounds import (
     g_matching_certify,
     g_strong_check,
     g_strong_sound,
-    g_upper_small,
-    join_star_value,
     k4_supersat_lb,
     m_counting_certify,
     matching_turan,
@@ -109,17 +104,10 @@ def test_pair_cover_value_delegates_then_extends():
 
 def test_degree_profile_and_g_degree_check():
     P3 = make_pattern("K1,2")
-    prof = degree_profile(P3, 4)
-    assert prof.satisfied
     assert g_degree_check(P3, 4)
     assert not g_degree_check(P3, 3)
     assert g_degree_check(make_pattern("2K2"), 5)
     assert not g_degree_check(make_pattern("2K2"), 4)
-
-
-def test_g_upper_small_values():
-    assert g_upper_small(make_pattern("K1,2")) == 4
-    assert g_upper_small(make_pattern("2K2")) == 5
 
 
 def test_g_matching_certify_threshold():
@@ -198,19 +186,3 @@ def test_bound_report_status():
     rep = w_clique_bounds(4)
     assert rep.status == "gap"
     assert "asymptotic" in " ".join(rep.lower.flags)
-
-
-def test_deck_combine_is_max_of_parts():
-    G = make_pattern("P4")
-    Q = make_pattern("K1,2")
-    out = deck_combine(G, Q, [3, 4, 4, 3])
-    assert out == 3 + (2 * 2 - 1)
-    with pytest.raises(ValueError):
-        deck_combine(G, Q, [3, 4])
-    with pytest.raises(ValueError):
-        deck_combine(G, make_pattern("2K2"), [3, 4, 4, 3])
-
-
-def test_chromatic_and_join_star_values():
-    assert chromatic_star_lower(3, 2) >= 1
-    assert join_star_value(3, 1, 2) >= chromatic_star_lower(3, 2)

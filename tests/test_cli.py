@@ -1,9 +1,11 @@
 import json
+import random
 
 import pytest
 
-from edgemaps import cli
-from edgemaps.mapping import parse_mapping
+from edgemaps import cli, detect
+from edgemaps.graphs import make_pattern
+from edgemaps.mapping import format_mapping, parse_mapping, random_mapping
 from edgemaps.reproduce import ClaimResult, RunRecord
 
 
@@ -54,8 +56,35 @@ def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):
 def test_verify_rejects_malformed_claim(tmp_path, capsys):
     path = tmp_path / "inv.map"
     run_cli(capsys, "construct", "k4_involution", "--out", str(path))
-    code, _, err = run_cli(capsys, "verify", "--mapping", str(path), "--claim", "nonsense")
-    assert code == cli.EXIT_USAGE
+    for claim in ("nonsense", "bogus:K3"):
+        code, _, err = run_cli(capsys, "verify", "--mapping", str(path), "--claim", claim)
+        assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("relation", detect.RELATIONS)
+def test_verify_and_detect_agree_with_finders(relation, tmp_path, capsys):
+    # seeded mapping of K5 with a shifted and a free K1,2 but no fixed,
+    # strong-shifted or exclusive one
+    mapping = random_mapping(5, random.Random(9))
+    path = tmp_path / "f.map"
+    path.write_text(format_mapping(mapping))
+    cert = detect.FINDERS[relation](mapping, make_pattern("K1,2"))
+    embedding = None if cert is None else list(cert.embedding)
+
+    code, raw, _ = run_cli(
+        capsys, "verify", "--mapping", str(path), "--claim", f"{relation}:K1,2", "--json"
+    )
+    assert code == (cli.EXIT_OK if cert is None else cli.EXIT_FAIL)
+    assert json.loads(raw)["checks"][0].get("counterexample_embedding") == embedding
+
+    code, raw, _ = run_cli(
+        capsys, "detect", "--mapping", str(path),
+        "--pattern", "K1,2", "--relation", relation, "--json",
+    )
+    assert code == cli.EXIT_OK
+    record = json.loads(raw)
+    assert record["found"] is (cert is not None)
+    assert record.get("embedding") == embedding
 
 
 def test_detect_reports_embedding(tmp_path, capsys):

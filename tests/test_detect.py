@@ -18,9 +18,10 @@ from edgemaps.graphs import (
     edge_id,
     edge_pair,
     edge_vertex_mask,
+    edges_overlap,
     make_pattern,
 )
-from edgemaps.mapping import EdgeMapping, MappingClass, overlap, random_mapping
+from edgemaps.mapping import EdgeMapping, MappingClass, random_mapping
 
 K4_INVOLUTION = EdgeMapping(4, (5, 4, 3, 2, 1, 0))
 
@@ -43,7 +44,7 @@ def _naive_exists(mapping, P, relation):
         elif relation == "shifted":
             ok = all(mapping(e) != e for e in eids)
         elif relation == "strong_shifted":
-            ok = all(overlap(e, mapping(e)) == 0 for e in eids)
+            ok = all(edges_overlap(e, mapping(e)) == 0 for e in eids)
         elif relation == "free":
             eset = set(eids)
             ok = all(mapping(e) not in eset for e in eids)

@@ -4,17 +4,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgemaps.detect import find_shifted, validate
+from edgemaps.detect import validate
 from edgemaps.extract import (
     FunctionalDigraph,
     color_bounded,
     exclusive_star,
-    free_from_shifted,
     independent_set_d1,
     largest_color_class,
 )
-from edgemaps.graphs import complete, make_pattern, matching, star
-from edgemaps.mapping import ContractError, EdgeMapping, MappingClass, random_mapping
+from edgemaps.mapping import ContractError, EdgeMapping
 
 
 def digraphs(d_max=3, n_max=12):
@@ -131,45 +129,3 @@ def test_exclusive_star_contract_checks():
     ident = EdgeMapping.identity(7)
     with pytest.raises(ContractError):
         exclusive_star(ident, 0, 1)  # star edges are fixed, not strong-shifted
-
-
-def test_free_from_shifted_on_matchings():
-    rng = random.Random(13)
-    pat = matching(3)
-    hits = 0
-    for _ in range(300):
-        f = random_mapping(7, rng)
-        cert = find_shifted(f, pat)
-        if cert is None:
-            continue
-        hits += 1
-        out = free_from_shifted(f, cert)
-        assert out.kind == "free"
-        assert validate(f, out)
-        assert out.pattern.m >= math.ceil(pat.m / 3)
-    assert hits > 50
-
-
-def test_free_from_shifted_on_stars():
-    rng = random.Random(14)
-    pat = star(4)
-    hits = 0
-    for _ in range(300):
-        f = random_mapping(7, rng)
-        cert = find_shifted(f, pat)
-        if cert is None:
-            continue
-        hits += 1
-        out = free_from_shifted(f, cert)
-        assert validate(f, out)
-        assert out.pattern.m >= math.ceil(pat.m / 3)
-    assert hits > 50
-
-
-def test_free_from_shifted_rejects_fixed_edges():
-    ident = EdgeMapping.identity(5)
-    from edgemaps.detect import Certificate
-
-    cert = Certificate("shifted", make_pattern("K2"), (0, 1))
-    with pytest.raises(ContractError):
-        free_from_shifted(ident, cert)

@@ -17,7 +17,6 @@ from edgemaps.graphs import (
     contains_copy,
     count_copies,
     cycle,
-    deck,
     edge_count,
     edge_id,
     edge_pair,
@@ -249,11 +248,6 @@ def test_enumerate_copies_matches_reference_on_cliques_and_named_patterns():
         P = make_pattern(spec)
         for host in hosts:
             assert list(enumerate_copies(P, host)) == list(_reference_copies(P, host)), spec
-
-def test_deck_sizes():
-    cards = deck(make_pattern("P4"))
-    assert len(cards) == 4
-    assert all(c.graph.n == 3 for c in cards)
 
 
 def test_clique_and_chromatic():

@@ -3,16 +3,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgemaps.graphs import edge_count, edge_id
+from edgemaps.graphs import edge_count, edges_overlap
 from edgemaps.mapping import (
     EdgeMapping,
     MappingClass,
-    classify,
     format_mapping,
-    in_class,
-    overlap,
     parse_mapping,
-    project,
     random_mapping,
 )
 
@@ -95,28 +91,9 @@ def test_class_membership():
     assert all(c.admits(K4_INVOLUTION) for c in (all_cls, ov1, disj, fstr))
 
 
-def test_mostly_class_parameter_validation():
-    with pytest.raises(ValueError):
-        MappingClass("mostly_le_d", m=-1)
-    with pytest.raises(ValueError):
-        MappingClass("mostly_le_d", m=1, d=3)
-    cls = MappingClass("mostly_le_d", d=1, m=4)
-    # involution has all 6 edges at overlap 0, quota of 4 is met
-    assert cls.admits(K4_INVOLUTION)
-    assert in_class(K4_INVOLUTION, 1, m=4)
-    assert not in_class(EdgeMapping.identity(4), 1, m=1)
-
-
 def test_unknown_class_kind_rejected():
     with pytest.raises(ValueError):
         MappingClass("sideways")
-
-
-@given(mappings(n_min=4, n_max=6))
-@settings(max_examples=100, deadline=None)
-def test_classify_consistent_with_admits(f):
-    for cls in classify(f):
-        assert cls.admits(f)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -141,31 +118,4 @@ def test_value_ok_matches_overlap():
     ov1 = MappingClass("overlap_le_1")
     for e in range(6):
         for x in range(6):
-            assert ov1.value_ok(e, x) == (overlap(e, x) <= 1)
-
-
-def test_project_keeps_interior_images():
-    # build a mapping on 6 vertices whose restriction to {0,1,2,3} is the involution
-    images = []
-    for e in range(edge_count(6)):
-        images.append(e)
-    f6 = EdgeMapping(6, tuple(K4_INVOLUTION.images) + tuple(images[6:]))
-    g = project(f6, [0, 1, 2, 3])
-    assert g == K4_INVOLUTION
-
-
-def test_project_redirects_escaped_images():
-    # send every edge of the subset to an edge outside it
-    n = 8
-    out_edge = edge_id(6, 7)
-    images = tuple(out_edge for _ in range(edge_count(n)))
-    f = EdgeMapping(n, images)
-    g = project(f, [0, 1, 2, 3, 4])
-    assert g.n == 5
-    # projection must keep every edge clear of itself
-    assert all(g.overlap_of(e) == 0 for e in range(edge_count(5)))
-
-
-def test_project_needs_room():
-    with pytest.raises(ValueError):
-        project(K4_INVOLUTION, [0, 1, 2])
+            assert ov1.value_ok(e, x) == (edges_overlap(e, x) <= 1)

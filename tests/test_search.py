@@ -28,8 +28,6 @@ EXCL_P3 = (("exclusive", make_pattern("K1,2")),)
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        AvoidanceSpec(4, MappingClass("mostly_le_d", m=3, d=1), FREE_2K2)
-    with pytest.raises(ValueError):
         AvoidanceSpec(4, OV1, (("sideways", make_pattern("K2")),))
     # degenerate hosts are legal: no edges means nothing to avoid
     tiny = exists_avoiding(AvoidanceSpec(1, OV1, FREE_2K2))
