@@ -8,8 +8,8 @@ invariant, so isomorphic graphs range over the same set of codes.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
-from math import comb, factorial
+from itertools import permutations
+from math import factorial
 
 import numpy as np
 

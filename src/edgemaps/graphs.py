@@ -6,9 +6,9 @@ under growing n, so an edge keeps its id in every host that contains it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb, isqrt
 
 

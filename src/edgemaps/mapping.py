@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import edge_count, edge_id, edge_pair, edge_vertex_mask, edges_overlap
+from .graphs import edge_count, edge_id, edge_pair, edges_overlap
 
 
 class ContractError(RuntimeError):
@@ -59,9 +59,6 @@ class EdgeMapping:
     def __call__(self, e: int) -> int:
         return self.images[e]
 
-    def apply_pair(self, u: int, v: int) -> tuple[int, int]:
-        return edge_pair(self.images[edge_id(u, v)])
-
     @cached_property
     def profile(self) -> "ShiftProfile":
         fixed = shifted = strong = 0
@@ -74,23 +71,6 @@ class EdgeMapping:
                 if ov == 0:
                     strong += 1
         return ShiftProfile(fixed=fixed, shifted=shifted, strong_shifted=strong)
-
-    @cached_property
-    def shifted_degrees(self) -> tuple[int, ...]:
-        """Per-vertex count of incident edges whose image avoids the vertex.
-
-        Any r such edges at one vertex form a star no image lands on, so this
-        table directly witnesses free stars.
-        """
-        d = [0] * self.n
-        for e, img in enumerate(self.images):
-            u, v = edge_pair(e)
-            vm = edge_vertex_mask(img)
-            if not vm & (1 << u):
-                d[u] += 1
-            if not vm & (1 << v):
-                d[v] += 1
-        return tuple(d)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from .bounds import (
 )
 from .extract import FunctionalDigraph, color_bounded, exclusive_star, independent_set_d1
 from .graphs import (
-    PatternGraph,
     SimpleGraph,
     all_trees,
     complete,

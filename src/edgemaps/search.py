@@ -7,8 +7,9 @@ image first where the class allows it, so a run is a deterministic walk of
 one tree: exhaustion settles the forcing question at that n, a witness
 refutes it.
 
-Four devices keep the tree small.  Each is switchable so their verdicts can
-be cross-checked against the bare engine:
+Four devices keep the tree small.  They are always on, and
+``tests/test_search.py`` checks the verdicts and witnesses they lead to
+against brute-force enumeration of every mapping in the class:
 
 * prefix-stabilizer symmetry: candidate images of the branching edge are
   reduced to orbit minima under vertex permutations that stabilize the
@@ -108,10 +109,6 @@ class AvoidanceSpec:
 
 @dataclass(frozen=True)
 class SearchOptions:
-    symmetry: bool = True
-    destroyer_propagation: bool = True
-    counting_prune: bool = True
-    shifted_degree_prune: bool = True
     budget: float | None = None
     workers: int = 1
     force: bool = False
@@ -144,7 +141,6 @@ class SearchOutcome:
     verdict: str
     witness: EdgeMapping | None
     stats: SearchStats
-    symmetry: str
 
     def as_dict(self) -> dict:
         return {
@@ -153,7 +149,6 @@ class SearchOutcome:
             "nodes": self.stats.nodes,
             "prunes": dict(sorted(self.stats.prunes.items())),
             "wall_time": round(self.stats.wall_time, 6),
-            "symmetry": self.symmetry,
         }
 
 
@@ -174,17 +169,21 @@ def _edge_perms(n: int) -> tuple[tuple[int, ...], ...]:
 
 class _Engine:
     """One depth-first walk.  Edges are assigned strictly in id order, so
-    the recursion depth equals the id of the edge being assigned."""
+    the recursion depth equals the id of the edge being assigned.
+
+    ``deadline`` is a ``time.perf_counter()`` reading; the walk stops with
+    TIMEOUT once it has passed.
+    """
 
     def __init__(
         self,
         spec: AvoidanceSpec,
-        options: SearchOptions,
+        deadline: float | None = None,
         objective: int | None = None,
         prefix: tuple[tuple[int, int], ...] = (),
     ):
         self.spec = spec
-        self.opt = options
+        self.deadline = deadline
         self.n = spec.n
         self.m_edges = edge_count(spec.n)
         self.klass = spec.klass
@@ -192,10 +191,8 @@ class _Engine:
         self.prefix = tuple(prefix)
         self.stats = SearchStats()
         self.witness: EdgeMapping | None = None
-        self.deadline: float | None = None
 
         self.assign = [-1] * self.m_edges
-        self.fixed_mask = 0
         self.d_sh = [0] * spec.n
         self.strong_sh = [0] * spec.n
         self.nonfixed_used = 0
@@ -360,15 +357,14 @@ class _Engine:
                 strong_pair = True
                 self.strong_sh[u] += 1
                 self.strong_sh[v] += 1
-            if self.opt.shifted_degree_prune:
-                if self.r_free is not None and any(
-                    self.d_sh[w] >= self.r_free for w in dsh_touch
-                ):
+            if self.r_free is not None and any(
+                self.d_sh[w] >= self.r_free for w in dsh_touch
+            ):
+                ok, cause = False, "shifted_degree"
+            if ok and strong_pair and self.r_exc is not None:
+                thr = 5 * self.r_exc - 4
+                if self.strong_sh[u] >= thr or self.strong_sh[v] >= thr:
                     ok, cause = False, "shifted_degree"
-                if ok and strong_pair and self.r_exc is not None:
-                    thr = 5 * self.r_exc - 4
-                    if self.strong_sh[u] >= thr or self.strong_sh[v] >= thr:
-                        ok, cause = False, "shifted_degree"
 
         if ok:
             for rel, emasks, by_edge in self.mask_cons:
@@ -405,7 +401,7 @@ class _Engine:
             if self.nonfixed_used + (self.m_edges - e - 1) < self.objective:
                 ok, cause = False, "objective"
 
-        if ok and self.opt.counting_prune:
+        if ok:
             if self.objective is None:
                 for con in self.copy_cons:
                     if con["undestroyed"] > con["suffix"][e + 1]:
@@ -445,7 +441,7 @@ class _Engine:
 
     def _candidates(self, e: int) -> list[int]:
         pool = self.pools[e]
-        if not self.opt.destroyer_propagation or not self.copy_cons:
+        if not self.copy_cons:
             return pool
         for con in self.copy_cons:
             for ci in con["by_edge"][e]:
@@ -495,14 +491,9 @@ class _Engine:
         return False
 
     def _initial_group(self):
-        if self.opt.symmetry and self.n <= 8:
+        if self.n <= 8:
             return list(_edge_perms(self.n))
         return [tuple(range(self.m_edges))]
-
-    def symmetry_mode(self) -> str:
-        if self.opt.symmetry and self.n <= 8:
-            return "prefix-stabilizer"
-        return "off"
 
     def root_candidates(self) -> list[int]:
         if self.m_edges == 0:
@@ -516,8 +507,6 @@ class _Engine:
 
     def run(self) -> SearchOutcome:
         start = time.perf_counter()
-        if self.opt.budget is not None:
-            self.deadline = start + self.opt.budget
         verdict = "EXHAUSTED"
         try:
             group = self._initial_group()
@@ -539,7 +528,7 @@ class _Engine:
         except _Timeout:
             verdict = "TIMEOUT"
         self.stats.wall_time = time.perf_counter() - start
-        return SearchOutcome(verdict, self.witness, self.stats, self.symmetry_mode())
+        return SearchOutcome(verdict, self.witness, self.stats)
 
 
 def _check_envelope(spec: AvoidanceSpec, options: SearchOptions) -> None:
@@ -551,9 +540,13 @@ def _check_envelope(spec: AvoidanceSpec, options: SearchOptions) -> None:
         )
 
 
+def _deadline(budget: float | None) -> float | None:
+    return None if budget is None else time.perf_counter() + budget
+
+
 def _branch_entry(args) -> SearchOutcome:
-    spec, options, prefix = args
-    return _Engine(spec, options, prefix=prefix).run()
+    spec, deadline, prefix = args
+    return _Engine(spec, deadline, prefix=prefix).run()
 
 
 def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -> SearchOutcome:
@@ -564,28 +557,28 @@ def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -
     class yields EXHAUSTED with zero nodes: no mapping exists at all, so in
     particular none avoids.  With workers > 1 the root branches run in
     separate processes; the reported witness is the one the sequential walk
-    would have found first, and each branch receives the full budget.
+    would have found first.  The budget is one deadline, fixed here, that
+    every branch honours, so it bounds the whole call with workers too.
     """
     options = options or SearchOptions()
     _check_envelope(spec, options)
     if spec.klass.is_empty(spec.n):
-        return SearchOutcome("EXHAUSTED", None, SearchStats(), "off")
+        return SearchOutcome("EXHAUSTED", None, SearchStats())
+    deadline = _deadline(options.budget)
     if options.workers > 1 and edge_count(spec.n) > 0:
-        return _parallel(spec, options)
-    return _Engine(spec, options).run()
+        return _parallel(spec, options.workers, deadline)
+    return _Engine(spec, deadline).run()
 
 
-def _parallel(spec: AvoidanceSpec, options: SearchOptions) -> SearchOutcome:
+def _parallel(spec: AvoidanceSpec, workers: int, deadline: float | None) -> SearchOutcome:
     start = time.perf_counter()
-    sequential = replace(options, workers=1)
-    probe = _Engine(spec, sequential)
-    root = probe.root_candidates()
+    root = _Engine(spec).root_candidates()
     stats = SearchStats()
     if not root:
         stats.wall_time = time.perf_counter() - start
-        return SearchOutcome("EXHAUSTED", None, stats, probe.symmetry_mode())
-    args = [(spec, sequential, ((0, x),)) for x in root]
-    with ProcessPoolExecutor(max_workers=options.workers) as pool:
+        return SearchOutcome("EXHAUSTED", None, stats)
+    args = [(spec, deadline, ((0, x),)) for x in root]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_branch_entry, args))
     witness = None
     timed_out = False
@@ -597,10 +590,10 @@ def _parallel(spec: AvoidanceSpec, options: SearchOptions) -> SearchOutcome:
             timed_out = True
     stats.wall_time = time.perf_counter() - start
     if witness is not None:
-        return SearchOutcome("WITNESS", witness, stats, probe.symmetry_mode())
+        return SearchOutcome("WITNESS", witness, stats)
     if timed_out:
-        return SearchOutcome("TIMEOUT", None, stats, probe.symmetry_mode())
-    return SearchOutcome("EXHAUSTED", None, stats, probe.symmetry_mode())
+        return SearchOutcome("TIMEOUT", None, stats)
+    return SearchOutcome("EXHAUSTED", None, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +636,9 @@ def w_p3_exact_cover(n: int, options: SearchOptions | None = None) -> SearchOutc
     if n not in (5, 6):
         raise ValueError("the exact-cover reformulation applies at n = 5 and n = 6")
     spec = AvoidanceSpec(n, MappingClass("disjoint"), (("exclusive", path(3)),))
-    opts = replace(options or SearchOptions(), counting_prune=True)
+    deadline = _deadline((options or SearchOptions()).budget)
     prefix = ((0, edge_id(2, 3)),) if n == 6 else ()
-    return _Engine(spec, opts, prefix=prefix).run()
+    return _Engine(spec, deadline, prefix=prefix).run()
 
 
 @dataclass(frozen=True)
@@ -684,11 +677,12 @@ def shift_capacity(
     base = options or SearchOptions()
     spec = AvoidanceSpec(n, klass, ((relation, H),))
     _check_envelope(spec, base)
-    opts = replace(base, budget=budget if budget is not None else base.budget)
+    if budget is None:
+        budget = base.budget
     scan: list[tuple[int, str]] = []
     exact = True
     for target in range(edge_count(n), -1, -1):
-        out = _Engine(spec, opts, objective=target).run()
+        out = _Engine(spec, _deadline(budget), objective=target).run()
         scan.append((target, out.verdict))
         if out.verdict == "TIMEOUT":
             exact = False

@@ -27,7 +27,7 @@ from edgemaps.bounds import (
     w_clique_bounds,
     w_star_upper,
 )
-from edgemaps.graphs import complete, make_pattern, pattern, path
+from edgemaps.graphs import make_pattern, pattern, path
 from edgemaps.oracles import ex_bruteforce, supersat_min
 
 

@@ -1,5 +1,3 @@
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from edgemaps.canon import canonical_code, generate_by_edge_count, graphs_by_edge_count, is_isomorphic

@@ -17,7 +17,7 @@ from edgemaps.constructions import (
     tripartite_hall,
 )
 from edgemaps.detect import find_exclusive, find_fixed, find_free, find_shifted, fixed_graph
-from edgemaps.graphs import SimpleGraph, complete, edge_id, edge_pair, make_pattern, star
+from edgemaps.graphs import SimpleGraph, complete, edge_id, make_pattern, star
 from edgemaps.mapping import MappingClass
 
 

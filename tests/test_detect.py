@@ -16,7 +16,6 @@ from edgemaps.detect import (
 )
 from edgemaps.graphs import (
     edge_id,
-    edge_pair,
     edge_vertex_mask,
     edges_overlap,
     make_pattern,

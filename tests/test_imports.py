@@ -1,0 +1,37 @@
+"""Every imported name is used somewhere in the module that imports it.
+
+No linter ships with the project, so this scans the syntax trees of the
+package, the tests and the scripts.  Package ``__init__.py`` files are
+skipped: their imports are the public re-exports.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = ("src/edgemaps/*.py", "tests/*.py", "scripts/*.py")
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for name, line in sorted(imported.items(), key=lambda kv: kv[1])
+        if name not in used
+    ]
+
+
+def test_no_unused_imports():
+    paths = sorted(p for pat in SOURCES for p in ROOT.glob(pat) if p.name != "__init__.py")
+    assert paths
+    unused = [msg for p in paths for msg in _unused_imports(p)]
+    assert unused == []

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edgemaps.graphs import edge_count, edges_overlap
+from edgemaps.graphs import edge_count, edge_id, edge_pair, edges_overlap
 from edgemaps.mapping import (
     EdgeMapping,
     MappingClass,
@@ -34,7 +34,7 @@ def test_constructor_validation():
 
 
 def test_from_pairs_round_trip():
-    f = EdgeMapping.from_pairs(4, [((u, v), K4_INVOLUTION.apply_pair(u, v))
+    f = EdgeMapping.from_pairs(4, [((u, v), edge_pair(K4_INVOLUTION(edge_id(u, v))))
                                    for u in range(4) for v in range(u + 1, 4)])
     assert f == K4_INVOLUTION
     with pytest.raises(ValueError):
@@ -50,13 +50,6 @@ def test_identity_profile():
 def test_involution_profile_is_all_strong():
     p = K4_INVOLUTION.profile
     assert (p.fixed, p.shifted, p.strong_shifted) == (0, 6, 6)
-
-
-def test_shifted_degrees_definition():
-    # edge (0,1) -> (2,3): the image avoids both endpoints
-    f = K4_INVOLUTION
-    assert f.shifted_degrees == (3, 3, 3, 3)
-    assert EdgeMapping.identity(4).shifted_degrees == (0, 0, 0, 0)
 
 
 @given(mappings())

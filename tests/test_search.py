@@ -1,10 +1,14 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from edgemaps.graphs import make_pattern
-from edgemaps.mapping import MappingClass
+from edgemaps import detect
+from edgemaps.graphs import edge_count, edge_id, edge_pair, make_pattern
+from edgemaps.mapping import EdgeMapping, MappingClass
 from edgemaps.search import (
     ENVELOPE,
     AvoidanceSpec,
@@ -73,26 +77,136 @@ def test_empty_class_reports_exhausted_without_search():
     assert out.stats.nodes == 0
 
 
-TOGGLES = list(itertools.product((False, True), repeat=4))
+# -- brute-force reference ----------------------------------------------------
 
 
-@pytest.mark.parametrize("sym,dest,count,dsh", TOGGLES)
-def test_devices_never_change_the_answer(sym, dest, count, dsh):
-    opts = SearchOptions(
-        symmetry=sym,
-        destroyer_propagation=dest,
-        counting_prune=count,
-        shifted_degree_prune=dsh,
-    )
-    out4 = exists_avoiding(AvoidanceSpec(4, OV1, FREE_2K2), opts)
-    assert out4.verdict == "WITNESS"
-    assert out4.witness.images == (1, 0, 0, 2, 1, 0)
-    out5 = exists_avoiding(AvoidanceSpec(5, OV1, FREE_2K2), opts)
-    assert out5.verdict == "EXHAUSTED"
-    mixed = exists_avoiding(
-        AvoidanceSpec(4, ALL, (("fixed", make_pattern("K1,2")),) + FREE_2K2), opts
-    )
-    assert mixed.verdict == "WITNESS"
+def _pools(klass, n, moved_first=False):
+    """Each edge's admissible images in the engine's order: the fixed image
+    first, then the moved ones by edge id (moved first for shift_capacity)."""
+    m = edge_count(n)
+    pools = []
+    for e in range(m):
+        moved = [x for x in range(m) if x != e and klass.value_ok(e, x)]
+        own = [e] if klass.value_ok(e, e) else []
+        pools.append(moved + own if moved_first else own + moved)
+    return pools
+
+
+def _all_mappings(pools):
+    """Every mapping drawing images from ``pools``, one per row, in the order
+    ``itertools.product(*pools)`` lists them."""
+    total = math.prod(len(p) for p in pools)
+    out = np.empty((total, len(pools)), dtype=np.int64)
+    if total == 0:
+        return out
+    rows = np.arange(total)
+    for e in reversed(range(len(pools))):
+        pool = np.array(pools[e], dtype=np.int64)
+        out[:, e] = pool[rows % len(pool)]
+        rows //= len(pool)
+    return out
+
+
+def _copies(P, n):
+    """(edge ids, vertex set) of every copy of P in K_n, from all injective
+    vertex maps."""
+    found = set()
+    for emb in itertools.permutations(range(n), P.k):
+        eids = frozenset(edge_id(emb[a], emb[b]) for a, b in P.graph.pairs())
+        found.add((eids, frozenset(emb)))
+    return found
+
+
+def _edge_holds(rel, e, x, eids, verts):
+    """Whether edge e of a copy, sent to x, is as the relation asks."""
+    if rel == "fixed":
+        return x == e
+    if rel == "shifted":
+        return x != e
+    if rel == "strong_shifted":
+        return not set(edge_pair(e)) & set(edge_pair(x))
+    if rel == "free":
+        return x not in eids
+    return not set(edge_pair(x)) & verts
+
+
+def _avoiders(n, avoid, maps):
+    """Row mask of the mappings in ``maps`` that hold no listed copy."""
+    m = edge_count(n)
+    good = np.ones(len(maps), dtype=bool)
+    for rel, P in avoid:
+        for eids, verts in _copies(P, n):
+            present = np.ones(len(maps), dtype=bool)
+            for e in eids:
+                holds = np.array([_edge_holds(rel, e, x, eids, verts) for x in range(m)])
+                present &= holds[maps[:, e]]
+            good &= ~present
+    return good
+
+
+MAX_SPACE = 59049
+SMALL_SPACES = [
+    (kind, n)
+    for kind in MappingClass.KINDS
+    for n in range(1, 6)
+    if math.prod(map(len, _pools(MappingClass(kind), n))) <= MAX_SPACE
+]
+PATTERNS = ("K2", "K1,2", "2K2", "K3", "P4", "K1,3", "C4", "3K2")
+
+
+@given(
+    space=st.sampled_from(SMALL_SPACES),
+    avoid=st.lists(
+        st.tuples(st.sampled_from(detect.RELATIONS), st.sampled_from(PATTERNS)),
+        min_size=1,
+        max_size=2,
+    ),
+)
+@example(space=("overlap_le_1", 4), avoid=[("free", "2K2")])
+@example(space=("all", 4), avoid=[("fixed", "K1,2"), ("free", "2K2")])
+@example(space=("disjoint", 5), avoid=[("exclusive", "K1,2")])
+# a witness the walk finds first only if each level's symmetries fix the
+# images chosen above it
+@example(space=("disjoint", 5), avoid=[("free", "C4")])
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_brute_force(space, avoid):
+    kind, n = space
+    klass = MappingClass(kind)
+    avoid = tuple((rel, make_pattern(p)) for rel, p in avoid)
+    maps = _all_mappings(_pools(klass, n))
+    good = _avoiders(n, avoid, maps)
+    # the reference reads the relations as detect does
+    for i in np.linspace(0, len(maps) - 1, num=min(len(maps), 6), dtype=int):
+        mp = EdgeMapping(n, tuple(int(x) for x in maps[i]))
+        assert (detect.find_any(mp, avoid) is None) == good[i]
+    spec = AvoidanceSpec(n, klass, avoid)
+    for workers in (1, 2):
+        out = exists_avoiding(spec, SearchOptions(workers=workers))
+        if good.any():
+            assert out.verdict == "WITNESS"
+            first = tuple(int(x) for x in maps[np.argmax(good)])
+            assert out.witness.images == first
+        else:
+            assert out.verdict == "EXHAUSTED"
+
+
+@pytest.mark.parametrize(
+    "pattern,exclusive", [("K1,2", False), ("2K2", False), ("K1,2", True)]
+)
+def test_shift_capacity_matches_brute_force(pattern, exclusive):
+    n = 4
+    H = make_pattern(pattern)
+    klass = MappingClass("fixed_or_strong" if exclusive else "all")
+    rel = "exclusive" if exclusive else "free"
+    maps = _all_mappings(_pools(klass, n, moved_first=True))
+    good = _avoiders(n, ((rel, H),), maps)
+    # in fixed_or_strong every moved edge is moved clear of its endpoints
+    moved = (maps != np.arange(edge_count(n))).sum(axis=1)
+    best = int(moved[good].max())
+    rep = shift_capacity(n, H, exclusive=exclusive)
+    assert rep.exact and rep.value == best
+    first = tuple(int(x) for x in maps[np.argmax(good & (moved == best))])
+    assert rep.witness.images == first
 
 
 def test_parallel_workers_agree_with_serial():
@@ -102,6 +216,17 @@ def test_parallel_workers_agree_with_serial():
     assert serial.verdict == parallel.verdict == "EXHAUSTED"
     spec4 = AvoidanceSpec(4, OV1, FREE_2K2)
     assert exists_avoiding(spec4, SearchOptions(workers=2)).verdict == "WITNESS"
+
+
+def test_budget_is_one_deadline_under_workers():
+    # three root branches on two workers: the last starts late and must
+    # still stop at the deadline fixed when the call began
+    spec = AvoidanceSpec(
+        7, ALL, (("fixed", make_pattern("K1,3")), ("free", make_pattern("2K2")))
+    )
+    out = exists_avoiding(spec, SearchOptions(budget=1.0, workers=2, force=True))
+    assert out.verdict == "TIMEOUT"
+    assert out.stats.wall_time <= 1.0 + 0.25
 
 
 def test_stats_and_outcome_shape():
