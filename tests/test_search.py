@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgemaps import detect
+from edgemaps import detect, search
 from edgemaps.graphs import edge_count, edge_id, edge_pair, make_pattern
 from edgemaps.mapping import EdgeMapping, MappingClass
 from edgemaps.search import (
@@ -75,6 +75,55 @@ def test_empty_class_reports_exhausted_without_search():
     out = exists_avoiding(AvoidanceSpec(3, DISJ, FREE_2K2))
     assert out.verdict == "EXHAUSTED"
     assert out.stats.nodes == 0
+
+
+TOGGLES = list(itertools.product((False, True), repeat=4))
+
+
+@pytest.mark.parametrize("sym,dest,count,dsh", TOGGLES)
+def test_devices_never_change_the_answer(monkeypatch, sym, dest, count, dsh):
+    # every pruning device is always on; a True here switches one off by
+    # patching the engine, and the answers must not move
+    mixed_spec = AvoidanceSpec(4, ALL, (("fixed", make_pattern("K1,2")),) + FREE_2K2)
+    mixed_ref = exists_avoiding(mixed_spec)
+    engine = search._Engine
+    if sym:
+        monkeypatch.setattr(
+            engine, "_initial_group", lambda self: [tuple(range(self.m_edges))]
+        )
+    if dest:
+        monkeypatch.setattr(engine, "_candidates", lambda self, e: self.pools[e])
+    if count:
+        tables = engine._counting_tables
+
+        def no_counting(self, con):
+            tables(self, con)
+            # a bound no copy count can exceed
+            con["suffix"] = [len(con["emasks"])] * (self.m_edges + 1)
+            con["maxdiff"] = 0
+
+        monkeypatch.setattr(engine, "_counting_tables", no_counting)
+    if dsh:
+        add_copy = engine._add_copy_constraint
+
+        def no_shifted_degree(self, rel, P, host):
+            add_copy(self, rel, P, host)
+            self.r_free = self.r_exc = None
+
+        monkeypatch.setattr(engine, "_add_copy_constraint", no_shifted_degree)
+    out4 = exists_avoiding(AvoidanceSpec(4, OV1, FREE_2K2))
+    assert out4.verdict == "WITNESS"
+    assert out4.witness.images == (1, 0, 0, 2, 1, 0)
+    out5 = exists_avoiding(AvoidanceSpec(5, OV1, FREE_2K2))
+    assert out5.verdict == "EXHAUSTED"
+    mixed = exists_avoiding(mixed_spec)
+    assert mixed.verdict == "WITNESS"
+    assert mixed.witness.images == mixed_ref.witness.images
+    # the patches take hold (2K2 is no star, so the shifted-degree rule
+    # stays idle on this spec either way)
+    prunes = out5.stats.prunes
+    assert sym == (prunes.get("symmetry", 0) == 0)
+    assert count == (prunes.get("counting", 0) == 0)
 
 
 # -- brute-force reference ----------------------------------------------------
