@@ -287,6 +287,58 @@ def test_stats_and_outcome_shape():
     assert d["witness"] == list(out.witness.images)
 
 
+# -- the tree, pinned -----------------------------------------------------------
+
+# Exact verdicts, node counts and prunes by rule of single serial walks.  The
+# engine's bookkeeping may change how fast it walks, never what it walks; a
+# change to the walk itself (edge order, image order, a prune rule) must
+# update these on purpose.  Between them every counted rule fires.  The two
+# prefixed walks pin edges 0, 1, ... up front, as the root branches of
+# ``workers`` do: behind destroyer propagation a completed copy, and a free
+# star seen by the per-vertex tally, are only ever reached through a prefix.
+TREE_PINS = [
+    # n, class, avoid, objective, prefix, verdict, nodes, prunes
+    (6, "fixed_or_strong", (("fixed", "K1,2"), ("exclusive", "K1,2")), None, (),
+     "EXHAUSTED", 54564, {"pattern_fixed": 23525, "symmetry": 102}),
+    (6, "disjoint", (("free", "3K2"),), None, (),
+     "WITNESS", 85255, {"counting": 29594, "forced_empty": 28554, "symmetry": 2}),
+    (7, "disjoint", (("exclusive", "P4"),), None, (),
+     "WITNESS", 22902, {"forced_empty": 9787}),
+    (5, "overlap_le_1", (("free", "2K2"),), None, (),
+     "EXHAUSTED", 2, {"counting": 2, "symmetry": 7}),
+    (5, "all", (("shifted", "K1,2"), ("fixed", "2K2")), None, (),
+     "EXHAUSTED", 942, {"pattern_fixed": 78, "pattern_shifted": 768, "symmetry": 28}),
+    (5, "all", (("strong_shifted", "K1,2"), ("fixed", "K1,2")), None, (),
+     "WITNESS", 21, {"pattern_fixed": 8, "pattern_strong_shifted": 3}),
+    # two levels of shift_capacity's scans
+    (5, "all", (("free", "K1,2"),), 10, (),
+     "EXHAUSTED", 3, {"counting": 2, "objective": 1, "symmetry": 7}),
+    (6, "all", (("free", "K1,2"),), 7, (),
+     "EXHAUSTED", 18287, {"counting": 6562, "symmetry": 160}),
+    (4, "all", (("free", "2K2"),), None, tuple((e, (e + 1) % 6) for e in range(6)),
+     "EXHAUSTED", 5, {"copy_complete": 1}),
+    (5, "all", (("free", "K1,2"),), None, ((0, 2), (1, 2)),
+     "EXHAUSTED", 2, {"shifted_degree": 1}),
+]
+
+
+def _pin_id(pin) -> str:
+    n, kind, avoid, objective, prefix = pin[:5]
+    label = f"{kind}-K{n}-" + "+".join(f"{r}:{p}" for r, p in avoid)
+    if objective is not None:
+        label += f"-moved{objective}"
+    return label + ("-prefixed" if prefix else "")
+
+
+@pytest.mark.parametrize(
+    "n,kind,avoid,objective,prefix,verdict,nodes,prunes", TREE_PINS, ids=map(_pin_id, TREE_PINS)
+)
+def test_tree_is_pinned(n, kind, avoid, objective, prefix, verdict, nodes, prunes):
+    spec = AvoidanceSpec(n, MappingClass(kind), tuple((r, make_pattern(p)) for r, p in avoid))
+    out = search._Engine(spec, objective=objective, prefix=prefix).run()
+    assert (out.verdict, out.stats.nodes, out.stats.prunes) == (verdict, nodes, prunes)
+
+
 def test_exact_cover_route():
     out5 = w_p3_exact_cover(5)
     assert out5.verdict == "WITNESS"
