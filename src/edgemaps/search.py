@@ -22,9 +22,29 @@ against brute-force enumeration of every mapping in the class:
   force a free star outright, and enough moved clear of both endpoints
   force an exclusive star.
 
-Witnesses are re-validated by the detection module before being returned,
-so a bug in the incremental bookkeeping surfaces as a loud error rather
-than a wrong verdict.
+The walk keeps its state in a few ints per constraint, read against tables
+built once per engine.  Copies of a pattern are numbered, and a set of
+copies is a bitmask over those numbers:
+
+* ``last[e]``: the copies whose largest edge id is e.  Edges are assigned
+  in id order, so once e is assigned these copies, and only these, have
+  every edge assigned, and while e is the branching edge they are the
+  copies with e as their one unassigned edge.  A copy's remaining-edge
+  count is thus a function of the depth and is never kept: an intact copy
+  in ``last[e]`` is complete after e, and forced before it;
+* ``destroyers[c]``: the images that destroy copy c, its own edges for a
+  free copy and every edge touching its vertex set for an exclusive one;
+* ``kill[e][x]``: the copies through e that image x destroys.  Assigning x
+  to e ORs it into the constraint's destroyed-copies mask; forcing ANDs the
+  ``destroyers`` of the forced copies and filters e's pool in pool order;
+  the counting rule reads the popcount of the destroyed mask;
+* the fixed, moved and moved-clear edges so far, as three edge masks,
+  checked against the copies of each mask constraint by their last edge.
+
+Undoing a step restores the masks from the step's token.  Witnesses are
+re-validated by the detection module before being returned, so a bug in
+the incremental bookkeeping surfaces as a loud error rather than a wrong
+verdict.
 """
 from __future__ import annotations
 
@@ -63,8 +83,6 @@ from .graphs import (
     edge_count,
     edge_id,
     edge_pair,
-    edge_vertex_mask,
-    edges_overlap,
     enumerate_copies,
     mask_bits,
     path,
@@ -119,12 +137,14 @@ class SearchStats:
     nodes: int = 0
     prunes: dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
+    table_time: float = 0.0  # seconds spent building the engine's tables
 
     def bump(self, rule: str) -> None:
         self.prunes[rule] = self.prunes.get(rule, 0) + 1
 
     def merge(self, other: "SearchStats") -> None:
         self.nodes += other.nodes
+        self.table_time += other.table_time
         for rule, cnt in other.prunes.items():
             self.prunes[rule] = self.prunes.get(rule, 0) + cnt
 
@@ -149,6 +169,7 @@ class SearchOutcome:
             "nodes": self.stats.nodes,
             "prunes": dict(sorted(self.stats.prunes.items())),
             "wall_time": round(self.stats.wall_time, 6),
+            "table_time": round(self.stats.table_time, 6),
         }
 
 
@@ -167,6 +188,10 @@ def _edge_perms(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+# Relations of the mask constraints, in the order of ``_Engine.masks``.
+_MASK_RELATIONS = ("fixed", "shifted", "strong_shifted")
+
+
 class _Engine:
     """One depth-first walk.  Edges are assigned strictly in id order, so
     the recursion depth equals the id of the edge being assigned.
@@ -182,38 +207,49 @@ class _Engine:
         objective: int | None = None,
         prefix: tuple[tuple[int, int], ...] = (),
     ):
+        start = time.perf_counter()
         self.spec = spec
         self.deadline = deadline
         self.n = spec.n
-        self.m_edges = edge_count(spec.n)
+        m = self.m_edges = edge_count(spec.n)
         self.klass = spec.klass
         self.objective = objective
         self.prefix = tuple(prefix)
         self.stats = SearchStats()
         self.witness: EdgeMapping | None = None
 
-        self.assign = [-1] * self.m_edges
+        self.assign = [-1] * m
         self.d_sh = [0] * spec.n
         self.strong_sh = [0] * spec.n
-        self.nonfixed_used = 0
-        self.evm = [edge_vertex_mask(e) for e in range(self.m_edges)]
+        # fixed, moved and moved-clear edges of the partial assignment
+        self.masks = (0, 0, 0)
+        ends = [edge_pair(e) for e in range(m)]
+        # the endpoints of e that image x misses: none when x == e, one for
+        # a move sharing a vertex, both for a move clear of e
+        self.missed = [
+            [tuple(w for w in ends[e] if w not in ends[x]) for x in range(m)] for e in range(m)
+        ]
 
         self.pools = self._build_pools()
-        self.mask_cons: list[tuple[str, list[int], list[list[int]]]] = []
-        self.copy_cons: list[dict] = []
+        # per mask constraint: (index into masks, prune rule, copy edge
+        # masks by the copy's last edge)
+        self.mask_cons: list[tuple[int, str, list[list[int]]]] = []
+        # per copy constraint: (last, kill, destroyers, floor, maxdiff); see
+        # _add_copy_constraint and _counting_tables
+        self.copy_cons: list[tuple] = []
         self.r_free: int | None = None
         self.r_exc: int | None = None
         host = SimpleGraph.complete(spec.n)
         for rel, P in spec.avoid:
             if P.k > spec.n:
                 continue
-            if rel in ("fixed", "shifted", "strong_shifted"):
+            if rel in _MASK_RELATIONS:
                 self._add_mask_constraint(rel, P, host)
             else:
                 self._add_copy_constraint(rel, P, host)
-        # masks of currently fixed / moved / moved-clear edges, grown as the
-        # assignment extends, checked against the mask constraints
-        self.rel_masks = {"fixed": 0, "shifted": 0, "strong_shifted": 0}
+        # per copy constraint, the bitmask of its destroyed copies
+        self.destroyed = (0,) * len(self.copy_cons)
+        self.stats.table_time = time.perf_counter() - start
 
     # -- construction-time tables ------------------------------------------
 
@@ -228,51 +264,49 @@ class _Engine:
             pools.append(moved + own if shifted_first else own + moved)
         return pools
 
-    def _add_mask_constraint(self, rel: str, P: PatternGraph, host: SimpleGraph) -> None:
-        emasks: list[int] = []
-        by_edge: list[list[int]] = [[] for _ in range(self.m_edges)]
+    @staticmethod
+    def _copies(P: PatternGraph, host: SimpleGraph):
+        """(embedding, edge mask) of every copy of P in the host."""
         pairs = P.graph.pairs()
         for emb in enumerate_copies(P, host):
             emask = 0
             for a, b in pairs:
                 emask |= 1 << edge_id(emb[a], emb[b])
-            ci = len(emasks)
-            emasks.append(emask)
-            for x in mask_bits(emask):
-                by_edge[x].append(ci)
-        self.mask_cons.append((rel, emasks, by_edge))
+            yield emb, emask
+
+    def _add_mask_constraint(self, rel: str, P: PatternGraph, host: SimpleGraph) -> None:
+        by_last: list[list[int]] = [[] for _ in range(self.m_edges)]
+        for _, emask in self._copies(P, host):
+            if emask:
+                by_last[emask.bit_length() - 1].append(emask)
+        self.mask_cons.append((_MASK_RELATIONS.index(rel), f"pattern_{rel}", by_last))
 
     def _add_copy_constraint(self, rel: str, P: PatternGraph, host: SimpleGraph) -> None:
-        emasks: list[int] = []
-        vmasks: list[int] = []
-        by_edge: list[list[int]] = [[] for _ in range(self.m_edges)]
-        n_edges_in_copy = P.m
-        pairs = P.graph.pairs()
-        for emb in enumerate_copies(P, host):
-            emask = 0
-            vmask = 0
-            for a, b in pairs:
-                emask |= 1 << edge_id(emb[a], emb[b])
-            for v in emb:
-                vmask |= 1 << v
-            ci = len(emasks)
-            emasks.append(emask)
-            vmasks.append(vmask)
-            for x in mask_bits(emask):
-                by_edge[x].append(ci)
-        con = {
-            "rel": rel,
-            "pattern": P,
-            "emasks": emasks,
-            "vmasks": vmasks,
-            "by_edge": by_edge,
-            "size": n_edges_in_copy,
-            "destroyed": [False] * len(emasks),
-            "remaining": [n_edges_in_copy] * len(emasks),
-            "undestroyed": len(emasks),
-        }
-        self._counting_tables(con)
-        self.copy_cons.append(con)
+        m = self.m_edges
+        touching = [sum(1 << edge_id(u, v) for u in range(self.n) if u != v) for v in range(self.n)]
+        destroyers: list[int] = []  # per copy, the images that destroy it
+        last = [0] * m  # per edge, the copies whose last edge it is
+        through = [0] * m  # per edge, the copies that contain it
+        by_image = [0] * m  # per image, the copies it destroys
+        for emb, emask in self._copies(P, host):
+            if rel == "free":
+                dm = emask
+            else:
+                dm = 0
+                for v in emb:
+                    dm |= touching[v]
+            bit = 1 << len(destroyers)
+            destroyers.append(dm)
+            if emask:
+                last[emask.bit_length() - 1] |= bit
+            for e in mask_bits(emask):
+                through[e] |= bit
+            for x in mask_bits(dm):
+                by_image[x] |= bit
+        # kill[e][x]: the copies through e that image x destroys
+        kill = [[through[e] & by_image[x] for x in range(m)] for e in range(m)]
+        floor, maxdiff = self._counting_tables(len(destroyers), through, kill)
+        self.copy_cons.append((last, kill, destroyers, floor, maxdiff))
         r = P.as_star()
         if r is not None:
             if rel == "free":
@@ -280,177 +314,133 @@ class _Engine:
             else:
                 self.r_exc = r if self.r_exc is None else min(self.r_exc, r)
 
-    def _destroys(self, con: dict, x: int, ci: int) -> bool:
-        if con["rel"] == "free":
-            return bool(con["emasks"][ci] >> x & 1)
-        return bool(con["vmasks"][ci] & self.evm[x])
-
-    def _counting_tables(self, con: dict) -> None:
-        # static per-edge maxima are sound even after pools narrow
-        shift_d = [0] * self.m_edges
-        fix_d = [0] * self.m_edges
-        for e in range(self.m_edges):
-            cids = con["by_edge"][e]
-            if not cids:
-                continue
-            fix_d[e] = len(cids)
-            best = 0
-            for x in self.pools[e]:
-                if x == e:
-                    continue
-                cnt = sum(1 for ci in cids if self._destroys(con, x, ci))
-                if cnt > best:
-                    best = cnt
-            shift_d[e] = best
-        if self.objective is None:
-            own = [
-                fix_d[e] if self.pools[e] and e in self.pools[e] else 0
-                for e in range(self.m_edges)
-            ]
-            d = [max(shift_d[e], own[e]) for e in range(self.m_edges)]
-            suffix = [0] * (self.m_edges + 1)
-            for e in range(self.m_edges - 1, -1, -1):
-                suffix[e] = suffix[e + 1] + d[e]
-            con["suffix"] = suffix
-            con["maxdiff"] = 0
-        else:
-            suffix = [0] * (self.m_edges + 1)
-            for e in range(self.m_edges - 1, -1, -1):
-                suffix[e] = suffix[e + 1] + shift_d[e]
-            con["suffix"] = suffix
-            con["maxdiff"] = max(
-                (fix_d[e] - shift_d[e] for e in range(self.m_edges)), default=0
+    def _counting_tables(self, total: int, through: list[int], kill: list[list[int]]):
+        """``floor[e]``, the fewest copies that can be destroyed once edges
+        0..e are assigned if the rest are to destroy every copy left, and
+        ``maxdiff`` for the objective walk (see ``_apply``).  Static
+        per-edge maxima are sound even after pools narrow."""
+        m = self.m_edges
+        moved_only = self.objective is not None
+        # the most copies through e that one image destroys, counting only
+        # moved images on the objective walk
+        best = [
+            max(
+                (kill[e][x].bit_count() for x in self.pools[e] if not (moved_only and x == e)),
+                default=0,
             )
+            for e in range(m)
+        ]
+        maxdiff = 0
+        if moved_only:
+            maxdiff = max((through[e].bit_count() - best[e] for e in range(m)), default=0)
+        floor = [0] * m
+        later = 0
+        for e in range(m - 1, -1, -1):
+            floor[e] = total - later
+            later += best[e]
+        return floor, maxdiff
 
     # -- incremental state --------------------------------------------------
 
     def _apply(self, e: int, x: int):
-        self.stats.nodes += 1
-        if self.deadline is not None and self.stats.nodes & 1023 == 0:
+        """Assign image x to edge e; return (the prune rule it breaks or
+        None, the token that undoes it)."""
+        stats = self.stats
+        stats.nodes += 1
+        if self.deadline is not None and stats.nodes & 1023 == 0:
             if time.perf_counter() > self.deadline:
                 raise _Timeout
         self.assign[e] = x
+        token = (e, x, self.masks, self.destroyed)
         bit = 1 << e
-        ov = edges_overlap(e, x)
-        prev_masks = dict(self.rel_masks)
-        dsh_touch: list[int] = []
-        strong_pair = False
-        ok = True
-        cause = ""
+        fixed, moved, clear = self.masks
+        cause = None
 
         if x == e:
-            self.rel_masks["fixed"] |= bit
+            fixed |= bit
         else:
-            self.nonfixed_used += 1
-            self.rel_masks["shifted"] |= bit
-            if ov == 0:
-                self.rel_masks["strong_shifted"] |= bit
-            u, v = edge_pair(e)
-            vm = self.evm[x]
-            if not vm & (1 << u):
-                self.d_sh[u] += 1
-                dsh_touch.append(u)
-            if not vm & (1 << v):
-                self.d_sh[v] += 1
-                dsh_touch.append(v)
-            if ov == 0:
-                strong_pair = True
-                self.strong_sh[u] += 1
-                self.strong_sh[v] += 1
-            if self.r_free is not None and any(
-                self.d_sh[w] >= self.r_free for w in dsh_touch
-            ):
-                ok, cause = False, "shifted_degree"
-            if ok and strong_pair and self.r_exc is not None:
-                thr = 5 * self.r_exc - 4
-                if self.strong_sh[u] >= thr or self.strong_sh[v] >= thr:
-                    ok, cause = False, "shifted_degree"
+            moved |= bit
+            missed = self.missed[e][x]
+            d_sh = self.d_sh
+            for w in missed:
+                d_sh[w] += 1
+            if self.r_free is not None and any(d_sh[w] >= self.r_free for w in missed):
+                cause = "shifted_degree"
+            if len(missed) == 2:
+                clear |= bit
+                u, v = missed
+                strong_sh = self.strong_sh
+                strong_sh[u] += 1
+                strong_sh[v] += 1
+                if cause is None and self.r_exc is not None:
+                    thr = 5 * self.r_exc - 4
+                    if strong_sh[u] >= thr or strong_sh[v] >= thr:
+                        cause = "shifted_degree"
+        self.masks = masks = (fixed, moved, clear)
+        if cause is not None:
+            return cause, token
 
-        if ok:
-            for rel, emasks, by_edge in self.mask_cons:
-                mask = self.rel_masks[rel]
-                if not mask >> e & 1:
-                    continue
-                for ci in by_edge[e]:
-                    if emasks[ci] & ~mask == 0:
-                        ok, cause = False, f"pattern_{rel}"
-                        break
-                if not ok:
-                    break
+        for k, rule, by_last in self.mask_cons:
+            mask = masks[k]
+            if mask & bit:
+                for cm in by_last[e]:
+                    if cm & ~mask == 0:
+                        return rule, token
 
-        rem_touch: list[tuple[int, int]] = []
-        dst_touch: list[tuple[int, int]] = []
-        if ok:
-            for j, con in enumerate(self.copy_cons):
-                for ci in con["by_edge"][e]:
-                    con["remaining"][ci] -= 1
-                    rem_touch.append((j, ci))
-                    if con["destroyed"][ci]:
-                        continue
-                    if self._destroys(con, x, ci):
-                        con["destroyed"][ci] = True
-                        con["undestroyed"] -= 1
-                        dst_touch.append((j, ci))
-                    elif con["remaining"][ci] == 0:
-                        ok, cause = False, "copy_complete"
-                        break
-                if not ok:
-                    break
+        if self.copy_cons:
+            destroyed = []
+            for (last, kill, _, _, _), d in zip(self.copy_cons, self.destroyed):
+                d |= kill[e][x]
+                if last[e] & ~d:
+                    return "copy_complete", token
+                destroyed.append(d)
+            self.destroyed = tuple(destroyed)
 
-        if ok and self.objective is not None:
-            if self.nonfixed_used + (self.m_edges - e - 1) < self.objective:
-                ok, cause = False, "objective"
-
-        if ok:
-            if self.objective is None:
-                for con in self.copy_cons:
-                    if con["undestroyed"] > con["suffix"][e + 1]:
-                        ok, cause = False, "counting"
-                        break
-            else:
-                fixed_used = (e + 1) - self.nonfixed_used
-                allowed = max(0, (self.m_edges - self.objective) - fixed_used)
-                for con in self.copy_cons:
-                    if con["undestroyed"] > con["suffix"][e + 1] + allowed * con["maxdiff"]:
-                        ok, cause = False, "counting"
-                        break
-
-        token = (e, x, prev_masks, dsh_touch, strong_pair, rem_touch, dst_touch)
-        return ok, token, cause
+        if self.objective is None:
+            slack = 0
+        else:
+            moved_count = moved.bit_count()
+            if moved_count + (self.m_edges - e - 1) < self.objective:
+                return "objective", token
+            # fixed images the target still allows, each destroying up to
+            # maxdiff more copies than a moved one
+            fixed_used = (e + 1) - moved_count
+            slack = max(0, (self.m_edges - self.objective) - fixed_used)
+        for (_, _, _, floor, maxdiff), d in zip(self.copy_cons, self.destroyed):
+            if d.bit_count() < floor[e] - slack * maxdiff:
+                return "counting", token
+        return None, token
 
     def _undo(self, token) -> None:
-        e, x, prev_masks, dsh_touch, strong_pair, rem_touch, dst_touch = token
+        e, x, self.masks, self.destroyed = token
         self.assign[e] = -1
-        self.rel_masks = prev_masks
         if x != e:
-            self.nonfixed_used -= 1
-            for w in dsh_touch:
+            missed = self.missed[e][x]
+            for w in missed:
                 self.d_sh[w] -= 1
-            if strong_pair:
-                u, v = edge_pair(e)
+            if len(missed) == 2:
+                u, v = missed
                 self.strong_sh[u] -= 1
                 self.strong_sh[v] -= 1
-        for j, ci in dst_touch:
-            con = self.copy_cons[j]
-            con["destroyed"][ci] = False
-            con["undestroyed"] += 1
-        for j, ci in rem_touch:
-            self.copy_cons[j]["remaining"][ci] += 1
 
     # -- tree walk -----------------------------------------------------------
 
     def _candidates(self, e: int) -> list[int]:
-        pool = self.pools[e]
-        if not self.copy_cons:
-            return pool
-        for con in self.copy_cons:
-            for ci in con["by_edge"][e]:
-                if con["destroyed"][ci] or con["remaining"][ci] != 1:
-                    continue
-                pool = [x for x in pool if self._destroys(con, x, ci)]
-                if not pool:
-                    self.stats.bump("forced_empty")
-                    return pool
+        """The pool of e, less the images that leave some copy complete:
+        a copy whose last edge is e and is still whole must be destroyed
+        by e's image."""
+        allowed = -1  # stays negative until a copy is forced
+        for (last, _, destroyers, _, _), d in zip(self.copy_cons, self.destroyed):
+            forced = last[e] & ~d
+            while forced:
+                low = forced & -forced
+                allowed &= destroyers[low.bit_length() - 1]
+                forced ^= low
+        if allowed < 0:
+            return self.pools[e]
+        pool = [x for x in self.pools[e] if allowed >> x & 1]
+        if not pool:
+            self.stats.bump("forced_empty")
         return pool
 
     def _leaf(self) -> bool:
@@ -479,8 +469,8 @@ class _Engine:
             if len(stab) > 1 and any(p[x] < x for p in stab):
                 self.stats.bump("symmetry")
                 continue
-            ok, token, cause = self._apply(i, x)
-            if ok:
+            cause, token = self._apply(i, x)
+            if cause is None:
                 child = [p for p in stab if p[x] == x] if len(stab) > 1 else stab
                 if self._dfs(i + 1, child):
                     self._undo(token)
@@ -515,8 +505,8 @@ class _Engine:
             for e, x in self.prefix:
                 if e != depth:
                     raise ValueError("prefix must pin edges 0..k-1 in order")
-                ok, _token, cause = self._apply(e, x)
-                if not ok:
+                cause, _token = self._apply(e, x)
+                if cause is not None:
                     self.stats.bump(cause)
                     dead = True
                     break
@@ -572,8 +562,9 @@ def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -
 
 def _parallel(spec: AvoidanceSpec, workers: int, deadline: float | None) -> SearchOutcome:
     start = time.perf_counter()
-    root = _Engine(spec).root_candidates()
-    stats = SearchStats()
+    engine = _Engine(spec)
+    root = engine.root_candidates()
+    stats = SearchStats(table_time=engine.stats.table_time)
     if not root:
         stats.wall_time = time.perf_counter() - start
         return SearchOutcome("EXHAUSTED", None, stats)

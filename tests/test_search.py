@@ -96,11 +96,10 @@ def test_devices_never_change_the_answer(monkeypatch, sym, dest, count, dsh):
     if count:
         tables = engine._counting_tables
 
-        def no_counting(self, con):
-            tables(self, con)
-            # a bound no copy count can exceed
-            con["suffix"] = [len(con["emasks"])] * (self.m_edges + 1)
-            con["maxdiff"] = 0
+        def no_counting(self, total, through, kill):
+            floor, _ = tables(self, total, through, kill)
+            # a floor every destroyed-copy count meets
+            return [0] * len(floor), 0
 
         monkeypatch.setattr(engine, "_counting_tables", no_counting)
     if dsh:
@@ -285,6 +284,12 @@ def test_stats_and_outcome_shape():
     assert d["nodes"] == out.stats.nodes
     assert isinstance(d["prunes"], dict)
     assert d["witness"] == list(out.witness.images)
+    # table build is timed apart from the walk, and summed over branches
+    assert out.stats.table_time > 0
+    assert d["table_time"] == round(out.stats.table_time, 6)
+    par = exists_avoiding(AvoidanceSpec(5, OV1, FREE_2K2), SearchOptions(workers=2))
+    assert par.stats.table_time > 0
+    assert par.as_dict()["table_time"] == round(par.stats.table_time, 6)
 
 
 # -- the tree, pinned -----------------------------------------------------------
