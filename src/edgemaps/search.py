@@ -7,20 +7,20 @@ image first where the class allows it, so a run is a deterministic walk of
 one tree: exhaustion settles the forcing question at that n, a witness
 refutes it.
 
-Four devices keep the tree small.  They are always on, and
-``tests/test_search.py`` checks the verdicts and witnesses they lead to
-against brute-force enumeration of every mapping in the class:
+Free and exclusive copies are enforced in one place, destroyer
+propagation: an avoided copy with exactly one unassigned edge forces that
+edge's image into (or onto) the copy.  It is a forward check: every such
+copy is destroyed by the time its last edge is assigned, so no rule needs
+to look for a completed one.  Two devices keep the tree small.  They are
+always on, and ``tests/test_search.py`` checks the verdicts and witnesses
+they lead to against brute-force enumeration of every mapping in the
+class:
 
 * prefix-stabilizer symmetry: candidate images of the branching edge are
   reduced to orbit minima under vertex permutations that stabilize the
   partial assignment;
-* destroyer propagation: an avoided free or exclusive copy with exactly one
-  unassigned edge forces that edge's image into (or onto) the copy;
 * counting: copies still needing a destroyer must not outnumber the
-  destructions the remaining edges can possibly perform;
-* per-vertex tallies: enough incident edges with images missing a vertex
-  force a free star outright, and enough moved clear of both endpoints
-  force an exclusive star.
+  destructions the remaining edges can possibly perform.
 
 The walk keeps its state in a few ints per constraint, read against tables
 built once per engine.  Copies of a pattern are numbered, and a set of
@@ -31,7 +31,7 @@ copies is a bitmask over those numbers:
   every edge assigned, and while e is the branching edge they are the
   copies with e as their one unassigned edge.  A copy's remaining-edge
   count is thus a function of the depth and is never kept: an intact copy
-  in ``last[e]`` is complete after e, and forced before it;
+  in ``last[e]`` is forced while e branches;
 * ``destroyers[c]``: the images that destroy copy c, its own edges for a
   free copy and every edge touching its vertex set for an exclusive one;
 * ``kill[e][x]``: the copies through e that image x destroys.  Assigning x
@@ -85,7 +85,6 @@ from .graphs import (
     edge_pair,
     enumerate_copies,
     mask_bits,
-    path,
 )
 from .mapping import EdgeMapping, MappingClass, random_mapping
 
@@ -197,7 +196,9 @@ class _Engine:
     the recursion depth equals the id of the edge being assigned.
 
     ``deadline`` is a ``time.perf_counter()`` reading; the walk stops with
-    TIMEOUT once it has passed.
+    TIMEOUT once it has passed.  ``root`` restricts edge 0 to that one
+    image, as in one root branch of ``workers``; every image still comes
+    from ``_candidates``.
     """
 
     def __init__(
@@ -205,7 +206,7 @@ class _Engine:
         spec: AvoidanceSpec,
         deadline: float | None = None,
         objective: int | None = None,
-        prefix: tuple[tuple[int, int], ...] = (),
+        root: int | None = None,
     ):
         start = time.perf_counter()
         self.spec = spec
@@ -214,21 +215,18 @@ class _Engine:
         m = self.m_edges = edge_count(spec.n)
         self.klass = spec.klass
         self.objective = objective
-        self.prefix = tuple(prefix)
+        self.root = root
         self.stats = SearchStats()
         self.witness: EdgeMapping | None = None
 
         self.assign = [-1] * m
-        self.d_sh = [0] * spec.n
-        self.strong_sh = [0] * spec.n
         # fixed, moved and moved-clear edges of the partial assignment
         self.masks = (0, 0, 0)
-        ends = [edge_pair(e) for e in range(m)]
-        # the endpoints of e that image x misses: none when x == e, one for
-        # a move sharing a vertex, both for a move clear of e
-        self.missed = [
-            [tuple(w for w in ends[e] if w not in ends[x]) for x in range(m)] for e in range(m)
-        ]
+        # per vertex, the edges at it; per edge, the edges sharing a vertex
+        # with it, so an image outside touch[e] is moved clear of e
+        at = [sum(1 << edge_id(u, v) for u in range(spec.n) if u != v) for v in range(spec.n)]
+        self.at_vertex = at
+        self.touch = [at[u] | at[v] for u, v in map(edge_pair, range(m))]
 
         self.pools = self._build_pools()
         # per mask constraint: (index into masks, prune rule, copy edge
@@ -237,8 +235,6 @@ class _Engine:
         # per copy constraint: (last, kill, destroyers, floor, maxdiff); see
         # _add_copy_constraint and _counting_tables
         self.copy_cons: list[tuple] = []
-        self.r_free: int | None = None
-        self.r_exc: int | None = None
         host = SimpleGraph.complete(spec.n)
         for rel, P in spec.avoid:
             if P.k > spec.n:
@@ -283,7 +279,6 @@ class _Engine:
 
     def _add_copy_constraint(self, rel: str, P: PatternGraph, host: SimpleGraph) -> None:
         m = self.m_edges
-        touching = [sum(1 << edge_id(u, v) for u in range(self.n) if u != v) for v in range(self.n)]
         destroyers: list[int] = []  # per copy, the images that destroy it
         last = [0] * m  # per edge, the copies whose last edge it is
         through = [0] * m  # per edge, the copies that contain it
@@ -294,7 +289,7 @@ class _Engine:
             else:
                 dm = 0
                 for v in emb:
-                    dm |= touching[v]
+                    dm |= self.at_vertex[v]
             bit = 1 << len(destroyers)
             destroyers.append(dm)
             if emask:
@@ -307,12 +302,6 @@ class _Engine:
         kill = [[through[e] & by_image[x] for x in range(m)] for e in range(m)]
         floor, maxdiff = self._counting_tables(len(destroyers), through, kill)
         self.copy_cons.append((last, kill, destroyers, floor, maxdiff))
-        r = P.as_star()
-        if r is not None:
-            if rel == "free":
-                self.r_free = r if self.r_free is None else min(self.r_free, r)
-            else:
-                self.r_exc = r if self.r_exc is None else min(self.r_exc, r)
 
     def _counting_tables(self, total: int, through: list[int], kill: list[list[int]]):
         """``floor[e]``, the fewest copies that can be destroyed once edges
@@ -351,34 +340,16 @@ class _Engine:
             if time.perf_counter() > self.deadline:
                 raise _Timeout
         self.assign[e] = x
-        token = (e, x, self.masks, self.destroyed)
+        token = (e, self.masks, self.destroyed)
         bit = 1 << e
         fixed, moved, clear = self.masks
-        cause = None
-
         if x == e:
             fixed |= bit
         else:
             moved |= bit
-            missed = self.missed[e][x]
-            d_sh = self.d_sh
-            for w in missed:
-                d_sh[w] += 1
-            if self.r_free is not None and any(d_sh[w] >= self.r_free for w in missed):
-                cause = "shifted_degree"
-            if len(missed) == 2:
+            if not self.touch[e] >> x & 1:
                 clear |= bit
-                u, v = missed
-                strong_sh = self.strong_sh
-                strong_sh[u] += 1
-                strong_sh[v] += 1
-                if cause is None and self.r_exc is not None:
-                    thr = 5 * self.r_exc - 4
-                    if strong_sh[u] >= thr or strong_sh[v] >= thr:
-                        cause = "shifted_degree"
         self.masks = masks = (fixed, moved, clear)
-        if cause is not None:
-            return cause, token
 
         for k, rule, by_last in self.mask_cons:
             mask = masks[k]
@@ -387,14 +358,10 @@ class _Engine:
                     if cm & ~mask == 0:
                         return rule, token
 
-        if self.copy_cons:
-            destroyed = []
-            for (last, kill, _, _, _), d in zip(self.copy_cons, self.destroyed):
-                d |= kill[e][x]
-                if last[e] & ~d:
-                    return "copy_complete", token
-                destroyed.append(d)
-            self.destroyed = tuple(destroyed)
+        # x came from _candidates, so it destroys every copy that e completes
+        self.destroyed = tuple(
+            d | kill[e][x] for (_, kill, _, _, _), d in zip(self.copy_cons, self.destroyed)
+        )
 
         if self.objective is None:
             slack = 0
@@ -412,23 +379,16 @@ class _Engine:
         return None, token
 
     def _undo(self, token) -> None:
-        e, x, self.masks, self.destroyed = token
+        e, self.masks, self.destroyed = token
         self.assign[e] = -1
-        if x != e:
-            missed = self.missed[e][x]
-            for w in missed:
-                self.d_sh[w] -= 1
-            if len(missed) == 2:
-                u, v = missed
-                self.strong_sh[u] -= 1
-                self.strong_sh[v] -= 1
 
     # -- tree walk -----------------------------------------------------------
 
     def _candidates(self, e: int) -> list[int]:
         """The pool of e, less the images that leave some copy complete:
         a copy whose last edge is e and is still whole must be destroyed
-        by e's image."""
+        by e's image.  This is the one check that enforces free and
+        exclusive copies, so every image assigned must come from here."""
         allowed = -1  # stays negative until a copy is forced
         for (last, _, destroyers, _, _), d in zip(self.copy_cons, self.destroyed):
             forced = last[e] & ~d
@@ -465,7 +425,10 @@ class _Engine:
         if i == self.m_edges:
             return self._leaf()
         stab = [p for p in group if p[i] == i] if len(group) > 1 else group
-        for x in self._candidates(i):
+        pool = self._candidates(i)
+        if i == 0 and self.root is not None:
+            pool = [self.root] if self.root in pool else []
+        for x in pool:
             if len(stab) > 1 and any(p[x] < x for p in stab):
                 self.stats.bump("symmetry")
                 continue
@@ -499,21 +462,7 @@ class _Engine:
         start = time.perf_counter()
         verdict = "EXHAUSTED"
         try:
-            group = self._initial_group()
-            depth = 0
-            dead = False
-            for e, x in self.prefix:
-                if e != depth:
-                    raise ValueError("prefix must pin edges 0..k-1 in order")
-                cause, _token = self._apply(e, x)
-                if cause is not None:
-                    self.stats.bump(cause)
-                    dead = True
-                    break
-                if len(group) > 1:
-                    group = [p for p in group if p[e] == e and p[x] == x]
-                depth += 1
-            if not dead and self._dfs(depth, group):
+            if self._dfs(0, self._initial_group()):
                 verdict = "WITNESS"
         except _Timeout:
             verdict = "TIMEOUT"
@@ -535,8 +484,8 @@ def _deadline(budget: float | None) -> float | None:
 
 
 def _branch_entry(args) -> SearchOutcome:
-    spec, deadline, prefix = args
-    return _Engine(spec, deadline, prefix=prefix).run()
+    spec, deadline, root = args
+    return _Engine(spec, deadline, root=root).run()
 
 
 def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -> SearchOutcome:
@@ -563,12 +512,12 @@ def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -
 def _parallel(spec: AvoidanceSpec, workers: int, deadline: float | None) -> SearchOutcome:
     start = time.perf_counter()
     engine = _Engine(spec)
-    root = engine.root_candidates()
+    roots = engine.root_candidates()
     stats = SearchStats(table_time=engine.stats.table_time)
-    if not root:
+    if not roots:
         stats.wall_time = time.perf_counter() - start
         return SearchOutcome("EXHAUSTED", None, stats)
-    args = [(spec, deadline, ((0, x),)) for x in root]
+    args = [(spec, deadline, x) for x in roots]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(_branch_entry, args))
     witness = None
@@ -612,24 +561,6 @@ def z_via_coloring(G: PatternGraph, H: PatternGraph, n: int) -> bool:
             if not contains_copy(H, red.complement()):
                 return True
     return False
-
-
-def w_p3_exact_cover(n: int, options: SearchOptions | None = None) -> SearchOutcome:
-    """Decide exclusive-P3 avoidance for moved-clear mappings on 5 or 6 vertices.
-
-    On six vertices the count is rigid: 60 copies of the 3-vertex path, 15
-    edges, and every admissible image meets exactly four copies, so each
-    edge must claim a fresh block of four (an exact cover).  The counting
-    rule enforces that rigidity; the first image is normalized to the least
-    edge disjoint from it, which any witness could be relabeled to use.  On
-    five vertices the same search yields a witness instead.
-    """
-    if n not in (5, 6):
-        raise ValueError("the exact-cover reformulation applies at n = 5 and n = 6")
-    spec = AvoidanceSpec(n, MappingClass("disjoint"), (("exclusive", path(3)),))
-    deadline = _deadline((options or SearchOptions()).budget)
-    prefix = ((0, edge_id(2, 3)),) if n == 6 else ()
-    return _Engine(spec, deadline, prefix=prefix).run()
 
 
 @dataclass(frozen=True)

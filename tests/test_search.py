@@ -17,7 +17,6 @@ from edgemaps.search import (
     exists_avoiding,
     monte_carlo_w_witness,
     shift_capacity,
-    w_p3_exact_cover,
     z_via_coloring,
 )
 
@@ -77,13 +76,14 @@ def test_empty_class_reports_exhausted_without_search():
     assert out.stats.nodes == 0
 
 
-TOGGLES = list(itertools.product((False, True), repeat=4))
+TOGGLES = list(itertools.product((False, True), repeat=2))
 
 
-@pytest.mark.parametrize("sym,dest,count,dsh", TOGGLES)
-def test_devices_never_change_the_answer(monkeypatch, sym, dest, count, dsh):
-    # every pruning device is always on; a True here switches one off by
-    # patching the engine, and the answers must not move
+@pytest.mark.parametrize("sym,count", TOGGLES)
+def test_devices_never_change_the_answer(monkeypatch, sym, count):
+    # both pruning devices are always on; a True here switches one off by
+    # patching the engine, and the answers must not move.  Destroyer
+    # propagation is no device: it is the check that enforces free copies.
     mixed_spec = AvoidanceSpec(4, ALL, (("fixed", make_pattern("K1,2")),) + FREE_2K2)
     mixed_ref = exists_avoiding(mixed_spec)
     engine = search._Engine
@@ -91,8 +91,6 @@ def test_devices_never_change_the_answer(monkeypatch, sym, dest, count, dsh):
         monkeypatch.setattr(
             engine, "_initial_group", lambda self: [tuple(range(self.m_edges))]
         )
-    if dest:
-        monkeypatch.setattr(engine, "_candidates", lambda self, e: self.pools[e])
     if count:
         tables = engine._counting_tables
 
@@ -102,14 +100,6 @@ def test_devices_never_change_the_answer(monkeypatch, sym, dest, count, dsh):
             return [0] * len(floor), 0
 
         monkeypatch.setattr(engine, "_counting_tables", no_counting)
-    if dsh:
-        add_copy = engine._add_copy_constraint
-
-        def no_shifted_degree(self, rel, P, host):
-            add_copy(self, rel, P, host)
-            self.r_free = self.r_exc = None
-
-        monkeypatch.setattr(engine, "_add_copy_constraint", no_shifted_degree)
     out4 = exists_avoiding(AvoidanceSpec(4, OV1, FREE_2K2))
     assert out4.verdict == "WITNESS"
     assert out4.witness.images == (1, 0, 0, 2, 1, 0)
@@ -118,8 +108,7 @@ def test_devices_never_change_the_answer(monkeypatch, sym, dest, count, dsh):
     mixed = exists_avoiding(mixed_spec)
     assert mixed.verdict == "WITNESS"
     assert mixed.witness.images == mixed_ref.witness.images
-    # the patches take hold (2K2 is no star, so the shifted-degree rule
-    # stays idle on this spec either way)
+    # the patches take hold
     prunes = out5.stats.prunes
     assert sym == (prunes.get("symmetry", 0) == 0)
     assert count == (prunes.get("counting", 0) == 0)
@@ -268,10 +257,10 @@ def test_parallel_workers_agree_with_serial():
 
 def test_budget_is_one_deadline_under_workers():
     # three root branches on two workers: the last starts late and must
-    # still stop at the deadline fixed when the call began
-    spec = AvoidanceSpec(
-        7, ALL, (("fixed", make_pattern("K1,3")), ("free", make_pattern("2K2")))
-    )
+    # still stop at the deadline fixed when the call began.  The walk must
+    # outlast the budget by far: serially it had no verdict after 20 s
+    # (about 4M nodes on a 2-vCPU Xeon)
+    spec = AvoidanceSpec(8, ALL, (("fixed", make_pattern("P4")), ("free", make_pattern("K3"))))
     out = exists_avoiding(spec, SearchOptions(budget=1.0, workers=2, force=True))
     assert out.verdict == "TIMEOUT"
     assert out.stats.wall_time <= 1.0 + 0.25
@@ -297,61 +286,66 @@ def test_stats_and_outcome_shape():
 # Exact verdicts, node counts and prunes by rule of single serial walks.  The
 # engine's bookkeeping may change how fast it walks, never what it walks; a
 # change to the walk itself (edge order, image order, a prune rule) must
-# update these on purpose.  Between them every counted rule fires.  The two
-# prefixed walks pin edges 0, 1, ... up front, as the root branches of
-# ``workers`` do: behind destroyer propagation a completed copy, and a free
-# star seen by the per-vertex tally, are only ever reached through a prefix.
+# update these on purpose.  Between them every counted rule fires.  The
+# rooted walk restricts edge 0 to one root image, as one root branch of
+# ``workers`` does; its counts equal those of the former prefix walk that
+# assigned the same image up front.
 TREE_PINS = [
-    # n, class, avoid, objective, prefix, verdict, nodes, prunes
-    (6, "fixed_or_strong", (("fixed", "K1,2"), ("exclusive", "K1,2")), None, (),
+    # n, class, avoid, objective, root, verdict, nodes, prunes
+    (6, "fixed_or_strong", (("fixed", "K1,2"), ("exclusive", "K1,2")), None, None,
      "EXHAUSTED", 54564, {"pattern_fixed": 23525, "symmetry": 102}),
-    (6, "disjoint", (("free", "3K2"),), None, (),
+    (6, "disjoint", (("free", "3K2"),), None, None,
      "WITNESS", 85255, {"counting": 29594, "forced_empty": 28554, "symmetry": 2}),
-    (7, "disjoint", (("exclusive", "P4"),), None, (),
+    (7, "disjoint", (("exclusive", "P4"),), None, None,
      "WITNESS", 22902, {"forced_empty": 9787}),
-    (5, "overlap_le_1", (("free", "2K2"),), None, (),
+    (5, "overlap_le_1", (("free", "2K2"),), None, None,
      "EXHAUSTED", 2, {"counting": 2, "symmetry": 7}),
-    (5, "all", (("shifted", "K1,2"), ("fixed", "2K2")), None, (),
+    (5, "all", (("shifted", "K1,2"), ("fixed", "2K2")), None, None,
      "EXHAUSTED", 942, {"pattern_fixed": 78, "pattern_shifted": 768, "symmetry": 28}),
-    (5, "all", (("strong_shifted", "K1,2"), ("fixed", "K1,2")), None, (),
+    (5, "all", (("strong_shifted", "K1,2"), ("fixed", "K1,2")), None, None,
      "WITNESS", 21, {"pattern_fixed": 8, "pattern_strong_shifted": 3}),
     # two levels of shift_capacity's scans
-    (5, "all", (("free", "K1,2"),), 10, (),
+    (5, "all", (("free", "K1,2"),), 10, None,
      "EXHAUSTED", 3, {"counting": 2, "objective": 1, "symmetry": 7}),
-    (6, "all", (("free", "K1,2"),), 7, (),
+    (6, "all", (("free", "K1,2"),), 7, None,
      "EXHAUSTED", 18287, {"counting": 6562, "symmetry": 160}),
-    (4, "all", (("free", "2K2"),), None, tuple((e, (e + 1) % 6) for e in range(6)),
-     "EXHAUSTED", 5, {"copy_complete": 1}),
-    (5, "all", (("free", "K1,2"),), None, ((0, 2), (1, 2)),
-     "EXHAUSTED", 2, {"shifted_degree": 1}),
+    # the middle one of the root images [0, 1, 5]
+    (6, "all", (("fixed", "K1,2"), ("free", "2K2")), None, 1,
+     "EXHAUSTED", 5686, {"pattern_fixed": 2114, "symmetry": 228}),
 ]
 
 
 def _pin_id(pin) -> str:
-    n, kind, avoid, objective, prefix = pin[:5]
+    n, kind, avoid, objective, root = pin[:5]
     label = f"{kind}-K{n}-" + "+".join(f"{r}:{p}" for r, p in avoid)
     if objective is not None:
         label += f"-moved{objective}"
-    return label + ("-prefixed" if prefix else "")
+    return label + ("" if root is None else f"-root{root}")
 
 
 @pytest.mark.parametrize(
-    "n,kind,avoid,objective,prefix,verdict,nodes,prunes", TREE_PINS, ids=map(_pin_id, TREE_PINS)
+    "n,kind,avoid,objective,root,verdict,nodes,prunes", TREE_PINS, ids=map(_pin_id, TREE_PINS)
 )
-def test_tree_is_pinned(n, kind, avoid, objective, prefix, verdict, nodes, prunes):
+def test_tree_is_pinned(n, kind, avoid, objective, root, verdict, nodes, prunes):
     spec = AvoidanceSpec(n, MappingClass(kind), tuple((r, make_pattern(p)) for r, p in avoid))
-    out = search._Engine(spec, objective=objective, prefix=prefix).run()
+    engine = search._Engine(spec, objective=objective, root=root)
+    if root is not None:
+        assert root in engine.root_candidates()
+    out = engine.run()
     assert (out.verdict, out.stats.nodes, out.stats.prunes) == (verdict, nodes, prunes)
 
 
-def test_exact_cover_route():
-    out5 = w_p3_exact_cover(5)
-    assert out5.verdict == "WITNESS"
-    assert out5.witness.images == (5, 4, 9, 7, 8, 6, 2, 1, 3, 0)
-    out6 = w_p3_exact_cover(6)
-    assert out6.verdict == "EXHAUSTED"
-    with pytest.raises(ValueError):
-        w_p3_exact_cover(7)
+def test_pins_fire_every_rule():
+    fired = set().union(*(prunes for *_, prunes in TREE_PINS))
+    assert fired == {
+        "symmetry",
+        "forced_empty",
+        "counting",
+        "pattern_fixed",
+        "pattern_shifted",
+        "pattern_strong_shifted",
+        "objective",
+    }
 
 
 def test_triangle_coloring_threshold():
