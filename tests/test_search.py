@@ -412,6 +412,32 @@ def test_compute_parameter_reports_gaps_honestly():
     assert "construction" in rep.lower.provenance
 
 
+@pytest.mark.parametrize(
+    "name,G,H,d,n,certifier,flags",
+    [
+        ("g", "K1,2", None, 0, 4, "moved-clear counting certifier", ()),
+        ("g", "K1,3", None, 1, 6, "degree-profile certifier", ()),
+        ("g", "3K2", None, 1, 7, "matching-count certifier", ()),
+        ("m", "K4-K2", "K1,2", 1, 7, "free-star tally certifier", ()),
+        ("m", "K1,2", "2K2", 1, 5, "copy-counting certifier", ()),
+        ("m_star", "P4", "K2", 1, 4, "exclusive-matching count certifier", ()),
+        ("m_star", "K1,2", "K1,2", 1, 7, "exclusive-star tally certifier", ()),
+        # n = 9 would need the slow n = 9 extremal oracle, so only n is checked
+        (
+            "m", "K4", "2K2", 1, 10, "moved-support budget certifier",
+            (search.EXTERNAL_CAPACITY,),
+        ),
+    ],
+)
+def test_certify_at_first_fire(name, G, H, d, n, certifier, flags):
+    # one case per certifier: the least host it clears, and silence below
+    G = make_pattern(G)
+    H = None if H is None else make_pattern(H)
+    assert search._certify_at(name, G, H, d, n) == (certifier, flags)
+    if certifier != "moved-support budget certifier":
+        assert search._certify_at(name, G, H, d, n - 1) is None
+
+
 def test_compute_parameter_flags_assumed_density():
     rep = compute_parameter("m", make_pattern("P4"), make_pattern("K3"), budget_per_n=3.0)
     assert rep.upper is not None
