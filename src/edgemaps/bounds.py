@@ -4,14 +4,18 @@ Every certifier here is sound in exactly one direction: True certifies the
 stated inequality for the parameter, False says nothing.  Certifier
 arithmetic is exact (ints and Fractions; floats are rejected).  The only
 real-valued outputs are the asymptotic lower bounds, and those are flagged
-rather than certified.
+rather than certified.  ``CERTIFIERS`` at the end lists, per parameter and
+in precedence order, which certifier asserts "parameter <= n" on a pattern
+pair; the search's parameter brackets and the reproduce cross-check read it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from . import oracles
@@ -494,3 +498,114 @@ def tree_star_exclusive_upper(k: int, r: int) -> int:
     if r < 2:
         raise ValueError("need r >= 2")
     return k + 5 * r - 5
+
+
+# ---------------------------------------------------------------------------
+# the certifier registry: which certifier asserts "parameter <= n"
+
+# Flag on bounds that import a pair-avoidance support capacity from
+# published tables instead of deriving it here.
+EXTERNAL_CAPACITY = "pair-avoidance support capacity assumed from tables"
+
+
+def _is_tree(G: PatternGraph) -> bool:
+    return G.m == G.k - 1 and G.graph.is_connected()
+
+
+@lru_cache(maxsize=256)
+def _ex_for(n: int, P: PatternGraph) -> ExValue | None:
+    """Extremal count with provenance, falling back to the density assumption
+    for trees that did not opt in themselves (the flags say when it fired)."""
+    try:
+        return ex_value(n, P)
+    except ValueError:
+        if _is_tree(P) and not P.est_assumed:
+            try:
+                return ex_value(n, replace(P, est_assumed=True))
+            except ValueError:
+                return None
+        return None
+
+
+def _against_ex(n: int, G: PatternGraph, certify, *args, flags=()):
+    """Flags of certify(n, ex(n, G), *args) when it fires, else None."""
+    exg = _ex_for(n, G)
+    if exg is not None and certify(n, exg.value, *args):
+        return exg.flags + flags
+    return None
+
+
+def _matching_count(G, H, n):
+    t = G.as_matching()
+    return () if t is not None and t >= 2 and g_matching_certify(t, n) else None
+
+
+def _degree_profile(G, H, n):
+    return () if G.m >= 2 and g_degree_check(G, n) else None
+
+
+def _moved_clear(G, H, n):
+    return () if G.k >= 3 and G.m >= 2 and g_strong_sound(G.k, G.m, n) else None
+
+
+def _free_star(G, H, n):
+    r = H.as_star()
+    return None if r is None else _against_ex(n, G, free_star_certify, r)
+
+
+def _copy_counting(G, H, n):
+    # a star is the free-star tally's alone
+    return None if H.as_star() is not None else _against_ex(n, G, m_counting_certify, H)
+
+
+def _moved_support(G, H, n):
+    if H.as_matching() != 2 or n < 7:
+        return None
+    return _against_ex(n, G, shifted_budget_certify, n, flags=(EXTERNAL_CAPACITY,))
+
+
+def _exclusive_star(G, H, n):
+    r = H.as_star()
+    if r is None or r < 2:
+        return None
+    return _against_ex(n, G, exclusive_star_certify, r)
+
+
+def _exclusive_matching(G, H, n):
+    t = H.as_matching()
+    return None if t is None else _against_ex(n, G, exclusive_matching_certify, t)
+
+
+@dataclass(frozen=True)
+class Certifier:
+    """One registry entry: the parameter it bounds (``d`` is g's overlap
+    budget, None for m and m_star), its provenance name, and ``check(G, H,
+    n)``, which returns the claim's flags when the certifier asserts the
+    parameter is at most n and None otherwise.  ``check`` tests its guard
+    before it looks up an extremal number."""
+
+    parameter: str
+    d: int | None
+    name: str
+    check: Callable[[PatternGraph, PatternGraph | None, int], tuple[str, ...] | None]
+
+    def fires(self, G: PatternGraph, H: PatternGraph | None, n: int):
+        """``check``, reading a refusal (arguments out of range) as silence."""
+        try:
+            return self.check(G, H, n)
+        except ValueError:
+            return None
+
+
+# In precedence order: the first entry of a parameter that fires is the one
+# reported.  The names are provenance strings that digests depend on.
+CERTIFIERS = (
+    Certifier("g", 1, "matching-count certifier", _matching_count),
+    Certifier("g", 1, "degree-profile certifier", _degree_profile),
+    Certifier("g", 0, "moved-clear counting certifier", _moved_clear),
+    Certifier("m", None, "free-star tally certifier", _free_star),
+    Certifier("m", None, "copy-counting certifier", _copy_counting),
+    Certifier("m", None, "moved-support budget certifier", _moved_support),
+    Certifier("m_star", None, "exclusive-star tally certifier", _exclusive_star),
+    Certifier("m_star", None, "exclusive-matching count certifier", _exclusive_matching),
+)

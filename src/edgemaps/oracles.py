@@ -100,6 +100,7 @@ def _pattern_from_key(key: tuple) -> PatternGraph:
     return PatternGraph(_host(key[0], key[1]))
 
 
+@lru_cache(maxsize=128)
 def pair_cover_max(n: int, H: PatternGraph) -> int:
     """Max over pairs of distinct edges of K_n of the copies of H containing both."""
     if n > PAIR_COVER_LIMIT:

@@ -20,12 +20,11 @@ from math import comb
 
 from . import constructions, detect, oracles
 from .bounds import (
+    CERTIFIERS,
     ex_value,
     exclusive_star_certify,
     free_star_certify,
     g_degree_check,
-    g_matching_certify,
-    g_strong_sound,
     m_counting_certify,
     triangle_supersat_lb,
     tree_star_exclusive_upper,
@@ -49,6 +48,8 @@ from .mapping import MappingClass, random_mapping
 from .search import (
     AvoidanceSpec,
     SearchOptions,
+    _avoidance_form,
+    _parameter_label,
     compute_parameter,
     exists_avoiding,
     z_via_coloring,
@@ -395,7 +396,7 @@ def _run_oracle_domination(ctx: RunContext) -> list[ClaimResult]:
 
 
 def certifier_assertions(n_cap: int = 5):
-    """Every certifier claim of the form "parameter <= n" with n <= n_cap,
+    """Every registry claim of the form "parameter <= n" with n <= n_cap,
     over a fixed catalogue of small patterns, as searchable avoidance specs."""
     catalogue = [
         matching(1), star(2), star(3), star(4), path(4), path(5),
@@ -403,55 +404,15 @@ def certifier_assertions(n_cap: int = 5):
     ]
     found = []
     for n in range(3, n_cap + 1):
-        for G in catalogue:
-            if G.k > n:
-                continue
-            t = G.as_matching()
-            if t is not None and t >= 2:
-                try:
-                    if g_matching_certify(t, n):
-                        found.append(
-                            (f"g({G}, d=1) <= {n} by matching count",
-                             AvoidanceSpec(n, MappingClass("overlap_le_1"), (("free", G),)))
-                        )
-                except ValueError:
-                    pass
-            if G.m >= 2:
-                try:
-                    if g_degree_check(G, n):
-                        found.append(
-                            (f"g({G}, d=1) <= {n} by degree profile",
-                             AvoidanceSpec(n, MappingClass("overlap_le_1"), (("free", G),)))
-                        )
-                except ValueError:
-                    pass
-                if G.k >= 3:
-                    try:
-                        if g_strong_sound(G.k, G.m, n):
-                            found.append(
-                                (f"g({G}, d=0) <= {n} by moved-clear counting",
-                                 AvoidanceSpec(n, MappingClass("disjoint"), (("free", G),)))
-                            )
-                    except ValueError:
-                        pass
-        for H in catalogue:
-            if H.k > n:
-                continue
-            for G in catalogue:
-                if G.k > n:
-                    continue
-                r = H.as_star()
-                if r is not None:
-                    try:
-                        exh = ex_value(n, G)
-                        if free_star_certify(n, exh.value, r):
-                            found.append(
-                                (f"m({G}, {H}) <= {n} by free-star tally",
-                                 AvoidanceSpec(n, MappingClass("all"),
-                                               (("fixed", G), ("free", H))))
-                            )
-                    except ValueError:
-                        pass
+        fits = [P for P in catalogue if P.k <= n]
+        for c in CERTIFIERS:
+            for H in [None] if c.parameter == "g" else fits:
+                for G in fits:
+                    if c.fires(G, H, n) is None:
+                        continue
+                    klass, avoid = _avoidance_form(c.parameter, G, H, c.d)
+                    label = f"{_parameter_label(c.parameter, G, H, c.d)} <= {n} by {c.name}"
+                    found.append((label, AvoidanceSpec(n, klass, avoid)))
     return found
 
 

@@ -59,17 +59,10 @@ from functools import lru_cache
 from . import constructions, detect
 from .bounds import (
     ASSUMED_TREE_DENSITY,
+    CERTIFIERS,
     Bound,
     BoundReport,
-    ex_value,
-    exclusive_matching_certify,
-    exclusive_star_certify,
-    free_star_certify,
-    g_degree_check,
-    g_matching_certify,
-    g_strong_sound,
-    m_counting_certify,
-    shifted_budget_certify,
+    _is_tree,
     tree_star_exclusive_upper,
     w_bounds,
     w_clique_bounds,
@@ -95,10 +88,6 @@ ENVELOPE = {"all": 6, "overlap_le_1": 6, "disjoint": 7, "fixed_or_strong": 6}
 # Flag on results whose reading of the support capacity is our own; the
 # quantity is pinned only through how proofs consume it.
 INFERRED_CAPACITY = "support-maximum reading of the capacity"
-
-# Flag on bounds that import a pair-avoidance support capacity from
-# published tables instead of deriving it here.
-EXTERNAL_CAPACITY = "pair-avoidance support capacity assumed from tables"
 
 
 @dataclass(frozen=True)
@@ -692,8 +681,12 @@ def _avoidance_form(
     raise ValueError(f"unknown parameter {name!r}")
 
 
-def _is_tree(G: PatternGraph) -> bool:
-    return G.m == G.k - 1 and G.graph.is_connected()
+def _parameter_label(name: str, G: PatternGraph, H: PatternGraph | None, d: int) -> str:
+    if name == "g":
+        return f"g({G}, d={d})"
+    if name == "w":
+        return f"w({G})"
+    return f"{name}({G}, {H})"
 
 
 def _valid_witness(
@@ -759,89 +752,15 @@ def _construction_thunks(name: str, G: PatternGraph, H: PatternGraph | None, d: 
     return thunks
 
 
-def _ex_for(n: int, P: PatternGraph):
-    """Extremal count with provenance, falling back to the density assumption
-    for trees that did not opt in themselves (the flags say when it fired)."""
-    try:
-        return ex_value(n, P)
-    except ValueError:
-        if _is_tree(P) and not P.est_assumed:
-            try:
-                return ex_value(n, replace(P, est_assumed=True))
-            except ValueError:
-                return None
-        return None
-
-
 def _certify_at(
     name: str, G: PatternGraph, H: PatternGraph | None, d: int, n: int
 ) -> tuple[str, tuple[str, ...]] | None:
     """Which certifier, if any, asserts the parameter is at most n."""
-    if name == "g":
-        if d == 1:
-            t = G.as_matching()
-            if t is not None and t >= 2:
-                try:
-                    if g_matching_certify(t, n):
-                        return ("matching-count certifier", ())
-                except ValueError:
-                    pass
-            if G.m >= 2:
-                try:
-                    if g_degree_check(G, n):
-                        return ("degree-profile certifier", ())
-                except ValueError:
-                    pass
-        else:
-            if G.k >= 3 and G.m >= 2:
-                try:
-                    if g_strong_sound(G.k, G.m, n):
-                        return ("moved-clear counting certifier", ())
-                except ValueError:
-                    pass
-        return None
-    if name in ("m", "m_star"):
-        exg = _ex_for(n, G)
-        if exg is None:
-            return None
-        if name == "m":
-            r = H.as_star()
-            if r is not None:
-                try:
-                    if free_star_certify(n, exg.value, r):
-                        return ("free-star tally certifier", exg.flags)
-                except ValueError:
-                    pass
-            else:
-                try:
-                    if m_counting_certify(n, exg.value, H):
-                        return ("copy-counting certifier", exg.flags)
-                except ValueError:
-                    pass
-                if H.as_matching() == 2 and n >= 7:
-                    try:
-                        if shifted_budget_certify(n, exg.value, n):
-                            return (
-                                "moved-support budget certifier",
-                                exg.flags + (EXTERNAL_CAPACITY,),
-                            )
-                    except ValueError:
-                        pass
-            return None
-        r = H.as_star()
-        if r is not None and r >= 2:
-            try:
-                if exclusive_star_certify(n, exg.value, r):
-                    return ("exclusive-star tally certifier", exg.flags)
-            except ValueError:
-                pass
-        t = H.as_matching()
-        if t is not None:
-            try:
-                if exclusive_matching_certify(n, exg.value, t):
-                    return ("exclusive-matching count certifier", exg.flags)
-            except ValueError:
-                pass
+    for c in CERTIFIERS:
+        if c.parameter == name and c.d in (None, d):
+            flags = c.fires(G, H, n)
+            if flags is not None:
+                return c.name, flags
     return None
 
 
@@ -899,8 +818,8 @@ def compute_parameter(
     if name in ("g", "w") and H is not None:
         raise ValueError(f"parameter {name} takes a single pattern")
 
+    label = _parameter_label(name, G, H, d)
     if name == "z":
-        label = f"z({G}, {H})"
         cap = min(8, n_max) if n_max is not None else 8
         floor = 1
         for n in range(2, cap + 1):
@@ -914,12 +833,6 @@ def compute_parameter(
         )
 
     klass, avoid = _avoidance_form(name, G, H, d)
-    if name == "g":
-        label = f"g({G}, d={d})"
-    elif name == "w":
-        label = f"w({G})"
-    else:
-        label = f"{name}({G}, {H})"
 
     opts = options or SearchOptions()
     if opts.budget is None and budget_per_n is not None:

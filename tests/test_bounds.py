@@ -145,14 +145,12 @@ def test_m_counting_certify_tree_triangle():
 
 
 def test_shifted_budget_certify_monotone():
-    # with a trivial budget the certificate gets easier as n grows
-    exg = ex_value(8, make_pattern("2K2"))
-    ok8 = shifted_budget_certify(8, exg.value, 8)
-    exg9 = ex_value(9, make_pattern("2K2"))
-    ok9 = shifted_budget_certify(9, exg9.value, 9)
-    assert ok8 in (True, False) and ok9 in (True, False)
-    if ok8:
-        assert ok9
+    # ex(n, 2K2) = n - 1 from n = 4 on (the oracle agrees at 8 and 9); with
+    # budget n the certificate fails on K4 and holds from then on
+    assert (matching_turan(8, 2), matching_turan(9, 2)) == (7, 8)
+    assert shifted_budget_certify(8, 7, 8)
+    assert shifted_budget_certify(9, 8, 9)
+    assert not shifted_budget_certify(4, 3, 4)
 
 
 def test_exclusive_star_certify_first_fire():
@@ -166,8 +164,10 @@ def test_exclusive_star_certify_first_fire():
 
 
 def test_exclusive_matching_certify_small():
-    exg = ex_value(7, make_pattern("2K2"))
-    assert isinstance(exclusive_matching_certify(7, exg.value, 2), bool)
+    # 21 - ex(7, 2K2) = 15 moved edges hold no six disjoint ones on 7 vertices
+    ex7 = matching_turan(7, 2)
+    assert ex7 == 6
+    assert not exclusive_matching_certify(7, ex7, 2)
 
 
 def test_w_closed_forms():

@@ -1,5 +1,6 @@
 import pytest
 
+from edgemaps.bounds import CERTIFIERS
 from edgemaps.reproduce import (
     DEFAULT_SEED,
     MANIFEST,
@@ -88,9 +89,14 @@ def test_context_defaults():
 
 def test_certifier_assertions_catalogue():
     pairs = certifier_assertions(n_cap=5)
-    assert len(pairs) == 34
+    assert len(pairs) == 58
     labels = [label for label, _ in pairs]
     assert len(set(labels)) == len(labels)
+    # every registry entry that can fire at n <= 5 labels a claim; the other
+    # two first fire at n = 7 (tests/test_search.py pins where)
+    late = {"exclusive-star tally certifier", "moved-support budget certifier"}
+    named = {label.split(" by ")[1] for label in labels}
+    assert named == {c.name for c in CERTIFIERS} - late
     # every assertion is a genuine exhaustion, spot-check the first few
     for label, spec in pairs[:4]:
         assert exists_avoiding(spec).verdict == "EXHAUSTED", label

@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edgemaps import detect, search
+from edgemaps.bounds import EXTERNAL_CAPACITY
 from edgemaps.graphs import edge_count, edge_id, edge_pair, make_pattern
 from edgemaps.mapping import EdgeMapping, MappingClass
 from edgemaps.search import (
@@ -77,6 +79,14 @@ def test_empty_class_reports_exhausted_without_search():
 
 
 TOGGLES = list(itertools.product((False, True), repeat=2))
+_COUNTING_TABLES = search._Engine._counting_tables
+
+
+def _no_counting(self, total, through, kill):
+    """The counting rule's tables with a floor every destroyed-copy count
+    meets, which switches the rule off."""
+    floor, _ = _COUNTING_TABLES(self, total, through, kill)
+    return [0] * len(floor), 0
 
 
 @pytest.mark.parametrize("sym,count", TOGGLES)
@@ -92,14 +102,7 @@ def test_devices_never_change_the_answer(monkeypatch, sym, count):
             engine, "_initial_group", lambda self: [tuple(range(self.m_edges))]
         )
     if count:
-        tables = engine._counting_tables
-
-        def no_counting(self, total, through, kill):
-            floor, _ = tables(self, total, through, kill)
-            # a floor every destroyed-copy count meets
-            return [0] * len(floor), 0
-
-        monkeypatch.setattr(engine, "_counting_tables", no_counting)
+        monkeypatch.setattr(engine, "_counting_tables", _no_counting)
     out4 = exists_avoiding(AvoidanceSpec(4, OV1, FREE_2K2))
     assert out4.verdict == "WITNESS"
     assert out4.witness.images == (1, 0, 0, 2, 1, 0)
@@ -217,8 +220,12 @@ def test_engine_matches_brute_force(space, avoid):
         mp = EdgeMapping(n, tuple(int(x) for x in maps[i]))
         assert (detect.find_any(mp, avoid) is None) == good[i]
     spec = AvoidanceSpec(n, klass, avoid)
-    for workers in (1, 2):
-        out = exists_avoiding(spec, SearchOptions(workers=workers))
+    outs = [exists_avoiding(spec, SearchOptions(workers=w)) for w in (1, 2)]
+    # with counting off, destroyer propagation alone keeps free and
+    # exclusive copies out of the leaves that _leaf revalidates
+    with mock.patch.object(search._Engine, "_counting_tables", _no_counting):
+        outs.append(exists_avoiding(spec))
+    for out in outs:
         if good.any():
             assert out.verdict == "WITNESS"
             first = tuple(int(x) for x in maps[np.argmax(good)])
@@ -425,7 +432,7 @@ def test_compute_parameter_reports_gaps_honestly():
         # n = 9 would need the slow n = 9 extremal oracle, so only n is checked
         (
             "m", "K4", "2K2", 1, 10, "moved-support budget certifier",
-            (search.EXTERNAL_CAPACITY,),
+            (EXTERNAL_CAPACITY,),
         ),
     ],
 )
