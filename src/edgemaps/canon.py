@@ -13,7 +13,7 @@ from math import factorial
 
 import numpy as np
 
-from .graphs import SimpleGraph, edge_count, edge_id, edge_pair, mask_bits
+from .graphs import edge_count, edge_id, edge_pair, mask_bits
 
 # below this many consistent relabelings we loop in python; above, numpy batches
 _PY_CAP = 64
@@ -123,12 +123,6 @@ def _consistent_perms(classes: list[list[int]]):
             yield from rec(i + 1, acc + list(perm))
 
     yield from rec(0, [])
-
-
-def is_isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
-    if a.n != b.n or a.m != b.m:
-        return False
-    return canonical_code(a.n, a.edge_mask) == canonical_code(b.n, b.edge_mask)
 
 
 # ---------------------------------------------------------------------------

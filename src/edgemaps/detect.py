@@ -6,9 +6,12 @@ Fixed / shifted / strong-shifted copies live in the subgraph of edges with
 |e ∩ f(e)| equal to 2 / at most 1 / exactly 0.
 
 Absence results from the ``find_*`` functions are exhaustive, so a ``None``
-return is a proof over all copies.  Star patterns take a polynomial path via
-an exact independent-set computation on the per-center conflict graph; the
-generic path is backtracking with fail-fast incremental checks.
+return is a proof over all copies.  Every finder walks the copy plan of
+``graphs`` (see ``enumerate_copies``), which reaches each copy once: the
+fixed and shifted finders in their subgraphs, the free and exclusive ones
+with the relation checked on each edge as it closes.  Star patterns take
+their own path instead: per center, one exact maximum independent set of
+the conflict graph among the eligible leaves.
 
 ``FINDERS`` is the one table from relation name to finder, and
 ``RELATIONS`` lists its keys; every other module looks relations up there.
@@ -20,19 +23,15 @@ from dataclasses import dataclass
 from .graphs import (
     PatternGraph,
     SimpleGraph,
-    _embedding_order,
+    _copy_plan,
     adjacency_components,
     edge_id,
-    edge_pair,
     edge_vertex_mask,
     edges_overlap,
     enumerate_copies,
     mask_bits,
 )
 from .mapping import EdgeMapping
-
-_NEG = -(10**9)
-
 
 @dataclass(frozen=True)
 class Certificate:
@@ -41,7 +40,6 @@ class Certificate:
     kind: str
     pattern: PatternGraph
     embedding: tuple[int, ...]
-    checked: bool = True
 
     def copy_edge_ids(self) -> list[int]:
         return [
@@ -86,21 +84,15 @@ def find_shifted(
 def find_free(mapping: EdgeMapping, P: PatternGraph) -> Certificate | None:
     r = P.as_star()
     if r is not None:
-        size, center, leaves = max_free_star(mapping)
-        if size < r:
-            return None
-        return Certificate("free", P, _star_embedding(P, center, leaves[:r]))
-    return _find_generic(mapping, P, exclusive=False)
+        return _star_copy(mapping, P, r, exclusive=False)
+    return _copy_walk(mapping, P, exclusive=False)
 
 
 def find_exclusive(mapping: EdgeMapping, P: PatternGraph) -> Certificate | None:
     r = P.as_star()
     if r is not None:
-        size, center, leaves = max_exclusive_star(mapping)
-        if size < r:
-            return None
-        return Certificate("exclusive", P, _star_embedding(P, center, leaves[:r]))
-    return _find_generic(mapping, P, exclusive=True)
+        return _star_copy(mapping, P, r, exclusive=True)
+    return _copy_walk(mapping, P, exclusive=True)
 
 
 FINDERS = {
@@ -135,200 +127,102 @@ def _star_embedding(P: PatternGraph, center: int, leaves: tuple[int, ...]) -> tu
     return tuple(emb)
 
 
-def _find_generic(
-    mapping: EdgeMapping, P: PatternGraph, exclusive: bool
-) -> Certificate | None:
-    n = mapping.n
-    if P.k > n:
-        return None
-    Pg = P.graph
-    order = _embedding_order(Pg)
-    # back-neighbour positions: pattern edges closed when order[i] is placed
-    pos = {v: i for i, v in enumerate(order)}
-    backs = [
-        [order[j] for j in range(i) if Pg.adj[order[i]] >> order[j] & 1]
-        for i in range(len(order))
-    ]
-    assign = [-1] * P.k
-    copy_edges: set[int] = set()
-    image_count: dict[int, int] = {}
-    images_vmask = 0
+def _copy_walk(mapping: EdgeMapping, P: PatternGraph, exclusive: bool) -> Certificate | None:
+    """First free (or exclusive) copy of P along the ``_copy_plan`` walk.
 
-    def extend(i: int, used: int):
-        nonlocal images_vmask
-        if i == len(order):
-            yield tuple(assign)
-            return
-        pv = order[i]
-        for hv in range(n):
-            if used >> hv & 1:
-                continue
-            if exclusive and images_vmask >> hv & 1:
-                continue
-            new_edges = []
-            ok = True
-            saved_vmask = images_vmask
-            for q in backs[i]:
-                e = edge_id(hv, assign[q])
-                img = mapping(e)
+    Each copy is reached once, at its lex-least embedding, so the certificate
+    is the lex-least valid embedding.  A free copy carries two edge masks (its
+    edges, their images); an exclusive copy two vertex masks (its vertices,
+    the endpoints of its images).  A placement is dropped as soon as an edge
+    it closes breaks the relation.
+    """
+    n = mapping.n
+    pg = P.graph
+    if pg.n > n:
+        return None
+    order, back, above = _copy_plan(pg)
+    images = mapping.images
+    last = len(order) - 1
+    full = (1 << n) - 1
+    emb = [0] * len(order)
+    assign = [0] * pg.n
+
+    def extend(i: int, used: int, copy: int, hit: int) -> bool:
+        cand = full & ~used
+        if exclusive:
+            cand &= ~hit
+        for j in above[i]:
+            cand &= -2 << emb[j]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            hv = low.bit_length() - 1
+            emb[i] = hv
+            here, c, h = used | low, copy, hit
+            for j in back[i]:
+                e = edge_id(hv, emb[j])
+                img = images[e]
                 if exclusive:
                     iv = edge_vertex_mask(img)
-                    if iv & (used | 1 << hv):
-                        ok = False
+                    if iv & here:
                         break
-                    images_vmask |= iv
-                elif img == e or img in copy_edges or e in image_count:
-                    ok = False
-                    break
-                copy_edges.add(e)
-                image_count[img] = image_count.get(img, 0) + 1
-                new_edges.append((e, img))
-            if ok:
-                assign[pv] = hv
-                yield from extend(i + 1, used | 1 << hv)
-                assign[pv] = -1
-            for e, img in new_edges:
-                copy_edges.discard(e)
-                left = image_count[img] - 1
-                if left:
-                    image_count[img] = left
+                    h |= iv
                 else:
-                    del image_count[img]
-            images_vmask = saved_vmask
+                    c |= 1 << e
+                    if c >> img & 1 or h >> e & 1:
+                        break
+                    h |= 1 << img
+            else:
+                assign[order[i]] = hv
+                if i == last or extend(i + 1, here, c, h):
+                    return True
+        return False
 
-    kind = "exclusive" if exclusive else "free"
-    for emb in extend(0, 0):
-        return Certificate(kind, P, emb)
-    return None
+    if pg.n and not extend(0, 0, 0, 0):
+        return None
+    return Certificate("exclusive" if exclusive else "free", P, tuple(assign))
 
 
-def max_free_star(mapping: EdgeMapping) -> tuple[int, int, tuple[int, ...]]:
-    """Largest star whose edges all map outside it: (leaf count, center, leaves).
+def _star_copy(
+    mapping: EdgeMapping, P: PatternGraph, r: int, exclusive: bool
+) -> Certificate | None:
+    """A free (or exclusive) K1,r at the first center that holds one.
 
-    For a fixed center c the choices conflict exactly when one chosen edge maps
-    onto another chosen one, and each edge has a single image, so the conflict
-    graph has an out-degree-1 orientation and the maximum is exact in
-    polynomial time.
+    At center c, a leaf l is eligible when the edge cl alone is free
+    (moved) or exclusive (image clear of c and l); two eligible leaves
+    conflict when the image of one star edge is the other star edge (free)
+    or touches the other leaf (exclusive).  A largest conflict-free leaf set
+    is an exact maximum independent set of that conflict graph.
     """
-    best = (0, 0, ())
-    for c in range(mapping.n):
-        eligible = []
-        target = {}
-        for l in range(mapping.n):
+    n = mapping.n
+    for c in range(n):
+        ends = {}
+        for l in range(n):
             if l == c:
                 continue
             e = edge_id(c, l)
             img = mapping(e)
-            if img == e:
-                continue
-            eligible.append(l)
-            x, y = edge_pair(img)
-            if x == c:
-                target[l] = y
-            elif y == c:
-                target[l] = x
-        adj = {l: set() for l in eligible}
-        for l, t in target.items():
-            if t in adj and t != l:
-                adj[l].add(t)
-                adj[t].add(l)
-        mis = _pseudoforest_mis(eligible, adj)
-        if len(mis) > best[0]:
-            best = (len(mis), c, tuple(sorted(mis)))
-    return best
-
-
-def max_exclusive_star(mapping: EdgeMapping) -> tuple[int, int, tuple[int, ...]]:
-    """Largest star whose edges all map clear of its vertices."""
-    best = (0, 0, ())
-    for c in range(mapping.n):
-        cm = 1 << c
-        eligible = []
-        ends = {}
-        for l in range(mapping.n):
-            if l == c:
-                continue
-            iv = edge_vertex_mask(mapping(edge_id(c, l)))
-            if iv & (cm | 1 << l):
-                continue
-            eligible.append(l)
-            ends[l] = iv
-        adj = {l: set() for l in eligible}
-        for l in eligible:
-            for t in mask_bits(ends[l]):
+            iv = edge_vertex_mask(img)
+            if exclusive:
+                if iv & (1 << c | 1 << l) == 0:
+                    ends[l] = iv
+            elif img != e:
+                ends[l] = iv & ~(1 << c) if iv >> c & 1 else 0
+        if len(ends) < r:
+            continue
+        adj = {l: set() for l in ends}
+        for l, iv in ends.items():
+            for t in mask_bits(iv):
                 if t in adj:
                     adj[l].add(t)
                     adj[t].add(l)
-        mis: list[int] = []
-        for comp in adjacency_components(eligible, adj):
-            mis.extend(_mis_exact(comp, adj))
-        if len(mis) > best[0]:
-            best = (len(mis), c, tuple(sorted(mis)))
-    return best
-
-
-def _pseudoforest_mis(vertices: list[int], adj: dict[int, set]) -> list[int]:
-    """Exact maximum independent set when every component has at most one cycle."""
-    out: list[int] = []
-    for comp in adjacency_components(vertices, adj):
-        edges = sum(len(adj[v]) for v in comp) // 2
-        if edges < len(comp):
-            out.extend(_tree_mis(comp[0], adj, forbid=None))
-        else:
-            u, v = _find_cycle_edge(comp[0], adj)
-            adj[u].discard(v)
-            adj[v].discard(u)
-            a = _tree_mis(u, adj, forbid=u)
-            b = _tree_mis(u, adj, forbid=v)
-            adj[u].add(v)
-            adj[v].add(u)
-            out.extend(a if len(a) >= len(b) else b)
-    return out
-
-
-def _find_cycle_edge(start: int, adj: dict[int, set]) -> tuple[int, int]:
-    parent = {start: None}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y == parent[x]:
-                continue
-            if y in parent:
-                return x, y
-            parent[y] = x
-            stack.append(y)
-    raise ValueError("no cycle in component")
-
-
-def _tree_mis(root: int, adj: dict[int, set], forbid: int | None) -> list[int]:
-    parent = {root: None}
-    order = [root]
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                order.append(y)
-                stack.append(y)
-    dp_in = {}
-    dp_out = {}
-    for v in reversed(order):
-        children = [y for y in adj[v] if parent.get(y) == v]
-        dp_in[v] = (_NEG if v == forbid else 1) + sum(dp_out[c] for c in children)
-        dp_out[v] = sum(max(dp_in[c], dp_out[c]) for c in children)
-    picked: list[int] = []
-    walk = [(root, True)]
-    while walk:
-        v, can_take = walk.pop()
-        take = can_take and dp_in[v] > dp_out[v]
-        if take:
-            picked.append(v)
-        for y in adj[v]:
-            if parent.get(y) == v:
-                walk.append((y, not take))
-    return picked
+        leaves: list[int] = []
+        for comp in adjacency_components(ends, adj):
+            leaves.extend(_mis_exact(comp, adj))
+        if len(leaves) >= r:
+            kind = "exclusive" if exclusive else "free"
+            return Certificate(kind, P, _star_embedding(P, c, tuple(sorted(leaves)[:r])))
+    return None
 
 
 def _mis_exact(vertices: list[int], adj: dict[int, set]) -> list[int]:

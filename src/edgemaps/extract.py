@@ -153,7 +153,7 @@ def _larger_side(root: int, adj) -> list[int]:
 
 def _unicyclic_class(comp: list[int], adj) -> list[int]:
     # remove one cycle edge, 2-color the tree, patch the seam with a 3rd color
-    u, v = detect._find_cycle_edge(comp[0], {x: set(adj[x]) for x in comp})
+    u, v = _find_cycle_edge(comp[0], {x: set(adj[x]) for x in comp})
     side = {u: 0}
     stack = [u]
     while stack:
@@ -169,6 +169,21 @@ def _unicyclic_class(comp: list[int], adj) -> list[int]:
     zero = [x for x, s in side.items() if s == 0]
     one = [x for x, s in side.items() if s == 1]
     return zero if len(zero) >= len(one) else one
+
+
+def _find_cycle_edge(start: int, adj: dict[int, set]) -> tuple[int, int]:
+    parent = {start: None}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for y in adj[x]:
+            if y == parent[x]:
+                continue
+            if y in parent:
+                return x, y
+            parent[y] = x
+            stack.append(y)
+    raise ValueError("no cycle in component")
 
 
 def exclusive_star(

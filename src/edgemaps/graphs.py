@@ -21,6 +21,13 @@ def edge_id(u: int, v: int) -> int:
     return v * (v - 1) // 2 + u
 
 
+def checked_edge_id(n: int, u: int, v: int) -> int:
+    """edge_id of {u, v} after checking that both ends are vertices of K_n."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+    return edge_id(u, v)
+
+
 def edge_pair(eid: int) -> tuple[int, int]:
     """Inverse of edge_id: returns (u, v) with u < v."""
     if eid < 0:
@@ -98,7 +105,7 @@ class SimpleGraph:
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "SimpleGraph":
-        return cls(n, frozenset(edge_id(u, v) for u, v in pairs))
+        return cls(n, frozenset(checked_edge_id(n, u, v) for u, v in pairs))
 
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
@@ -617,7 +624,12 @@ def chromatic_number(G: SimpleGraph) -> int:
 
 @lru_cache(maxsize=32)
 def all_trees(k: int) -> tuple[PatternGraph, ...]:
-    """All trees on k vertices up to isomorphism (via Prüfer + canonical dedupe)."""
+    """All trees on k vertices up to isomorphism, sorted by canonical code.
+
+    Every tree on k vertices is a tree on k-1 vertices with a leaf attached,
+    so joining vertex k-1 to each vertex of each smaller tree and deduping by
+    canonical code reaches every class.
+    """
     from .canon import canonical_code  # local import: canon depends on edge ids only
 
     if k < 1:
@@ -627,47 +639,13 @@ def all_trees(k: int) -> tuple[PatternGraph, ...]:
     if k == 2:
         return (matching(1),)
     seen = {}
-    for seq in _prufer_sequences(k):
-        pairs = _prufer_decode(seq, k)
-        g = SimpleGraph.from_pairs(k, pairs)
-        code = canonical_code(k, g.edge_mask)
-        if code not in seen:
-            seen[code] = g
-    out = [
-        pattern(g, f"tree{k}.{i}")
-        for i, (_, g) in enumerate(sorted(seen.items()))
-    ]
-    return tuple(out)
-
-
-def _prufer_sequences(k: int):
-    def rec(prefix):
-        if len(prefix) == k - 2:
-            yield tuple(prefix)
-            return
-        for x in range(k):
-            prefix.append(x)
-            yield from rec(prefix)
-            prefix.pop()
-
-    yield from rec([])
-
-
-def _prufer_decode(seq: tuple[int, ...], k: int) -> list[tuple[int, int]]:
-    degree = [1] * k
-    for x in seq:
-        degree[x] += 1
-    pairs = []
-    for x in seq:
-        for v in range(k):
-            if degree[v] == 1:
-                pairs.append((v, x))
-                degree[v] -= 1
-                degree[x] -= 1
-                break
-    last = [v for v in range(k) if degree[v] == 1]
-    pairs.append((last[0], last[1]))
-    return pairs
+    for t in all_trees(k - 1):
+        for v in range(k - 1):
+            g = SimpleGraph(k, t.graph.edges | {edge_id(v, k - 1)})
+            seen.setdefault(canonical_code(k, g.edge_mask), g)
+    return tuple(
+        pattern(g, f"tree{k}.{i}") for i, (_, g) in enumerate(sorted(seen.items()))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import edge_count, edge_id, edge_pair, edges_overlap
+from .graphs import checked_edge_id, edge_count, edge_pair, edges_overlap
 
 
 class ContractError(RuntimeError):
@@ -47,10 +47,10 @@ class EdgeMapping:
         """Build from ((u, v), (x, y)) pairs; every edge must appear exactly once."""
         images = [-1] * edge_count(n)
         for (u, v), (x, y) in assoc:
-            e = edge_id(u, v)
+            e = checked_edge_id(n, u, v)
             if images[e] != -1:
                 raise ValueError(f"edge ({u}, {v}) mapped twice")
-            images[e] = edge_id(x, y)
+            images[e] = checked_edge_id(n, x, y)
         missing = images.count(-1)
         if missing:
             raise ValueError(f"{missing} edges have no image")

@@ -145,13 +145,19 @@ def test_oracle_subcommand(capsys):
     assert "--m" in err
 
 
-def test_cli_error_paths(capsys):
+def test_cli_error_paths(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bound", "ex", "--n", "6", "--pattern", "QQquébec")
     assert code == cli.EXIT_USAGE
     assert "error:" in err
     code, _, err = run_cli(capsys, "detect", "--mapping", "/nonexistent.map",
                            "--pattern", "K3", "--relation", "free")
     assert code == cli.EXIT_USAGE
+    # a vertex id past n - 1 is a usage error, not a traceback
+    path = tmp_path / "bad.map"
+    path.write_text("n=3\n0 1 -> 0 2\n0 2 -> 1 2\n1 5 -> 0 2\n")
+    code, _, err = run_cli(capsys, "verify", "--mapping", str(path), "--claim", "free:K2")
+    assert code == cli.EXIT_USAGE
+    assert "out of range" in err
 
 
 def test_reproduce_list_and_single_run(capsys):

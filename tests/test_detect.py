@@ -4,13 +4,12 @@ from itertools import permutations
 import pytest
 
 from edgemaps.detect import (
+    FINDERS,
     find_exclusive,
     find_fixed,
     find_free,
     find_shifted,
     fixed_graph,
-    max_exclusive_star,
-    max_free_star,
     shifted_graph,
     validate,
 )
@@ -18,6 +17,7 @@ from edgemaps.graphs import (
     edge_id,
     edge_vertex_mask,
     edges_overlap,
+    from_edge_list,
     make_pattern,
 )
 from edgemaps.mapping import EdgeMapping, MappingClass, random_mapping
@@ -57,25 +57,20 @@ def _naive_exists(mapping, P, relation):
     return False
 
 
-FINDERS = {
-    "fixed": find_fixed,
-    "shifted": find_shifted,
-    "strong_shifted": lambda f, P: find_shifted(f, P, strong=True),
-    "free": find_free,
-    "exclusive": find_exclusive,
-}
-
-PATTERNS = ["K2", "P3", "K3", "2K2", "K1,3", "P4"]
+PATTERNS = ["K2", "P3", "K3", "2K2", "K1,3", "K1,4", "P4", "C4"]
 
 
 @pytest.mark.parametrize("relation", sorted(FINDERS))
 def test_finders_agree_with_definition(relation):
     finder = FINDERS[relation]
     rng = random.Random(20240517)
-    pats = [make_pattern(s) for s in PATTERNS]
+    # the last pattern has an isolated vertex
+    pats = [make_pattern(s) for s in PATTERNS] + [from_edge_list(4, [(0, 1), (1, 2)])]
     for trial in range(120):
-        n = rng.choice((4, 5, 6))
-        f = random_mapping(n, rng)
+        n = rng.choice((4, 5, 6, 7))
+        # unrestricted draws rarely hold exclusive copies; disjoint ones often do
+        cls = MappingClass(rng.choice(("all", "disjoint")))
+        f = random_mapping(n, rng, cls)
         for P in pats:
             cert = finder(f, P)
             assert (cert is not None) == _naive_exists(f, P, relation), (
@@ -113,52 +108,6 @@ def test_fixed_and_shifted_graphs():
     assert shifted_graph(ident).m == 0
     assert fixed_graph(K4_INVOLUTION).m == 0
     assert shifted_graph(K4_INVOLUTION, strong=True).m == 6
-
-
-def _naive_max_free_star(mapping):
-    """Exhaust leaf subsets: the star is free iff no edge maps onto a star edge."""
-    from itertools import combinations
-
-    best = 0
-    n = mapping.n
-    for c in range(n):
-        others = [w for w in range(n) if w != c]
-        for size in range(len(others), best, -1):
-            found = False
-            for S in combinations(others, size):
-                eids = {edge_id(c, w) for w in S}
-                if all(mapping(e) not in eids and mapping(e) != e for e in eids):
-                    found = True
-                    break
-            if found:
-                best = size
-                break
-    return best
-
-
-def test_max_free_star_is_exact():
-    rng = random.Random(7)
-    for _ in range(60):
-        f = random_mapping(6, rng)
-        r, center, leaves = max_free_star(f)
-        assert r == _naive_max_free_star(f)
-        assert len(leaves) == r
-        eids = {edge_id(center, w) for w in leaves}
-        for e in eids:
-            assert f(e) not in eids and f(e) != e
-
-
-def test_max_exclusive_star_leaves_are_clear():
-    rng = random.Random(8)
-    for _ in range(60):
-        f = random_mapping(7, rng, MappingClass("disjoint"))
-        r, center, leaves = max_exclusive_star(f)
-        star_vmask = 1 << center
-        for w in leaves:
-            star_vmask |= 1 << w
-        for w in leaves:
-            img = f(edge_id(center, w))
-            assert edge_vertex_mask(img) & star_vmask == 0
 
 
 def test_validate_rejects_wrong_certificates():

@@ -158,6 +158,9 @@ def test_load_pattern_dispatches_on_shape():
 def test_from_edge_list_validates():
     with pytest.raises(ValueError):
         from_edge_list(3, [(0, 3)])
+    # a negative id would otherwise wrap onto a real edge: (-1, 2) has the id of (0, 1)
+    with pytest.raises(ValueError):
+        parse_edge_list("3 1\n-1 2\n")
     P = from_edge_list(4, [(0, 1), (2, 3)])
     assert P.graph.m == 2
 
@@ -258,11 +261,15 @@ def test_clique_and_chromatic():
     assert chromatic_number(complete(4).graph) == 4
 
 
-@pytest.mark.parametrize("k,count", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11)])
+@pytest.mark.parametrize(
+    "k,count", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23), (9, 47)]
+)
 def test_tree_counts(k, count):
+    # OEIS A000055
     trees = all_trees(k)
     assert len(trees) == count
     assert all(t.graph.n == k and t.graph.m == k - 1 for t in trees)
+    assert all(t.graph.is_connected() for t in trees)
 
 
 def test_turan_graph_rejects_bad_parts():

@@ -1,14 +1,14 @@
 """Every imported name is used somewhere in the module that imports it.
 
 No linter ships with the project, so this scans the syntax trees of the
-package, the tests and the scripts.  Package ``__init__.py`` files are
-skipped: their imports are the public re-exports.
+package, the tests, the scripts and the benchmark.  Package ``__init__.py``
+files are skipped: their imports are the public re-exports.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = ("src/edgemaps/*.py", "tests/*.py", "scripts/*.py")
+SOURCES = ("src/edgemaps/*.py", "tests/*.py", "scripts/*.py", "perfbench/*.py")
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -71,6 +71,11 @@ def test_parse_rejects_malformed():
         parse_mapping("no header\n")
     with pytest.raises(ValueError):
         parse_mapping("n=4\n0 1 -> 0 5\n")
+    # vertex ids outside 0..n-1, on either side of the arrow
+    with pytest.raises(ValueError):
+        parse_mapping("n=3\n0 1 -> 0 2\n0 2 -> 1 2\n1 2 -> -1 2\n")
+    with pytest.raises(ValueError):
+        parse_mapping("n=3\n0 1 -> 0 2\n0 2 -> 1 2\n1 5 -> 0 2\n")
 
 
 def test_class_membership():
