@@ -83,9 +83,11 @@ def canonical_code(n: int, mask: int) -> int:
         return mask
     adj = _adj_from_mask(n, mask)
     classes = _wl_classes(n, adj)
+    fixed = [_twins(adj, c) for c in classes]
     total = 1
-    for c in classes:
-        total *= factorial(len(c))
+    for c, f in zip(classes, fixed):
+        if not f:
+            total *= factorial(len(c))
     if total == factorial(n):
         if n > 9:
             raise ValueError(f"canonical_code: invariant-uniform graph on {n} > 9 vertices")
@@ -93,7 +95,7 @@ def canonical_code(n: int, mask: int) -> int:
     if total <= _PY_CAP:
         best = None
         pairs = [edge_pair(e) for e in mask_bits(mask)]
-        for arrangement in _consistent_perms(classes):
+        for arrangement in _consistent_perms(classes, fixed):
             pos = [0] * n
             for tgt, src in enumerate(arrangement):
                 pos[src] = tgt
@@ -103,7 +105,7 @@ def canonical_code(n: int, mask: int) -> int:
             if best is None or code < best:
                 best = code
         return best
-    perms = np.array(list(_consistent_perms(classes)), dtype=np.int8)
+    perms = np.array(list(_consistent_perms(classes, fixed)), dtype=np.int8)
     # rows list source vertices by target slot; invert to relabeling arrays
     inv = np.empty_like(perms)
     rows = np.arange(n, dtype=np.int8)
@@ -112,14 +114,31 @@ def canonical_code(n: int, mask: int) -> int:
     return _codes_min(inv, mask, n)
 
 
-def _consistent_perms(classes: list[list[int]]):
-    """All orderings placing each invariant class in its block of slots."""
+def _twins(adj: list[int], cls: list[int]) -> bool:
+    """Whether the members of ``cls`` are pairwise twins.
+
+    Twins have the same neighbours outside the class and either no edges or
+    all edges among themselves, so every permutation of the class is an
+    automorphism and leaves the minimum code unchanged.
+    """
+    inside = 0
+    for v in cls:
+        inside |= 1 << v
+    out = adj[cls[0]] & ~inside
+    return all(adj[v] == out for v in cls) or all(adj[v] | 1 << v == out | inside for v in cls)
+
+
+def _consistent_perms(classes: list[list[int]], fixed: list[bool]):
+    """All orderings placing each invariant class in its block of slots.
+
+    A class flagged ``fixed`` keeps its given order.
+    """
 
     def rec(i: int, acc: list[int]):
         if i == len(classes):
             yield tuple(acc)
             return
-        for perm in permutations(classes[i]):
+        for perm in [classes[i]] if fixed[i] else permutations(classes[i]):
             yield from rec(i + 1, acc + list(perm))
 
     yield from rec(0, [])
@@ -130,41 +149,84 @@ def _consistent_perms(classes: list[list[int]]):
 
 
 def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> list[list[int]]:
-    """Canonical representatives (edge masks) grouped by edge count.
+    """One representative edge mask per isomorphism class, grouped by edge count.
 
-    ``keep`` filters graphs; it must be closed downward under edge deletion
-    (keep(G) false stays false after adding edges is NOT required, but every
-    kept graph minus any edge must be kept) so levelwise growth reaches every
-    class.  Generation stops at the first empty level.
+    The masks are representatives, not canonical codes.  Level m + 1 grows
+    from level m by adding one edge to each representative.  A child is kept
+    only when its new edge has the largest key (max degree, min degree,
+    common neighbours) among the child's edges, and kept children are
+    deduplicated by ``canonical_code``.  This still reaches every class C:
+    take a largest-key edge c of C; C - c lies in level m, so its
+    representative plus the image of c is a copy of C whose new edge has
+    the largest key.
+
+    ``keep`` filters graphs and must be closed under edge deletion (every
+    kept graph minus any edge is kept); generation then stops at the first
+    empty level.  Without ``keep`` and ``max_edges`` only the levels up to
+    C(n,2)/2 are grown, and level m is the complements of level C(n,2) - m.
     """
-    top = edge_count(n) if max_edges is None else min(max_edges, edge_count(n))
-    levels: list[list[int]] = [[0]]
+    total = edge_count(n)
+    halves = keep is None and max_edges is None
+    if halves:
+        top = total // 2
+    else:
+        top = total if max_edges is None else min(max_edges, total)
     if keep is not None and not keep(0):
         return [[]]
-    all_edges = list(range(edge_count(n)))
+    pairs = [edge_pair(e) for e in range(total)]
+    levels: list[list[int]] = [[0]]
     for m in range(top):
         nxt: list[int] = []
-        seen_codes: set[int] = set()
-        seen_masks: set[int] = set()
+        seen: set[int] = set()
         for g in levels[m]:
-            for e in all_edges:
-                bit = 1 << e
-                if g & bit:
+            adj = _adj_from_mask(n, g)
+            deg = [a.bit_count() for a in adj]
+            for e, (u, v) in enumerate(pairs):
+                if g >> e & 1:
                     continue
-                child = g | bit
-                if child in seen_masks:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                deg[u] += 1
+                deg[v] += 1
+                largest = _has_largest_key(adj, deg, u, v)
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+                deg[u] -= 1
+                deg[v] -= 1
+                if not largest:
                     continue
-                seen_masks.add(child)
+                child = g | 1 << e
                 code = canonical_code(n, child)
-                if code in seen_codes:
+                if code in seen:
                     continue
-                seen_codes.add(code)
+                seen.add(code)
                 if keep is None or keep(child):
                     nxt.append(child)
         if not nxt:
             break
         levels.append(sorted(nxt))
+    if halves:
+        full = (1 << total) - 1
+        levels += [sorted(full ^ g for g in levels[total - m]) for m in range(top + 1, total + 1)]
     return levels
+
+
+def _has_largest_key(adj: list[int], deg: list[int], u: int, v: int) -> bool:
+    """Whether edge uv has the largest (max deg, min deg, common neighbours) key."""
+    hi, lo = (deg[u], deg[v]) if deg[u] >= deg[v] else (deg[v], deg[u])
+    if max(deg) > hi:
+        return False
+    common = (adj[u] & adj[v]).bit_count()
+    for a, da in enumerate(deg):
+        if da != hi:
+            continue
+        nb = adj[a]
+        while nb:
+            b = (nb & -nb).bit_length() - 1
+            nb &= nb - 1
+            if deg[b] > lo or deg[b] == lo and (adj[a] & adj[b]).bit_count() > common:
+                return False
+    return True
 
 
 @lru_cache(maxsize=8)

@@ -1,6 +1,17 @@
+from itertools import permutations
+
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from edgemaps.canon import canonical_code, generate_by_edge_count, graphs_by_edge_count
+from edgemaps.canon import (
+    _adj_from_mask,
+    _all_perms_np,
+    _codes_min,
+    _wl_classes,
+    canonical_code,
+    generate_by_edge_count,
+    graphs_by_edge_count,
+)
 from edgemaps.graphs import (
     SimpleGraph,
     complete_bipartite,
@@ -44,6 +55,66 @@ def test_canonical_code_is_permutation_invariant(args):
     assert canonical_code(n, mask) == canonical_code(n, _apply_perm(n, mask, perm))
 
 
+def _slot_blocks(n: int, mask: int) -> list[range]:
+    """For each vertex, the slots of its invariant class in the class order."""
+    blocks = [range(0)] * n
+    start = 0
+    for cls in _wl_classes(n, _adj_from_mask(n, mask)):
+        for v in cls:
+            blocks[v] = range(start, start + len(cls))
+        start += len(cls)
+    return blocks
+
+
+def _reference_code(n: int, mask: int) -> int:
+    """Minimum edge mask over the n! relabellings that keep the invariant order."""
+    blocks = _slot_blocks(n, mask)
+    return min(
+        _apply_perm(n, mask, perm)
+        for perm in permutations(range(n))
+        if all(perm[v] in blocks[v] for v in range(n))
+    )
+
+
+def test_canonical_code_matches_reference_small():
+    for n in range(1, 6):
+        for mask in range(1 << edge_count(n)):
+            assert canonical_code(n, mask) == _reference_code(n, mask), (n, mask)
+
+
+@given(st.integers(min_value=0, max_value=(1 << edge_count(6)) - 1))
+@settings(max_examples=60, deadline=None)
+def test_canonical_code_matches_reference_n6(mask):
+    assert canonical_code(6, mask) == _reference_code(6, mask)
+
+
+def _twin_heavy(n: int):
+    """Graphs whose invariant classes are mostly twins: K_a plus isolated
+    vertices, stars, K_{a,b} plus isolated vertices, complements of matchings."""
+    full = (1 << edge_count(n)) - 1
+    for a in range(2, n + 1):
+        yield make_pattern(f"K{a}").graph.edge_mask
+    for r in range(1, n):
+        yield star(r).graph.edge_mask
+    for a in range(1, n):
+        for b in range(a, n - a + 1):
+            yield complete_bipartite(a, b).graph.edge_mask
+    for k in range(1, n // 2 + 1):
+        yield full ^ sum(1 << edge_id(2 * i, 2 * i + 1) for i in range(k))
+
+
+def test_canonical_code_on_twin_classes_n7_n8():
+    for n, shuffle in ((7, [3, 6, 0, 5, 1, 4, 2]), (8, [5, 2, 7, 0, 3, 6, 1, 4])):
+        perms = _all_perms_np(n)
+        for mask in _twin_heavy(n):
+            for g in (mask, _apply_perm(n, mask, shuffle)):
+                blocks = _slot_blocks(n, g)
+                lo = np.array([b.start for b in blocks])
+                hi = np.array([b.stop for b in blocks])
+                rows = perms[((perms >= lo) & (perms < hi)).all(axis=1)]
+                assert canonical_code(n, g) == _codes_min(rows, g, n), (n, g)
+
+
 def test_canonical_code_separates_nonisomorphic():
     # P4 and K1,3 share degree sum but not degree sequence
     assert canonical_code(4, path(4).graph.edge_mask) != canonical_code(
@@ -65,13 +136,16 @@ def test_is_isomorphic_basics():
 # iso-class counts per edge level (OEIS A008406), then totals (OEIS A000088)
 N4_LEVELS = (1, 1, 2, 3, 2, 1, 1)
 N7_LEVELS = (1, 1, 2, 5, 10, 21, 41, 65, 97, 131, 148, 148, 131, 97, 65, 41, 21, 10, 5, 2, 1, 1)
-GRAPH_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
+N8_HALF = (1, 1, 2, 5, 11, 24, 56, 115, 221, 402, 663, 980, 1312, 1557, 1646)
+N8_LEVELS = N8_HALF + N8_HALF[-2::-1]
+GRAPH_COUNTS = {2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 
 
 def test_catalogue_levels_n4():
     levels = graphs_by_edge_count(4)
     assert tuple(len(lv) for lv in levels) == N4_LEVELS
     assert tuple(len(lv) for lv in graphs_by_edge_count(7)) == N7_LEVELS
+    assert tuple(len(lv) for lv in graphs_by_edge_count(8)) == N8_LEVELS
 
 
 def test_catalogue_totals():
@@ -80,12 +154,14 @@ def test_catalogue_totals():
 
 
 def test_catalogue_masks_are_canonical_representatives():
-    seen = set()
-    for lv in graphs_by_edge_count(5):
-        for mask in lv:
-            code = canonical_code(5, mask)
-            assert code not in seen
-            seen.add(code)
+    for n in (5, 7):
+        seen = set()
+        for m, lv in enumerate(graphs_by_edge_count(n)):
+            for mask in lv:
+                assert mask.bit_count() == m
+                code = canonical_code(n, mask)
+                assert code not in seen
+                seen.add(code)
 
 
 def test_generate_with_keep_filter():
@@ -95,6 +171,15 @@ def test_generate_with_keep_filter():
     assert all(not contains_copy(tri, _graph(5, m)) for m in flat)
     # every triangle-free 5-vertex graph has at most 6 edges (bipartite max)
     assert max(_graph(5, m).m for m in flat) == 6
+    # n = 7: the same classes as filtering the full catalogue (OEIS A006785)
+    kept = generate_by_edge_count(7, keep=lambda mask: not contains_copy(tri, _graph(7, mask)))
+    filtered = [
+        [m for m in lv if not contains_copy(tri, _graph(7, m))] for lv in graphs_by_edge_count(7)
+    ]
+    want = (1, 1, 2, 4, 8, 14, 21, 20, 18, 11, 5, 1, 1)
+    assert tuple(len(lv) for lv in kept) == want
+    assert tuple(len(lv) for lv in filtered if lv) == want
+    assert sum(want) == 107
 
 
 def test_generate_max_edges_cutoff():
