@@ -2,16 +2,18 @@
 
 A copy H' of a pattern is *free* when no edge of H' has its image inside H',
 and *exclusive* when no edge of H' has its image touching a vertex of H'.
-Fixed / shifted / strong-shifted copies live in the subgraph of edges with
+Fixed / shifted / strong-shifted copies are copies whose every edge e has
 |e ∩ f(e)| equal to 2 / at most 1 / exactly 0.
 
 Absence results from the ``find_*`` functions are exhaustive, so a ``None``
 return is a proof over all copies.  Every finder walks the copy plan of
-``graphs`` (see ``enumerate_copies``), which reaches each copy once: the
-fixed and shifted finders in their subgraphs, the free and exclusive ones
-with the relation checked on each edge as it closes.  Star patterns take
-their own path instead: per center, one exact maximum independent set of
-the conflict graph among the eligible leaves.
+``graphs`` (see ``enumerate_copies``), which reaches each copy once.  The
+fixed and shifted finders build the adjacency masks of the edges in their
+relation in one pass over the images and walk those masks; the free and
+exclusive ones check the relation on each edge as it closes.  Both read
+edge endpoints from the per-n ``edge_table``.  Star patterns take their own
+path for free and exclusive copies: per center, one exact maximum
+independent set of the conflict graph among the eligible leaves.
 
 ``FINDERS`` is the one table from relation name to finder, and
 ``RELATIONS`` lists its keys; every other module looks relations up there.
@@ -25,10 +27,11 @@ from .graphs import (
     SimpleGraph,
     _copy_plan,
     adjacency_components,
+    copies_in_masks,
     edge_id,
+    edge_table,
     edge_vertex_mask,
     edges_overlap,
-    enumerate_copies,
     mask_bits,
 )
 from .mapping import EdgeMapping
@@ -55,30 +58,40 @@ def fixed_graph(mapping: EdgeMapping) -> SimpleGraph:
     )
 
 
-def shifted_graph(mapping: EdgeMapping, strong: bool = False) -> SimpleGraph:
-    """Subgraph of edges with f(e) != e; with ``strong``, of edges disjoint from f(e)."""
-    if strong:
-        keep = frozenset(
-            e for e, img in enumerate(mapping.images) if edges_overlap(e, img) == 0
-        )
+def _relation_adj(mapping: EdgeMapping, kind: str) -> list[int]:
+    """Adjacency masks of the edges e with f(e) = e (``fixed``), f(e) != e
+    (``shifted``) or f(e) disjoint from e (``strong_shifted``)."""
+    pairs, vmask = edge_table(mapping.n)
+    images = mapping.images
+    if kind == "fixed":
+        keep = [e for e, img in enumerate(images) if img == e]
+    elif kind == "shifted":
+        keep = [e for e, img in enumerate(images) if img != e]
     else:
-        keep = frozenset(e for e, img in enumerate(mapping.images) if img != e)
-    return SimpleGraph(mapping.n, keep)
+        keep = [e for e, img in enumerate(images) if not vmask[e] & vmask[img]]
+    adj = [0] * mapping.n
+    for e in keep:
+        u, v = pairs[e]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _relation_copy(mapping: EdgeMapping, P: PatternGraph, kind: str) -> Certificate | None:
+    """The first copy of P along the copy-plan walk of the relation's edges."""
+    for emb in copies_in_masks(P.graph, mapping.n, _relation_adj(mapping, kind)):
+        return Certificate(kind, P, emb)
+    return None
 
 
 def find_fixed(mapping: EdgeMapping, P: PatternGraph) -> Certificate | None:
-    for emb in enumerate_copies(P, fixed_graph(mapping)):
-        return Certificate("fixed", P, emb)
-    return None
+    return _relation_copy(mapping, P, "fixed")
 
 
 def find_shifted(
     mapping: EdgeMapping, P: PatternGraph, strong: bool = False
 ) -> Certificate | None:
-    kind = "strong_shifted" if strong else "shifted"
-    for emb in enumerate_copies(P, shifted_graph(mapping, strong=strong)):
-        return Certificate(kind, P, emb)
-    return None
+    return _relation_copy(mapping, P, "strong_shifted" if strong else "shifted")
 
 
 def find_free(mapping: EdgeMapping, P: PatternGraph) -> Certificate | None:
@@ -142,6 +155,7 @@ def _copy_walk(mapping: EdgeMapping, P: PatternGraph, exclusive: bool) -> Certif
         return None
     order, back, above = _copy_plan(pg)
     images = mapping.images
+    vmask = edge_table(n)[1]
     last = len(order) - 1
     full = (1 << n) - 1
     emb = [0] * len(order)
@@ -163,7 +177,7 @@ def _copy_walk(mapping: EdgeMapping, P: PatternGraph, exclusive: bool) -> Certif
                 e = edge_id(hv, emb[j])
                 img = images[e]
                 if exclusive:
-                    iv = edge_vertex_mask(img)
+                    iv = vmask[img]
                     if iv & here:
                         break
                     h |= iv
@@ -195,14 +209,16 @@ def _star_copy(
     is an exact maximum independent set of that conflict graph.
     """
     n = mapping.n
+    images = mapping.images
+    vmask = edge_table(n)[1]
     for c in range(n):
         ends = {}
         for l in range(n):
             if l == c:
                 continue
             e = edge_id(c, l)
-            img = mapping(e)
-            iv = edge_vertex_mask(img)
+            img = images[e]
+            iv = vmask[img]
             if exclusive:
                 if iv & (1 << c | 1 << l) == 0:
                     ends[l] = iv

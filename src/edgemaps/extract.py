@@ -18,7 +18,6 @@ from .graphs import (
     adjacency_components,
     edge_id,
     edge_pair,
-    edge_vertex_mask,
     edges_overlap,
     mask_bits,
     star,
@@ -196,12 +195,15 @@ def exclusive_star(
     color class of the <= 5 gives ceil(deg/5) >= r conflict-free edges.
     """
     if host is None:
-        host = SimpleGraph.complete(mapping.n)
+        full = (1 << mapping.n) - 1
+        adj = tuple(full ^ 1 << x for x in range(mapping.n))
+    else:
+        adj = host.adj
     if r < 1:
         raise ValueError("r must be positive")
-    if _dominating_edge(host) is not None:
+    if _dominating_edge(adj) is not None:
         raise ValueError("host has an edge incident to all other edges")
-    leaves = mask_bits(host.adj[v])
+    leaves = mask_bits(adj[v])
     deg = len(leaves)
     if deg < 5 * r - 4:
         raise ValueError(f"degree {deg} at vertex {v} is below 5r-4 = {5 * r - 4}")
@@ -226,13 +228,15 @@ def exclusive_star(
     return cert
 
 
-def _dominating_edge(host: SimpleGraph) -> tuple[int, int] | None:
-    for e in host.edges:
-        u, v = edge_pair(e)
-        if all(
-            edge_vertex_mask(e2) & edge_vertex_mask(e)
-            for e2 in host.edges
-            if e2 != e
-        ):
-            return (u, v)
+def _dominating_edge(adj) -> tuple[int, int] | None:
+    """The first edge uv, in edge-id order, of the graph with adjacency masks
+    ``adj`` that touches every other edge, or None.  uv touches every other
+    edge iff no edge avoids both u and v, that is, iff no vertex w outside
+    {u, v} has a neighbour outside {u, v}."""
+    n = len(adj)
+    for v in range(n):
+        for u in mask_bits(adj[v] & ((1 << v) - 1)):
+            uv = 1 << u | 1 << v
+            if all(adj[w] & ~uv == 0 for w in range(n) if not uv >> w & 1):
+                return (u, v)
     return None

@@ -6,6 +6,7 @@ under growing n, so an edge keeps its id in every host that contains it.
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -49,6 +50,14 @@ def edge_count(n: int) -> int:
 def edge_vertex_mask(eid: int) -> int:
     u, v = edge_pair(eid)
     return (1 << u) | (1 << v)
+
+
+@lru_cache(maxsize=64)
+def edge_table(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The endpoint pairs and the vertex masks of the edges of K_n, both
+    indexed by edge id."""
+    pairs = tuple(edge_pair(e) for e in range(edge_count(n)))
+    return pairs, tuple(1 << u | 1 << v for u, v in pairs)
 
 
 def edges_overlap(e1: int, e2: int) -> int:
@@ -517,17 +526,22 @@ def enumerate_copies(P: PatternGraph | SimpleGraph, host: SimpleGraph):
     that order.  The map sends pattern vertex i to embedding[i].
     """
     pg = P.graph if isinstance(P, PatternGraph) else P
-    if pg.n > host.n:
+    return copies_in_masks(pg, host.n, host.adj)
+
+
+def copies_in_masks(P: SimpleGraph, n: int, adj: Sequence[int]):
+    """``enumerate_copies`` of P in the graph on 0..n-1 whose neighbours of
+    vertex v are the bits of ``adj[v]``; no ``SimpleGraph`` is built."""
+    if P.n > n:
         return
-    if not pg.n:
+    if not P.n:
         yield ()
         return
-    order, back, above = _copy_plan(pg)
+    order, back, above = _copy_plan(P)
     last = len(order) - 1
-    adj = host.adj
-    free = (1 << host.n) - 1
+    free = (1 << n) - 1
     emb = [0] * len(order)
-    assign = [0] * pg.n
+    assign = [0] * P.n
 
     def extend(i: int, used: int):
         cand = free & ~used

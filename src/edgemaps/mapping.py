@@ -13,8 +13,9 @@ Overlap classes restrict |e ∩ f(e)|:
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .graphs import checked_edge_id, edge_count, edge_pair, edges_overlap
 
@@ -128,12 +129,26 @@ class MappingClass:
         return False
 
 
-def random_mapping(n: int, rng: random.Random, cls: MappingClass | None = None) -> EdgeMapping:
-    """Uniform over per-edge admissible images."""
+@lru_cache(maxsize=64)
+def admissible_images(cls: MappingClass | None, n: int) -> tuple[Sequence[int], ...]:
+    """Per edge of K_n, the images ``cls`` admits, in ascending order.
+
+    Built once per (class, n) from ``value_ok``, which stays the definition.
+    ``None`` and the ``all`` class admit every image, so all their edges
+    share one ``range``.
+    """
     m = edge_count(n)
+    if cls is None or cls.kind == "all":
+        return (range(m),) * m
+    return tuple(tuple(x for x in range(m) if cls.value_ok(e, x)) for e in range(m))
+
+
+def random_mapping(n: int, rng: random.Random, cls: MappingClass | None = None) -> EdgeMapping:
+    """Uniform over per-edge admissible images: one ``rng.choice`` per edge,
+    in edge order, over that edge's row of the cached ``admissible_images``
+    table."""
     images = []
-    for e in range(m):
-        pool = [x for x in range(m) if cls is None or cls.value_ok(e, x)]
+    for e, pool in enumerate(admissible_images(cls, n)):
         if not pool:
             raise ValueError(f"no admissible image for edge {e} at n={n}")
         images.append(rng.choice(pool))

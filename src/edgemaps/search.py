@@ -79,7 +79,7 @@ from .graphs import (
     enumerate_copies,
     mask_bits,
 )
-from .mapping import EdgeMapping, MappingClass, random_mapping
+from .mapping import EdgeMapping, MappingClass, admissible_images, random_mapping
 
 # Largest host the plain engine accepts per class without force=True.  The
 # moved-clear class has the smallest pools and stretches one vertex further.
@@ -239,13 +239,14 @@ class _Engine:
     # -- construction-time tables ------------------------------------------
 
     def _build_pools(self) -> list[list[int]]:
+        """Each edge's admissible images, split into its own image and the
+        moved ones; the own image goes first unless the walk has an
+        objective."""
         pools = []
         shifted_first = self.objective is not None
-        for e in range(self.m_edges):
-            moved = [
-                x for x in range(self.m_edges) if x != e and self.klass.value_ok(e, x)
-            ]
-            own = [e] if self.klass.value_ok(e, e) else []
+        for e, images in enumerate(admissible_images(self.klass, self.n)):
+            moved = [x for x in images if x != e]
+            own = [e] if len(moved) < len(images) else []
             pools.append(moved + own if shifted_first else own + moved)
         return pools
 

@@ -2,27 +2,50 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgemaps.detect import (
     FINDERS,
+    Certificate,
     find_exclusive,
     find_fixed,
     find_free,
     find_shifted,
     fixed_graph,
-    shifted_graph,
     validate,
 )
 from edgemaps.graphs import (
+    SimpleGraph,
     edge_id,
     edge_vertex_mask,
     edges_overlap,
+    enumerate_copies,
     from_edge_list,
     make_pattern,
 )
 from edgemaps.mapping import EdgeMapping, MappingClass, random_mapping
 
 K4_INVOLUTION = EdgeMapping(4, (5, 4, 3, 2, 1, 0))
+
+
+def shifted_graph(mapping, strong=False):
+    """Subgraph of edges with f(e) != e; with ``strong``, of edges disjoint from f(e)."""
+    if strong:
+        keep = frozenset(
+            e for e, img in enumerate(mapping.images) if edges_overlap(e, img) == 0
+        )
+    else:
+        keep = frozenset(e for e, img in enumerate(mapping.images) if img != e)
+    return SimpleGraph(mapping.n, keep)
+
+
+def _relation_graph(mapping, kind):
+    """Subgraph of the edges in a fixed / shifted / strong-shifted relation."""
+    if kind == "fixed":
+        return SimpleGraph(
+            mapping.n, frozenset(e for e, img in enumerate(mapping.images) if img == e)
+        )
+    return shifted_graph(mapping, strong=kind == "strong_shifted")
 
 
 def _copy_edges(P, emb):
@@ -78,6 +101,38 @@ def test_finders_agree_with_definition(relation):
             )
             if cert is not None:
                 assert validate(f, cert)
+
+
+# the patterns of the benchmark's verify workload, one with an isolated
+# vertex, and one with more vertices than any host drawn below
+CERT_PATTERNS = [make_pattern(s) for s in ("K3", "2K2", "P4", "K1,3", "K4-K2", "3K2", "C4", "5K2")]
+CERT_PATTERNS.append(from_edge_list(4, [(0, 1), (1, 2)]))
+
+
+@st.composite
+def class_mappings(draw):
+    """A seeded draw from an overlap class, with some edges then fixed where
+    the class allows it, so that fixed copies occur too."""
+    cls = MappingClass(draw(st.sampled_from(MappingClass.KINDS)))
+    n = draw(st.integers(min_value=4, max_value=9))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    rate = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+    images = list(random_mapping(n, rng, cls).images)
+    for e in range(len(images)):
+        if cls.value_ok(e, e) and rng.random() < rate:
+            images[e] = e
+    return EdgeMapping(n, tuple(images))
+
+
+@given(class_mappings())
+@settings(max_examples=120, deadline=None)
+def test_fixed_and_shifted_certificates_are_the_first_copy(f):
+    for kind in ("fixed", "shifted", "strong_shifted"):
+        host = _relation_graph(f, kind)
+        for P in CERT_PATTERNS:
+            emb = next(enumerate_copies(P, host), None)
+            want = None if emb is None else Certificate(kind, P, emb)
+            assert FINDERS[kind](f, P) == want, (kind, str(P), f.images)
 
 
 def test_identity_mapping_relations():

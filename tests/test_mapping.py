@@ -7,6 +7,7 @@ from edgemaps.graphs import edge_count, edge_id, edge_pair, edges_overlap
 from edgemaps.mapping import (
     EdgeMapping,
     MappingClass,
+    admissible_images,
     format_mapping,
     parse_mapping,
     random_mapping,
@@ -102,6 +103,44 @@ def test_random_mapping_respects_class(seed):
     assert MappingClass("disjoint").admits(f)
     g = random_mapping(6, rng)
     assert MappingClass("all").admits(g)
+
+
+CLASSES = [None] + [MappingClass(kind) for kind in MappingClass.KINDS]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: getattr(c, "kind", "None"))
+def test_admissible_images_is_value_ok(cls):
+    for n in range(9):
+        m = edge_count(n)
+        table = admissible_images(cls, n)
+        assert len(table) == m
+        for e in range(m):
+            assert list(table[e]) == [x for x in range(m) if cls is None or cls.value_ok(e, x)]
+
+
+def _reference_mapping(n, rng, cls):
+    """One rng.choice per edge over a pool rebuilt from value_ok."""
+    m = edge_count(n)
+    images = []
+    for e in range(m):
+        pool = [x for x in range(m) if cls is None or cls.value_ok(e, x)]
+        images.append(rng.choice(pool))
+    return tuple(images)
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: getattr(c, "kind", "None"))
+def test_random_mapping_draws_are_pinned(cls):
+    for n in range(4, 12):
+        for seed in (0, 1, 17, 2024):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                assert random_mapping(n, rng, cls).images == _reference_mapping(n, ref, cls)
+            assert rng.random() == ref.random()
+
+
+def test_random_mapping_rejects_an_empty_class():
+    with pytest.raises(ValueError):
+        random_mapping(3, random.Random(0), MappingClass("disjoint"))
 
 
 def test_class_emptiness():
