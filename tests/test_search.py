@@ -296,29 +296,34 @@ def test_stats_and_outcome_shape():
 # update these on purpose.  Between them every counted rule fires.  The
 # rooted walk restricts edge 0 to one root image, as one root branch of
 # ``workers`` does; its counts equal those of the former prefix walk that
-# assigned the same image up front.
+# assigned the same image up front.  A witness walk pins its witness too: a
+# rule that cuts only subtrees without a witness may move the counts, never
+# the witness, since the walk order stays the same.
 TREE_PINS = [
-    # n, class, avoid, objective, root, verdict, nodes, prunes
+    # n, class, avoid, objective, root, verdict, nodes, prunes, witness
     (6, "fixed_or_strong", (("fixed", "K1,2"), ("exclusive", "K1,2")), None, None,
-     "EXHAUSTED", 54564, {"pattern_fixed": 23525, "symmetry": 102}),
+     "EXHAUSTED", 54564, {"pattern_fixed": 23525, "symmetry": 102}, None),
     (6, "disjoint", (("free", "3K2"),), None, None,
-     "WITNESS", 85255, {"counting": 29594, "forced_empty": 28554, "symmetry": 2}),
+     "WITNESS", 85255, {"counting": 29594, "forced_empty": 28554, "symmetry": 2},
+     (5, 4, 6, 7, 6, 7, 5, 1, 3, 2, 4, 1, 0, 0, 2)),
     (7, "disjoint", (("exclusive", "P4"),), None, None,
-     "WITNESS", 22902, {"forced_empty": 9787}),
+     "WITNESS", 22902, {"forced_empty": 9787},
+     (5, 4, 3, 2, 1, 0, 2, 1, 0, 0, 2, 1, 9, 8, 5, 14, 14, 9, 14, 13, 0)),
     (5, "overlap_le_1", (("free", "2K2"),), None, None,
-     "EXHAUSTED", 2, {"counting": 2, "symmetry": 7}),
+     "EXHAUSTED", 2, {"counting": 2, "symmetry": 7}, None),
     (5, "all", (("shifted", "K1,2"), ("fixed", "2K2")), None, None,
-     "EXHAUSTED", 942, {"pattern_fixed": 78, "pattern_shifted": 768, "symmetry": 28}),
+     "EXHAUSTED", 942, {"pattern_fixed": 78, "pattern_shifted": 768, "symmetry": 28}, None),
     (5, "all", (("strong_shifted", "K1,2"), ("fixed", "K1,2")), None, None,
-     "WITNESS", 21, {"pattern_fixed": 8, "pattern_strong_shifted": 3}),
+     "WITNESS", 21, {"pattern_fixed": 8, "pattern_strong_shifted": 3},
+     (0, 0, 0, 0, 0, 5, 0, 0, 0, 3)),
     # two levels of shift_capacity's scans
     (5, "all", (("free", "K1,2"),), 10, None,
-     "EXHAUSTED", 3, {"counting": 2, "objective": 1, "symmetry": 7}),
+     "EXHAUSTED", 3, {"counting": 2, "objective": 1, "symmetry": 7}, None),
     (6, "all", (("free", "K1,2"),), 7, None,
-     "EXHAUSTED", 18287, {"counting": 6562, "symmetry": 160}),
+     "EXHAUSTED", 18287, {"counting": 6562, "symmetry": 160}, None),
     # the middle one of the root images [0, 1, 5]
     (6, "all", (("fixed", "K1,2"), ("free", "2K2")), None, 1,
-     "EXHAUSTED", 5686, {"pattern_fixed": 2114, "symmetry": 228}),
+     "EXHAUSTED", 5686, {"pattern_fixed": 2114, "symmetry": 228}, None),
 ]
 
 
@@ -331,19 +336,22 @@ def _pin_id(pin) -> str:
 
 
 @pytest.mark.parametrize(
-    "n,kind,avoid,objective,root,verdict,nodes,prunes", TREE_PINS, ids=map(_pin_id, TREE_PINS)
+    "n,kind,avoid,objective,root,verdict,nodes,prunes,witness",
+    TREE_PINS,
+    ids=map(_pin_id, TREE_PINS),
 )
-def test_tree_is_pinned(n, kind, avoid, objective, root, verdict, nodes, prunes):
+def test_tree_is_pinned(n, kind, avoid, objective, root, verdict, nodes, prunes, witness):
     spec = AvoidanceSpec(n, MappingClass(kind), tuple((r, make_pattern(p)) for r, p in avoid))
     engine = search._Engine(spec, objective=objective, root=root)
     if root is not None:
         assert root in engine.root_candidates()
     out = engine.run()
     assert (out.verdict, out.stats.nodes, out.stats.prunes) == (verdict, nodes, prunes)
+    assert (None if out.witness is None else out.witness.images) == witness
 
 
 def test_pins_fire_every_rule():
-    fired = set().union(*(prunes for *_, prunes in TREE_PINS))
+    fired = set().union(*(prunes for *_, prunes, _ in TREE_PINS))
     assert fired == {
         "symmetry",
         "forced_empty",
