@@ -8,6 +8,7 @@ class is a large conflict-free edge set.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -82,21 +83,8 @@ def color_bounded(D: FunctionalDigraph) -> list[int]:
     2d earlier neighbors, so 2d+1 colors always suffice.
     """
     adj = D.undirected
-    deg = [len(a) for a in adj]
-    removed = [False] * D.n
-    peel: list[int] = []
-    for _ in range(D.n):
-        v = min(
-            (x for x in range(D.n) if not removed[x]),
-            key=lambda x: (deg[x], x),
-        )
-        removed[v] = True
-        peel.append(v)
-        for w in adj[v]:
-            if not removed[w]:
-                deg[w] -= 1
     colors = [-1] * D.n
-    for v in reversed(peel):
+    for v in reversed(_peel_order(adj)):
         taken = {colors[w] for w in adj[v] if colors[w] >= 0}
         c = 0
         while c in taken:
@@ -106,6 +94,29 @@ def color_bounded(D: FunctionalDigraph) -> list[int]:
     if D.n and max(colors) + 1 > limit:
         raise AssertionError(f"greedy used {max(colors) + 1} colors, bound {limit}")
     return colors
+
+
+def _peel_order(adj) -> list[int]:
+    """Vertices in the order that repeatedly removes a vertex of least
+    remaining degree, the least such id first.  A heap keyed on (degree,
+    vertex) holds one live entry per vertex, pushed anew when its degree
+    drops; the older entries of a vertex are stale and skipped."""
+    deg = [len(a) for a in adj]
+    removed = [False] * len(adj)
+    heap = [(d, v) for v, d in enumerate(deg)]
+    heapq.heapify(heap)
+    peel: list[int] = []
+    while heap:
+        d, v = heapq.heappop(heap)
+        if removed[v] or d != deg[v]:
+            continue
+        removed[v] = True
+        peel.append(v)
+        for w in adj[v]:
+            if not removed[w]:
+                deg[w] -= 1
+                heapq.heappush(heap, (deg[w], w))
+    return peel
 
 
 def largest_color_class(colors: list[int]) -> list[int]:

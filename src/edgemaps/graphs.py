@@ -246,6 +246,10 @@ class PatternGraph:
 
     def as_star(self) -> int | None:
         """r if this is K_{1,r} (r >= 1), else None."""
+        return self._star
+
+    @cached_property
+    def _star(self) -> int | None:
         if self.k >= 2 and self.m == self.k - 1:
             ds = self.degseq()
             if ds[0] == self.k - 1 and all(d == 1 for d in ds[1:]):

@@ -9,13 +9,18 @@ refutes it.
 
 Free and exclusive copies are enforced in one place, destroyer
 propagation: an avoided copy with exactly one unassigned edge forces that
-edge's image into (or onto) the copy.  It is a forward check: every such
-copy is destroyed by the time its last edge is assigned, so no rule needs
-to look for a completed one.  Two devices keep the tree small.  They are
-always on, and ``tests/test_search.py`` checks the verdicts and witnesses
-they lead to against brute-force enumeration of every mapping in the
-class:
+edge's image into (or onto) the copy.  It is a forward check (Haralick &
+Elliott, 1980): every such copy is destroyed by the time its last edge is
+assigned, so no rule needs to look for a completed one.  Three devices keep
+the tree small.  They are always on, and ``tests/test_search.py`` checks
+the verdicts and witnesses they lead to against brute-force enumeration of
+every mapping in the class:
 
+* lookahead: a copy is pending from the moment its second-to-last edge is
+  assigned, and its destroyers narrow its last edge's images at once; a
+  branch that leaves some edge no image dies there, not levels deeper.  It
+  only cuts subtrees without a witness and keeps the walk order, so the
+  first witness is the same one;
 * prefix-stabilizer symmetry: candidate images of the branching edge are
   reduced to orbit minima under vertex permutations that stabilize the
   partial assignment;
@@ -26,22 +31,33 @@ The walk keeps its state in a few ints per constraint, read against tables
 built once per engine.  Copies of a pattern are numbered, and a set of
 copies is a bitmask over those numbers:
 
-* ``last[e]``: the copies whose largest edge id is e.  Edges are assigned
-  in id order, so once e is assigned these copies, and only these, have
-  every edge assigned, and while e is the branching edge they are the
-  copies with e as their one unassigned edge.  A copy's remaining-edge
-  count is thus a function of the depth and is never kept: an intact copy
-  in ``last[e]`` is forced while e branches;
+* ``last[e]`` and ``second[e]``: the copies of two or more edges whose
+  largest, and second-largest, edge id is e.  Edges are assigned in id
+  order, so once ``second[e]``'s copies have e assigned they have one
+  unassigned edge left, and ``last[e]``'s copies have none once e is.  A
+  copy's remaining-edge count is thus a function of the depth and is never
+  kept;
 * ``destroyers[c]``: the images that destroy copy c, its own edges for a
   free copy and every edge touching its vertex set for an exclusive one;
 * ``kill[e][x]``: the copies through e that image x destroys.  Assigning x
-  to e ORs it into the constraint's destroyed-copies mask; forcing ANDs the
-  ``destroyers`` of the forced copies and filters e's pool in pool order;
-  the counting rule reads the popcount of the destroyed mask;
+  to e ORs it into the constraint's destroyed-copies mask; the counting
+  rule reads its popcount;
+* ``allowed[f]``: the images of f that every pending copy with last edge f
+  accepts, carried down the walk.  It starts as f's pool less what the
+  copies of one edge, f alone, rule out.  After e is assigned, each intact
+  copy in ``second[e]`` ANDs its ``destroyers`` into ``allowed`` of its
+  last edge; the rule ``lookahead`` prunes when that leaves none.
+  ``_candidates`` filters e's pool by ``allowed[e]`` in pool order;
+* quiet constraints: a copy's own edges always destroy it, so where the
+  last edge's pool holds its own image no copy can empty it.  Such a
+  constraint (every one in the classes that admit fixed edges) carries no
+  ``allowed`` state and adds no work to ``_apply``: ``_candidates`` forces
+  its intact ``last[e]`` copies directly;
 * the fixed, moved and moved-clear edges so far, as three edge masks,
   checked against the copies of each mask constraint by their last edge.
 
-Undoing a step restores the masks from the step's token.  Witnesses are
+Undoing a step restores the masks and the ``allowed`` list from the step's
+token; a step that narrows ``allowed`` narrows a copy of it.  Witnesses are
 re-validated by the detection module before being returned, so a bug in
 the incremental bookkeeping surfaces as a loud error rather than a wrong
 verdict.
@@ -218,12 +234,22 @@ class _Engine:
         self.touch = [at[u] | at[v] for u, v in map(edge_pair, range(m))]
 
         self.pools = self._build_pools()
+        self.pool_masks = [sum(1 << x for x in pool) for pool in self.pools]
+        # per edge, the images its pending copies still allow; carried down
+        # the walk, copied on write and restored from the undo token
+        self.allowed = list(self.pool_masks)
         # per mask constraint: (index into masks, prune rule, copy edge
         # masks by the copy's last edge)
         self.mask_cons: list[tuple[int, str, list[list[int]]]] = []
-        # per copy constraint: (last, kill, destroyers, floor, maxdiff); see
+        # per copy constraint: (kill, floor, maxdiff); see
         # _add_copy_constraint and _counting_tables
         self.copy_cons: list[tuple] = []
+        # quiet copy constraints, forced at their last edge:
+        # (index, last, destroyers)
+        self.forcing: list[tuple] = []
+        # the other copy constraints, looked ahead at their second-to-last
+        # edge: (index, second, destroyers, ends)
+        self.lookahead: list[tuple] = []
         host = SimpleGraph.complete(spec.n)
         for rel, P in spec.avoid:
             if P.k > spec.n:
@@ -270,7 +296,9 @@ class _Engine:
     def _add_copy_constraint(self, rel: str, P: PatternGraph, host: SimpleGraph) -> None:
         m = self.m_edges
         destroyers: list[int] = []  # per copy, the images that destroy it
-        last = [0] * m  # per edge, the copies whose last edge it is
+        ends: list[int] = []  # per copy, its last edge
+        last = [0] * m  # per edge, the copies of 2+ edges whose last edge it is
+        second = [0] * m  # per edge, the copies whose second-to-last edge it is
         through = [0] * m  # per edge, the copies that contain it
         by_image = [0] * m  # per image, the copies it destroys
         for emb, emask in self._copies(P, host):
@@ -282,8 +310,15 @@ class _Engine:
                     dm |= self.at_vertex[v]
             bit = 1 << len(destroyers)
             destroyers.append(dm)
-            if emask:
-                last[emask.bit_length() - 1] |= bit
+            f = emask.bit_length() - 1
+            ends.append(f)
+            rest = emask & ~(1 << f) if emask else 0
+            if rest:
+                last[f] |= bit
+                second[rest.bit_length() - 1] |= bit
+            elif emask:
+                # a one-edge copy constrains its edge from the start
+                self.allowed[f] &= dm
             for e in mask_bits(emask):
                 through[e] |= bit
             for x in mask_bits(dm):
@@ -291,7 +326,19 @@ class _Engine:
         # kill[e][x]: the copies through e that image x destroys
         kill = [[through[e] & by_image[x] for x in range(m)] for e in range(m)]
         floor, maxdiff = self._counting_tables(len(destroyers), through, kill)
-        self.copy_cons.append((last, kill, destroyers, floor, maxdiff))
+        index = len(self.copy_cons)
+        self.copy_cons.append((kill, floor, maxdiff))
+        if self._quiet(last):
+            self.forcing.append((index, last, destroyers))
+        else:
+            self.lookahead.append((index, second, destroyers, ends))
+
+    def _quiet(self, last: list[int]) -> bool:
+        """Whether the constraint can never empty a pool: each copy's own
+        edges destroy it, free or exclusive, so a copy can always be
+        destroyed at its last edge when that edge's pool holds its own
+        image.  Looking such copies ahead would only cost time."""
+        return all(self.pool_masks[f] >> f & 1 for f in range(self.m_edges) if last[f])
 
     def _counting_tables(self, total: int, through: list[int], kill: list[list[int]]):
         """``floor[e]``, the fewest copies that can be destroyed once edges
@@ -330,7 +377,7 @@ class _Engine:
             if time.perf_counter() > self.deadline:
                 raise _Timeout
         self.assign[e] = x
-        token = (e, self.masks, self.destroyed)
+        token = (e, self.masks, self.destroyed, self.allowed)
         bit = 1 << e
         fixed, moved, clear = self.masks
         if x == e:
@@ -349,9 +396,27 @@ class _Engine:
                         return rule, token
 
         # x came from _candidates, so it destroys every copy that e completes
-        self.destroyed = tuple(
-            d | kill[e][x] for (_, kill, _, _, _), d in zip(self.copy_cons, self.destroyed)
+        self.destroyed = destroyed = tuple(
+            d | kill[e][x] for (kill, _, _), d in zip(self.copy_cons, self.destroyed)
         )
+
+        # copies left with one unassigned edge narrow that edge's images;
+        # the token keeps the list as it was, so the first change copies it
+        allowed = self.allowed
+        for index, second, destroyers, ends in self.lookahead:
+            pending = second[e] & ~destroyed[index]
+            while pending:
+                low = pending & -pending
+                c = low.bit_length() - 1
+                f = ends[c]
+                after = allowed[f] & destroyers[c]
+                if after != allowed[f]:
+                    if allowed is token[3]:
+                        allowed = self.allowed = allowed[:]
+                    allowed[f] = after
+                    if not after:
+                        return "lookahead", token
+                pending ^= low
 
         if self.objective is None:
             slack = 0
@@ -363,13 +428,13 @@ class _Engine:
             # maxdiff more copies than a moved one
             fixed_used = (e + 1) - moved_count
             slack = max(0, (self.m_edges - self.objective) - fixed_used)
-        for (_, _, _, floor, maxdiff), d in zip(self.copy_cons, self.destroyed):
+        for (_, floor, maxdiff), d in zip(self.copy_cons, destroyed):
             if d.bit_count() < floor[e] - slack * maxdiff:
                 return "counting", token
         return None, token
 
     def _undo(self, token) -> None:
-        e, self.masks, self.destroyed = token
+        e, self.masks, self.destroyed, self.allowed = token
         self.assign[e] = -1
 
     # -- tree walk -----------------------------------------------------------
@@ -377,21 +442,21 @@ class _Engine:
     def _candidates(self, e: int) -> list[int]:
         """The pool of e, less the images that leave some copy complete:
         a copy whose last edge is e and is still whole must be destroyed
-        by e's image.  This is the one check that enforces free and
-        exclusive copies, so every image assigned must come from here."""
-        allowed = -1  # stays negative until a copy is forced
-        for (last, _, destroyers, _, _), d in zip(self.copy_cons, self.destroyed):
-            forced = last[e] & ~d
+        by e's image.  ``allowed[e]`` already holds what the looked-ahead
+        constraints and the one-edge copies leave; the quiet constraints'
+        copies are forced here.  This is the one check that enforces free
+        and exclusive copies, so every image assigned must come from here."""
+        allowed = self.allowed[e]
+        destroyed = self.destroyed
+        for index, last, destroyers in self.forcing:
+            forced = last[e] & ~destroyed[index]
             while forced:
                 low = forced & -forced
                 allowed &= destroyers[low.bit_length() - 1]
                 forced ^= low
-        if allowed < 0:
+        if allowed == self.pool_masks[e]:
             return self.pools[e]
-        pool = [x for x in self.pools[e] if allowed >> x & 1]
-        if not pool:
-            self.stats.bump("forced_empty")
-        return pool
+        return [x for x in self.pools[e] if allowed >> x & 1]
 
     def _leaf(self) -> bool:
         mp = EdgeMapping(self.n, tuple(self.assign))

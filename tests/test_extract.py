@@ -8,6 +8,7 @@ from edgemaps.detect import validate
 from edgemaps.extract import (
     FunctionalDigraph,
     color_bounded,
+    _peel_order,
     exclusive_star,
     independent_set_d1,
     largest_color_class,
@@ -54,6 +55,33 @@ def test_coloring_is_proper_and_narrow(D):
     for v in range(D.n):
         for w in D.undirected[v]:
             assert colors[v] != colors[w]
+
+
+def _peel_by_scan(adj):
+    """The peel as a scan: each step takes the least (degree, vertex) among
+    the vertices left."""
+    deg = [len(a) for a in adj]
+    left = set(range(len(adj)))
+    peel = []
+    while left:
+        v = min(left, key=lambda x: (deg[x], x))
+        left.remove(v)
+        peel.append(v)
+        for w in adj[v]:
+            if w in left:
+                deg[w] -= 1
+    return peel
+
+
+def test_peel_order_matches_the_scan():
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 60)
+        d = rng.randint(1, 4)
+        arcs = [rng.sample([w for w in range(n) if w != v], min(rng.randint(0, d), n - 1))
+                for v in range(n)]
+        adj = FunctionalDigraph.from_arcs(n, arcs, d=d).undirected
+        assert _peel_order(adj) == _peel_by_scan(adj)
 
 
 @given(digraphs())

@@ -261,6 +261,15 @@ def test_clique_and_chromatic():
     assert chromatic_number(complete(4).graph) == 4
 
 
+def test_as_star_reads_the_shape_once(monkeypatch):
+    shapes = {"K2": 1, "K1,2": 2, "K1,4": 4, "P4": None, "2K2": None, "K3": None}
+    patterns = {name: make_pattern(name) for name in shapes}
+    assert {name: P.as_star() for name, P in patterns.items()} == shapes
+    # later calls answer from the memo, without the degree sequence
+    monkeypatch.setattr(PatternGraph, "degseq", lambda self: pytest.fail("re-sorted"))
+    assert {name: P.as_star() for name, P in patterns.items()} == shapes
+
+
 @pytest.mark.parametrize(
     "k,count", [(2, 1), (3, 1), (4, 2), (5, 3), (6, 6), (7, 11), (8, 23), (9, 47)]
 )

@@ -78,7 +78,11 @@ def test_empty_class_reports_exhausted_without_search():
     assert out.stats.nodes == 0
 
 
-TOGGLES = list(itertools.product((False, True), repeat=2))
+# sym, count, look; a run with lookahead left on keeps its two-flag id
+TOGGLES = [
+    pytest.param(sym, count, look, id=f"{sym}-{count}" + ("-True" if look else ""))
+    for sym, count, look in itertools.product((False, True), repeat=3)
+]
 _COUNTING_TABLES = search._Engine._counting_tables
 
 
@@ -89,13 +93,16 @@ def _no_counting(self, total, through, kill):
     return [0] * len(floor), 0
 
 
-@pytest.mark.parametrize("sym,count", TOGGLES)
-def test_devices_never_change_the_answer(monkeypatch, sym, count):
-    # both pruning devices are always on; a True here switches one off by
-    # patching the engine, and the answers must not move.  Destroyer
-    # propagation is no device: it is the check that enforces free copies.
+@pytest.mark.parametrize("sym,count,look", TOGGLES)
+def test_devices_never_change_the_answer(monkeypatch, sym, count, look):
+    # the three pruning devices are always on; a True here switches one off
+    # by patching the engine, and the answers must not move.  Destroyer
+    # propagation is no device: it is the check that enforces free copies,
+    # at the last edge when lookahead is off.
     mixed_spec = AvoidanceSpec(4, ALL, (("fixed", make_pattern("K1,2")),) + FREE_2K2)
     mixed_ref = exists_avoiding(mixed_spec)
+    excl_spec = AvoidanceSpec(5, DISJ, EXCL_P3)
+    excl_ref = exists_avoiding(excl_spec)
     engine = search._Engine
     if sym:
         monkeypatch.setattr(
@@ -103,6 +110,9 @@ def test_devices_never_change_the_answer(monkeypatch, sym, count):
         )
     if count:
         monkeypatch.setattr(engine, "_counting_tables", _no_counting)
+    if look:
+        # every copy constraint quiet: forced at its last edge, never ahead
+        monkeypatch.setattr(engine, "_quiet", lambda self, last: True)
     out4 = exists_avoiding(AvoidanceSpec(4, OV1, FREE_2K2))
     assert out4.verdict == "WITNESS"
     assert out4.witness.images == (1, 0, 0, 2, 1, 0)
@@ -111,10 +121,14 @@ def test_devices_never_change_the_answer(monkeypatch, sym, count):
     mixed = exists_avoiding(mixed_spec)
     assert mixed.verdict == "WITNESS"
     assert mixed.witness.images == mixed_ref.witness.images
+    excl = exists_avoiding(excl_spec)
+    assert excl.verdict == "WITNESS"
+    assert excl.witness.images == excl_ref.witness.images
     # the patches take hold
     prunes = out5.stats.prunes
     assert sym == (prunes.get("symmetry", 0) == 0)
     assert count == (prunes.get("counting", 0) == 0)
+    assert look == (excl.stats.prunes.get("lookahead", 0) == 0)
 
 
 # -- brute-force reference ----------------------------------------------------
@@ -304,10 +318,10 @@ TREE_PINS = [
     (6, "fixed_or_strong", (("fixed", "K1,2"), ("exclusive", "K1,2")), None, None,
      "EXHAUSTED", 54564, {"pattern_fixed": 23525, "symmetry": 102}, None),
     (6, "disjoint", (("free", "3K2"),), None, None,
-     "WITNESS", 85255, {"counting": 29594, "forced_empty": 28554, "symmetry": 2},
+     "WITNESS", 9827, {"counting": 410, "lookahead": 7768, "symmetry": 2},
      (5, 4, 6, 7, 6, 7, 5, 1, 3, 2, 4, 1, 0, 0, 2)),
     (7, "disjoint", (("exclusive", "P4"),), None, None,
-     "WITNESS", 22902, {"forced_empty": 9787},
+     "WITNESS", 39, {"lookahead": 18},
      (5, 4, 3, 2, 1, 0, 2, 1, 0, 0, 2, 1, 9, 8, 5, 14, 14, 9, 14, 13, 0)),
     (5, "overlap_le_1", (("free", "2K2"),), None, None,
      "EXHAUSTED", 2, {"counting": 2, "symmetry": 7}, None),
@@ -354,13 +368,23 @@ def test_pins_fire_every_rule():
     fired = set().union(*(prunes for *_, prunes, _ in TREE_PINS))
     assert fired == {
         "symmetry",
-        "forced_empty",
+        "lookahead",
         "counting",
         "pattern_fixed",
         "pattern_shifted",
         "pattern_strong_shifted",
         "objective",
     }
+
+
+def test_lookahead_settles_exclusive_matching_on_k7():
+    # before lookahead this walk ran past 4.8M nodes without a verdict
+    spec = AvoidanceSpec(7, DISJ, (("exclusive", make_pattern("2K2")),))
+    out = exists_avoiding(spec, SearchOptions(force=True, budget=10.0))
+    assert out.verdict == "WITNESS"
+    assert out.stats.nodes < 100
+    assert DISJ.admits(out.witness)
+    assert detect.find_any(out.witness, spec.avoid) is None
 
 
 def test_triangle_coloring_threshold():
@@ -424,7 +448,8 @@ def test_compute_parameter_reports_gaps_honestly():
     assert rep.status == "gap"
     assert rep.lower.value == 8
     assert rep.upper.value == 10
-    assert "construction" in rep.lower.provenance
+    # the search itself finds the n = 7 witness, ahead of the z7 construction
+    assert rep.lower.provenance == "exhaustive avoidance search below"
 
 
 @pytest.mark.parametrize(
