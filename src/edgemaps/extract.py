@@ -99,16 +99,17 @@ def color_bounded(D: FunctionalDigraph) -> list[int]:
 def _peel_order(adj) -> list[int]:
     """Vertices in the order that repeatedly removes a vertex of least
     remaining degree, the least such id first.  A heap keyed on (degree,
-    vertex) holds one live entry per vertex, pushed anew when its degree
-    drops; the older entries of a vertex are stale and skipped."""
+    vertex) gets a new entry for a vertex whenever its degree drops.
+    Degrees only fall, so a vertex's newest entry pops before its older,
+    stale ones, which are skipped as already removed."""
     deg = [len(a) for a in adj]
     removed = [False] * len(adj)
     heap = [(d, v) for v, d in enumerate(deg)]
     heapq.heapify(heap)
     peel: list[int] = []
     while heap:
-        d, v = heapq.heappop(heap)
-        if removed[v] or d != deg[v]:
+        _, v = heapq.heappop(heap)
+        if removed[v]:
             continue
         removed[v] = True
         peel.append(v)
