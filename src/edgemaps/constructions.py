@@ -40,12 +40,6 @@ class ConstructionResult:
     claims: tuple[tuple[str, PatternGraph], ...]
     provenance: str
 
-    def claimed(self, relation: str, pattern: PatternGraph) -> bool:
-        key = (relation, pattern.graph.n, pattern.graph.edge_mask)
-        return any(
-            (rel, p.graph.n, p.graph.edge_mask) == key for rel, p in self.claims
-        )
-
 
 def _emit(mapping: EdgeMapping, claims, provenance: str) -> ConstructionResult:
     hit = detect.find_any(mapping, claims)

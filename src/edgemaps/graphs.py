@@ -176,26 +176,9 @@ class SimpleGraph:
         return SimpleGraph(len(vs), frozenset(new_edges))
 
     def components(self) -> list[list[int]]:
-        seen = [False] * self.n
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                nb = self.adj[x]
-                while nb:
-                    y = (nb & -nb).bit_length() - 1
-                    nb &= nb - 1
-                    if not seen[y]:
-                        seen[y] = True
-                        comp.append(y)
-                        stack.append(y)
-            out.append(sorted(comp))
-        return out
+        """Connected components, each sorted, listed by least vertex."""
+        nbrs = [mask_bits(a) for a in self.adj]
+        return [sorted(c) for c in adjacency_components(range(self.n), nbrs)]
 
     def is_connected(self) -> bool:
         return len(self.components()) <= 1

@@ -7,14 +7,19 @@ image first where the class allows it, so a run is a deterministic walk of
 one tree: exhaustion settles the forcing question at that n, a witness
 refutes it.
 
-Free and exclusive copies are enforced in one place, destroyer
-propagation: an avoided copy with exactly one unassigned edge forces that
-edge's image into (or onto) the copy.  It is a forward check (Haralick &
-Elliott, 1980): every such copy is destroyed by the time its last edge is
-assigned, so no rule needs to look for a completed one.  Three devices keep
-the tree small.  They are always on, and ``tests/test_search.py`` checks
-the verdicts and witnesses they lead to against brute-force enumeration of
-every mapping in the class:
+Every relation is one kind of constraint, a set of copies to destroy, and
+enters the walk only through its kill rows (``_KILLS``): which images,
+given to an edge of a copy, make the copy fail the relation.  An image
+inside the copy destroys a free copy, one touching its vertex set an
+exclusive copy; an image other than the edge destroys a fixed copy, the
+edge itself a shifted copy, and one touching the edge a strong-shifted
+copy.  Copies are enforced in one place, destroyer propagation: an avoided
+copy with exactly one unassigned edge forces that edge's image among its
+destroyers.  It is a forward check (Haralick & Elliott, 1980): every copy is
+destroyed by the time its last edge is assigned, so no rule needs to look
+for a completed one.  Three devices keep the tree small.  They are always
+on, and ``tests/test_search.py`` checks the verdicts and witnesses they
+lead to against brute-force enumeration of every mapping in the class:
 
 * lookahead: a copy is pending from the moment its second-to-last edge is
   assigned, and its destroyers narrow its last edge's images at once; a
@@ -37,30 +42,28 @@ copies is a bitmask over those numbers:
   unassigned edge left, and ``last[e]``'s copies have none once e is.  A
   copy's remaining-edge count is thus a function of the depth and is never
   kept;
-* ``destroyers[c]``: the images that destroy copy c, its own edges for a
-  free copy and every edge touching its vertex set for an exclusive one;
 * ``kill[e][x]``: the copies through e that image x destroys.  Assigning x
   to e ORs it into the constraint's destroyed-copies mask; the counting
   rule reads its popcount;
+* ``destroyers[c]``: the images that destroy copy c at its last edge, that
+  is c's bit read down the kill row of that edge;
 * ``allowed[f]``: the images of f that every pending copy with last edge f
   accepts, carried down the walk.  It starts as f's pool less what the
   copies of one edge, f alone, rule out.  After e is assigned, each intact
   copy in ``second[e]`` ANDs its ``destroyers`` into ``allowed`` of its
   last edge; the rule ``lookahead`` prunes when that leaves none.
   ``_candidates`` filters e's pool by ``allowed[e]`` in pool order;
-* quiet constraints: a copy's own edges always destroy it, so where the
-  last edge's pool holds its own image no copy can empty it.  Such a
-  constraint (every one in the classes that admit fixed edges) carries no
-  ``allowed`` state and adds no work to ``_apply``: ``_candidates`` forces
-  its intact ``last[e]`` copies directly;
-* the fixed, moved and moved-clear edges so far, as three edge masks,
-  checked against the copies of each mask constraint by their last edge.
+* quiet constraints: where, at each last edge, one image of the pool
+  destroys every copy ending there, the constraint alone can never empty a
+  pool.  Such a constraint (every one in the class ``all``, for instance)
+  carries no ``allowed`` state and adds no work to ``_apply``:
+  ``_candidates`` forces its intact ``last[e]`` copies directly;
+* the count of moved edges so far, which the objective walk reads.
 
-Undoing a step restores the masks and the ``allowed`` list from the step's
-token; a step that narrows ``allowed`` narrows a copy of it.  Witnesses are
-re-validated by the detection module before being returned, so a bug in
-the incremental bookkeeping surfaces as a loud error rather than a wrong
-verdict.
+Undoing a step restores the state from the step's token; a step that
+narrows ``allowed`` narrows a copy of it.  Witnesses are re-validated by the
+detection module before being returned, so a bug in the incremental
+bookkeeping surfaces as a loud error rather than a wrong verdict.
 """
 from __future__ import annotations
 
@@ -97,7 +100,7 @@ from .graphs import (
 )
 from .mapping import EdgeMapping, MappingClass, admissible_images, random_mapping
 
-# Largest host the plain engine accepts per class without force=True.  The
+# Largest host the engine accepts per class without a budget.  The
 # moved-clear class has the smallest pools and stretches one vertex further.
 ENVELOPE = {"all": 6, "overlap_le_1": 6, "disjoint": 7, "fixed_or_strong": 6}
 
@@ -133,7 +136,6 @@ class AvoidanceSpec:
 class SearchOptions:
     budget: float | None = None
     workers: int = 1
-    force: bool = False
 
 
 @dataclass
@@ -192,8 +194,16 @@ def _edge_perms(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-# Relations of the mask constraints, in the order of ``_Engine.masks``.
-_MASK_RELATIONS = ("fixed", "shifted", "strong_shifted")
+# Per relation, the images that destroy a copy at one of its edges e, from
+# (engine, e, embedding, edge mask): free and exclusive copies by what the
+# image meets of the copy, the others by what it meets of e.
+_KILLS = {
+    "free": lambda eng, e, emb, emask: emask,
+    "exclusive": lambda eng, e, emb, emask: eng.vertex_edges(emb),
+    "fixed": lambda eng, e, emb, emask: eng.every_image ^ (1 << e),
+    "shifted": lambda eng, e, emb, emask: 1 << e,
+    "strong_shifted": lambda eng, e, emb, emask: eng.touch[e],
+}
 
 
 class _Engine:
@@ -225,10 +235,10 @@ class _Engine:
         self.witness: EdgeMapping | None = None
 
         self.assign = [-1] * m
-        # fixed, moved and moved-clear edges of the partial assignment
-        self.masks = (0, 0, 0)
+        self.moved = 0  # edges assigned an image other than their own
+        self.every_image = (1 << m) - 1
         # per vertex, the edges at it; per edge, the edges sharing a vertex
-        # with it, so an image outside touch[e] is moved clear of e
+        # with it
         at = [sum(1 << edge_id(u, v) for u in range(spec.n) if u != v) for v in range(spec.n)]
         self.at_vertex = at
         self.touch = [at[u] | at[v] for u, v in map(edge_pair, range(m))]
@@ -238,9 +248,6 @@ class _Engine:
         # per edge, the images its pending copies still allow; carried down
         # the walk, copied on write and restored from the undo token
         self.allowed = list(self.pool_masks)
-        # per mask constraint: (index into masks, prune rule, copy edge
-        # masks by the copy's last edge)
-        self.mask_cons: list[tuple[int, str, list[list[int]]]] = []
         # per copy constraint: (kill, floor, maxdiff); see
         # _add_copy_constraint and _counting_tables
         self.copy_cons: list[tuple] = []
@@ -252,11 +259,7 @@ class _Engine:
         self.lookahead: list[tuple] = []
         host = SimpleGraph.complete(spec.n)
         for rel, P in spec.avoid:
-            if P.k > spec.n:
-                continue
-            if rel in _MASK_RELATIONS:
-                self._add_mask_constraint(rel, P, host)
-            else:
+            if P.k <= spec.n:
                 self._add_copy_constraint(rel, P, host)
         # per copy constraint, the bitmask of its destroyed copies
         self.destroyed = (0,) * len(self.copy_cons)
@@ -276,39 +279,35 @@ class _Engine:
             pools.append(moved + own if shifted_first else own + moved)
         return pools
 
-    @staticmethod
-    def _copies(P: PatternGraph, host: SimpleGraph):
-        """(embedding, edge mask) of every copy of P in the host."""
+    def vertex_edges(self, vertices) -> int:
+        """The edges touching any of ``vertices``."""
+        out = 0
+        for v in vertices:
+            out |= self.at_vertex[v]
+        return out
+
+    def _add_copy_constraint(self, rel: str, P: PatternGraph, host: SimpleGraph) -> None:
+        m = self.m_edges
+        kills = _KILLS[rel]
+        destroyers: list[int] = []  # per copy, the images that destroy it at its last edge
+        ends: list[int] = []  # per copy, its last edge
+        last = [0] * m  # per edge, the copies of 2+ edges whose last edge it is
+        second = [0] * m  # per edge, the copies whose second-to-last edge it is
+        through = [0] * m  # per edge, the copies that contain it
+        # per edge, its copies grouped by the images that destroy them there
+        groups: list[dict[int, int]] = [{} for _ in range(m)]
         pairs = P.graph.pairs()
         for emb in enumerate_copies(P, host):
             emask = 0
             for a, b in pairs:
                 emask |= 1 << edge_id(emb[a], emb[b])
-            yield emb, emask
-
-    def _add_mask_constraint(self, rel: str, P: PatternGraph, host: SimpleGraph) -> None:
-        by_last: list[list[int]] = [[] for _ in range(self.m_edges)]
-        for _, emask in self._copies(P, host):
-            if emask:
-                by_last[emask.bit_length() - 1].append(emask)
-        self.mask_cons.append((_MASK_RELATIONS.index(rel), f"pattern_{rel}", by_last))
-
-    def _add_copy_constraint(self, rel: str, P: PatternGraph, host: SimpleGraph) -> None:
-        m = self.m_edges
-        destroyers: list[int] = []  # per copy, the images that destroy it
-        ends: list[int] = []  # per copy, its last edge
-        last = [0] * m  # per edge, the copies of 2+ edges whose last edge it is
-        second = [0] * m  # per edge, the copies whose second-to-last edge it is
-        through = [0] * m  # per edge, the copies that contain it
-        by_image = [0] * m  # per image, the copies it destroys
-        for emb, emask in self._copies(P, host):
-            if rel == "free":
-                dm = emask
-            else:
-                dm = 0
-                for v in emb:
-                    dm |= self.at_vertex[v]
             bit = 1 << len(destroyers)
+            dm = 0
+            for e in mask_bits(emask):
+                through[e] |= bit
+                dm = kills(self, e, emb, emask)
+                groups[e][dm] = groups[e].get(dm, 0) | bit
+            # edges come in id order, so dm is the last edge's kill column
             destroyers.append(dm)
             f = emask.bit_length() - 1
             ends.append(f)
@@ -319,26 +318,32 @@ class _Engine:
             elif emask:
                 # a one-edge copy constrains its edge from the start
                 self.allowed[f] &= dm
-            for e in mask_bits(emask):
-                through[e] |= bit
-            for x in mask_bits(dm):
-                by_image[x] |= bit
         # kill[e][x]: the copies through e that image x destroys
-        kill = [[through[e] & by_image[x] for x in range(m)] for e in range(m)]
+        kill = [[0] * m for _ in range(m)]
+        for row, group in zip(kill, groups):
+            for dm, copies in group.items():
+                for x in mask_bits(dm):
+                    row[x] |= copies
         floor, maxdiff = self._counting_tables(len(destroyers), through, kill)
         index = len(self.copy_cons)
         self.copy_cons.append((kill, floor, maxdiff))
-        if self._quiet(last):
+        if self._quiet(last, destroyers):
             self.forcing.append((index, last, destroyers))
         else:
             self.lookahead.append((index, second, destroyers, ends))
 
-    def _quiet(self, last: list[int]) -> bool:
-        """Whether the constraint can never empty a pool: each copy's own
-        edges destroy it, free or exclusive, so a copy can always be
-        destroyed at its last edge when that edge's pool holds its own
-        image.  Looking such copies ahead would only cost time."""
-        return all(self.pool_masks[f] >> f & 1 for f in range(self.m_edges) if last[f])
+    def _quiet(self, last: list[int], destroyers: list[int]) -> bool:
+        """Whether the constraint can never empty a pool: at each last edge
+        f, some image of f's pool destroys every copy ending at f, so
+        forcing the intact ones there always leaves an image.  Looking such
+        copies ahead would only cost time."""
+        for f, copies in enumerate(last):
+            common = self.pool_masks[f]
+            for c in mask_bits(copies):
+                common &= destroyers[c]
+            if copies and not common:
+                return False
+        return True
 
     def _counting_tables(self, total: int, through: list[int], kill: list[list[int]]):
         """``floor[e]``, the fewest copies that can be destroyed once edges
@@ -377,23 +382,9 @@ class _Engine:
             if time.perf_counter() > self.deadline:
                 raise _Timeout
         self.assign[e] = x
-        token = (e, self.masks, self.destroyed, self.allowed)
-        bit = 1 << e
-        fixed, moved, clear = self.masks
-        if x == e:
-            fixed |= bit
-        else:
-            moved |= bit
-            if not self.touch[e] >> x & 1:
-                clear |= bit
-        self.masks = masks = (fixed, moved, clear)
-
-        for k, rule, by_last in self.mask_cons:
-            mask = masks[k]
-            if mask & bit:
-                for cm in by_last[e]:
-                    if cm & ~mask == 0:
-                        return rule, token
+        token = (e, self.moved, self.destroyed, self.allowed)
+        if x != e:
+            self.moved += 1
 
         # x came from _candidates, so it destroys every copy that e completes
         self.destroyed = destroyed = tuple(
@@ -421,12 +412,11 @@ class _Engine:
         if self.objective is None:
             slack = 0
         else:
-            moved_count = moved.bit_count()
-            if moved_count + (self.m_edges - e - 1) < self.objective:
+            if self.moved + (self.m_edges - e - 1) < self.objective:
                 return "objective", token
             # fixed images the target still allows, each destroying up to
             # maxdiff more copies than a moved one
-            fixed_used = (e + 1) - moved_count
+            fixed_used = (e + 1) - self.moved
             slack = max(0, (self.m_edges - self.objective) - fixed_used)
         for (_, floor, maxdiff), d in zip(self.copy_cons, destroyed):
             if d.bit_count() < floor[e] - slack * maxdiff:
@@ -434,7 +424,7 @@ class _Engine:
         return None, token
 
     def _undo(self, token) -> None:
-        e, self.masks, self.destroyed, self.allowed = token
+        e, self.moved, self.destroyed, self.allowed = token
         self.assign[e] = -1
 
     # -- tree walk -----------------------------------------------------------
@@ -444,8 +434,8 @@ class _Engine:
         a copy whose last edge is e and is still whole must be destroyed
         by e's image.  ``allowed[e]`` already holds what the looked-ahead
         constraints and the one-edge copies leave; the quiet constraints'
-        copies are forced here.  This is the one check that enforces free
-        and exclusive copies, so every image assigned must come from here."""
+        copies are forced here.  This is the one check that enforces the
+        avoided copies, so every image assigned must come from here."""
         allowed = self.allowed[e]
         destroyed = self.destroyed
         for index, last, destroyers in self.forcing:
@@ -525,12 +515,14 @@ class _Engine:
         return SearchOutcome(verdict, self.witness, self.stats)
 
 
-def _check_envelope(spec: AvoidanceSpec, options: SearchOptions) -> None:
+def _check_envelope(spec: AvoidanceSpec, budget: float | None) -> None:
+    """Refuse a host above the class's envelope unless a budget, a hard
+    deadline, bounds the walk."""
     cap = ENVELOPE[spec.klass.kind]
-    if spec.n > cap and not options.force:
+    if spec.n > cap and budget is None:
         raise ValueError(
             f"n={spec.n} exceeds the {spec.klass.kind} feasibility cap of {cap}; "
-            "pass SearchOptions(force=True) to run anyway"
+            "pass a budget to run anyway"
         )
 
 
@@ -555,7 +547,7 @@ def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -
     every branch honours, so it bounds the whole call with workers too.
     """
     options = options or SearchOptions()
-    _check_envelope(spec, options)
+    _check_envelope(spec, options.budget)
     if spec.klass.is_empty(spec.n):
         return SearchOutcome("EXHAUSTED", None, SearchStats())
     deadline = _deadline(options.budget)
@@ -637,7 +629,6 @@ def shift_capacity(
     H: PatternGraph,
     exclusive: bool = False,
     budget: float | None = None,
-    options: SearchOptions | None = None,
 ) -> CapacityReport:
     """Most edges a mapping of K_n can move while avoiding a free copy of H.
 
@@ -651,11 +642,8 @@ def shift_capacity(
     """
     relation = "exclusive" if exclusive else "free"
     klass = MappingClass("fixed_or_strong" if exclusive else "all")
-    base = options or SearchOptions()
     spec = AvoidanceSpec(n, klass, ((relation, H),))
-    _check_envelope(spec, base)
-    if budget is None:
-        budget = base.budget
+    _check_envelope(spec, budget)
     scan: list[tuple[int, str]] = []
     exact = True
     for target in range(edge_count(n), -1, -1):

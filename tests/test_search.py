@@ -9,7 +9,14 @@ from hypothesis import strategies as st
 
 from edgemaps import detect, search
 from edgemaps.bounds import EXTERNAL_CAPACITY
-from edgemaps.graphs import edge_count, edge_id, edge_pair, make_pattern
+from edgemaps.graphs import (
+    SimpleGraph,
+    edge_count,
+    edge_id,
+    edge_pair,
+    enumerate_copies,
+    make_pattern,
+)
 from edgemaps.mapping import EdgeMapping, MappingClass
 from edgemaps.search import (
     ENVELOPE,
@@ -44,11 +51,8 @@ def test_envelope_guard():
     n = ENVELOPE["all"] + 1
     with pytest.raises(ValueError):
         exists_avoiding(AvoidanceSpec(n, ALL, avoid_fixed_edge))
-    # force opens the gate; any fixed-point-free mapping settles it instantly
-    out = exists_avoiding(
-        AvoidanceSpec(n, ALL, avoid_fixed_edge),
-        SearchOptions(force=True, budget=5.0),
-    )
+    # a budget opens the gate; any fixed-point-free mapping settles it instantly
+    out = exists_avoiding(AvoidanceSpec(n, ALL, avoid_fixed_edge), SearchOptions(budget=5.0))
     assert out.verdict == "WITNESS"
 
 
@@ -112,7 +116,7 @@ def test_devices_never_change_the_answer(monkeypatch, sym, count, look):
         monkeypatch.setattr(engine, "_counting_tables", _no_counting)
     if look:
         # every copy constraint quiet: forced at its last edge, never ahead
-        monkeypatch.setattr(engine, "_quiet", lambda self, last: True)
+        monkeypatch.setattr(engine, "_quiet", lambda self, last, destroyers: True)
     out4 = exists_avoiding(AvoidanceSpec(4, OV1, FREE_2K2))
     assert out4.verdict == "WITNESS"
     assert out4.witness.images == (1, 0, 0, 2, 1, 0)
@@ -198,6 +202,25 @@ def _avoiders(n, avoid, maps):
     return good
 
 
+@pytest.mark.parametrize("pattern", ["K1,2", "2K2"])
+def test_kill_rows_read_every_relation(pattern):
+    # one kill rule per relation, and each one's kill rows destroy a copy
+    # exactly where the reference says the edge breaks the relation
+    assert set(search._KILLS) == set(detect.RELATIONS)
+    n, P = 4, make_pattern(pattern)
+    m = edge_count(n)
+    embeddings = list(enumerate_copies(P, SimpleGraph.complete(n)))
+    for rel in detect.RELATIONS:
+        engine = search._Engine(AvoidanceSpec(n, ALL, ((rel, P),)))
+        (kill, _, _), = engine.copy_cons
+        for c, emb in enumerate(embeddings):
+            eids = frozenset(edge_id(emb[a], emb[b]) for a, b in P.graph.pairs())
+            for e in range(m):
+                for x in range(m):
+                    breaks = e in eids and not _edge_holds(rel, e, x, eids, frozenset(emb))
+                    assert (kill[e][x] >> c & 1) == breaks, (rel, emb, e, x)
+
+
 MAX_SPACE = 59049
 SMALL_SPACES = [
     (kind, n)
@@ -222,6 +245,13 @@ PATTERNS = ("K2", "K1,2", "2K2", "K3", "P4", "K1,3", "C4", "3K2")
 # a witness the walk finds first only if each level's symmetries fix the
 # images chosen above it
 @example(space=("disjoint", 5), avoid=[("free", "C4")])
+# the fixed-edge relations where the class bars the own image
+@example(space=("overlap_le_1", 4), avoid=[("fixed", "K1,2")])
+@example(space=("overlap_le_1", 4), avoid=[("shifted", "K1,2")])
+@example(space=("overlap_le_1", 4), avoid=[("strong_shifted", "K1,2")])
+@example(space=("disjoint", 5), avoid=[("fixed", "K2")])
+@example(space=("disjoint", 5), avoid=[("shifted", "2K2")])
+@example(space=("disjoint", 5), avoid=[("strong_shifted", "K1,2")])
 @settings(max_examples=150, deadline=None)
 def test_engine_matches_brute_force(space, avoid):
     kind, n = space
@@ -280,9 +310,9 @@ def test_budget_is_one_deadline_under_workers():
     # three root branches on two workers: the last starts late and must
     # still stop at the deadline fixed when the call began.  The walk must
     # outlast the budget by far: serially it had no verdict after 20 s
-    # (about 4M nodes on a 2-vCPU Xeon)
+    # (about 2.6M nodes on a 2-vCPU Xeon)
     spec = AvoidanceSpec(8, ALL, (("fixed", make_pattern("P4")), ("free", make_pattern("K3"))))
-    out = exists_avoiding(spec, SearchOptions(budget=1.0, workers=2, force=True))
+    out = exists_avoiding(spec, SearchOptions(budget=1.0, workers=2))
     assert out.verdict == "TIMEOUT"
     assert out.stats.wall_time <= 1.0 + 0.25
 
@@ -316,7 +346,7 @@ def test_stats_and_outcome_shape():
 TREE_PINS = [
     # n, class, avoid, objective, root, verdict, nodes, prunes, witness
     (6, "fixed_or_strong", (("fixed", "K1,2"), ("exclusive", "K1,2")), None, None,
-     "EXHAUSTED", 54564, {"pattern_fixed": 23525, "symmetry": 102}, None),
+     "EXHAUSTED", 31039, {"symmetry": 102}, None),
     (6, "disjoint", (("free", "3K2"),), None, None,
      "WITNESS", 9827, {"counting": 410, "lookahead": 7768, "symmetry": 2},
      (5, 4, 6, 7, 6, 7, 5, 1, 3, 2, 4, 1, 0, 0, 2)),
@@ -326,9 +356,9 @@ TREE_PINS = [
     (5, "overlap_le_1", (("free", "2K2"),), None, None,
      "EXHAUSTED", 2, {"counting": 2, "symmetry": 7}, None),
     (5, "all", (("shifted", "K1,2"), ("fixed", "2K2")), None, None,
-     "EXHAUSTED", 942, {"pattern_fixed": 78, "pattern_shifted": 768, "symmetry": 28}, None),
+     "EXHAUSTED", 96, {"symmetry": 13}, None),
     (5, "all", (("strong_shifted", "K1,2"), ("fixed", "K1,2")), None, None,
-     "WITNESS", 21, {"pattern_fixed": 8, "pattern_strong_shifted": 3},
+     "WITNESS", 10, {},
      (0, 0, 0, 0, 0, 5, 0, 0, 0, 3)),
     # two levels of shift_capacity's scans
     (5, "all", (("free", "K1,2"),), 10, None,
@@ -337,7 +367,11 @@ TREE_PINS = [
      "EXHAUSTED", 18287, {"counting": 6562, "symmetry": 160}, None),
     # the middle one of the root images [0, 1, 5]
     (6, "all", (("fixed", "K1,2"), ("free", "2K2")), None, 1,
-     "EXHAUSTED", 5686, {"pattern_fixed": 2114, "symmetry": 228}, None),
+     "EXHAUSTED", 3572, {"symmetry": 228}, None),
+    # a shifted copy can never be destroyed where the own image is barred,
+    # so the lookahead kills each one as its second-to-last edge is assigned
+    (5, "overlap_le_1", (("shifted", "K1,2"),), None, None,
+     "EXHAUSTED", 2, {"lookahead": 2, "symmetry": 7}, None),
 ]
 
 
@@ -366,21 +400,13 @@ def test_tree_is_pinned(n, kind, avoid, objective, root, verdict, nodes, prunes,
 
 def test_pins_fire_every_rule():
     fired = set().union(*(prunes for *_, prunes, _ in TREE_PINS))
-    assert fired == {
-        "symmetry",
-        "lookahead",
-        "counting",
-        "pattern_fixed",
-        "pattern_shifted",
-        "pattern_strong_shifted",
-        "objective",
-    }
+    assert fired == {"symmetry", "lookahead", "counting", "objective"}
 
 
 def test_lookahead_settles_exclusive_matching_on_k7():
     # before lookahead this walk ran past 4.8M nodes without a verdict
     spec = AvoidanceSpec(7, DISJ, (("exclusive", make_pattern("2K2")),))
-    out = exists_avoiding(spec, SearchOptions(force=True, budget=10.0))
+    out = exists_avoiding(spec, SearchOptions(budget=10.0))
     assert out.verdict == "WITNESS"
     assert out.stats.nodes < 100
     assert DISJ.admits(out.witness)
