@@ -8,7 +8,7 @@ large cells report honest gaps instead of hanging.
 import argparse
 
 from edgemaps.graphs import make_pattern
-from edgemaps.search import compute_parameter
+from edgemaps.search import SearchOptions, compute_parameter
 
 MENU = [
     ("g", "K2", None, 0),
@@ -35,7 +35,7 @@ def main() -> None:
     for name, g, h, d in MENU:
         G = make_pattern(g)
         H = make_pattern(h) if h else None
-        rep = compute_parameter(name, G, H=H, d=d, budget_per_n=args.budget)
+        rep = compute_parameter(name, G, H=H, d=d, options=SearchOptions(budget=args.budget))
         lo = "?" if rep.lower is None else rep.lower.value
         hi = "?" if rep.upper is None else rep.upper.value
         spread = f"[{lo}, {hi}]"

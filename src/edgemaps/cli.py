@@ -93,18 +93,6 @@ def _emit(record: dict, as_json: bool) -> None:
         _print_text(record)
 
 
-def _bound_record(report) -> dict:
-    out = {"parameter": report.parameter, "status": report.status}
-    for side in ("lower", "upper"):
-        b = getattr(report, side)
-        out[side] = (
-            None
-            if b is None
-            else {"value": b.value, "provenance": b.provenance, "flags": list(b.flags)}
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -244,9 +232,9 @@ def _cmd_bound(args) -> int:
     elif op == "w-star":
         record.update(r=args.r, upper=w_star_upper(args.r))
     elif op == "w-clique":
-        record.update(k=args.k, report=_bound_record(w_clique_bounds(args.k)))
+        record.update(k=args.k, report=w_clique_bounds(args.k).as_dict())
     elif op == "w-general":
-        record.update(k=args.k, m=args.m, report=_bound_record(w_bounds(args.k, args.m)))
+        record.update(k=args.k, m=args.m, report=w_bounds(args.k, args.m).as_dict())
     elif op == "tree-star":
         record.update(
             k=args.k, r=args.r, upper=tree_star_exclusive_upper(args.k, args.r),
@@ -280,13 +268,11 @@ def _cmd_bound(args) -> int:
 def _cmd_compute(args) -> int:
     G = _pattern_arg(args.g)
     H = _pattern_arg(args.h) if args.h else None
-    opts = SearchOptions(budget=args.budget, workers=args.workers)
-    per_n = args.budget if args.budget is not None else 60.0
     report = compute_parameter(
         args.parameter, G, H=H, d=args.d, n_max=args.n_max,
-        options=opts, budget_per_n=per_n,
+        options=SearchOptions(budget=args.budget, workers=args.workers),
     )
-    _emit(_bound_record(report), args.json)
+    _emit(report.as_dict(), args.json)
     return EXIT_OK
 
 
@@ -414,7 +400,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--h", help="second pattern (m, m_star, z)")
     p.add_argument("--d", type=int, default=1, choices=(0, 1), help="overlap budget for g")
     p.add_argument("--n-max", type=int, dest="n_max")
-    p.add_argument("--budget", type=float, help="seconds per host")
+    p.add_argument("--budget", type=float, default=60.0, help="seconds per host")
     p.add_argument("--workers", type=int, default=default_workers)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_compute)

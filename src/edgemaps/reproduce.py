@@ -150,7 +150,7 @@ def _run_threshold_matchings(ctx: RunContext) -> list[ClaimResult]:
     ]
     out = []
     for name, G, d, want, label in cases:
-        rep = compute_parameter(name, G, d=d, options=ctx.options(), budget_per_n=ctx.budget)
+        rep = compute_parameter(name, G, d=d, options=ctx.options())
         lo = rep.lower.value if rep.lower else None
         hi = rep.upper.value if rep.upper else None
         if rep.status != "tight" and ctx.budget is not None:
@@ -213,7 +213,7 @@ def _run_star_two_exact(ctx: RunContext) -> list[ClaimResult]:
         )
     )
 
-    rep = compute_parameter("w", star(2), options=ctx.options(), budget_per_n=ctx.budget)
+    rep = compute_parameter("w", star(2), options=ctx.options())
     lo = rep.lower.value if rep.lower else None
     hi = rep.upper.value if rep.upper else None
     out.append(

@@ -13,33 +13,33 @@ given to an edge of a copy, make the copy fail the relation.  An image
 inside the copy destroys a free copy, one touching its vertex set an
 exclusive copy; an image other than the edge destroys a fixed copy, the
 edge itself a shifted copy, and one touching the edge a strong-shifted
-copy.  Copies are enforced in one place, destroyer propagation: an avoided
-copy with exactly one unassigned edge forces that edge's image among its
-destroyers.  It is a forward check (Haralick & Elliott, 1980): every copy is
-destroyed by the time its last edge is assigned, so no rule needs to look
-for a completed one.  Three devices keep the tree small.  They are always
-on, and ``tests/test_search.py`` checks the verdicts and witnesses they
-lead to against brute-force enumeration of every mapping in the class:
+copy.  Copies are enforced in one way, lookahead narrowing, a forward
+check (Haralick & Elliott, 1980): a copy is pending from the moment its
+second-to-last edge is assigned, and its destroyers at once narrow the
+images its last edge may take.  A branch that leaves some edge no image
+dies there, under the rule ``lookahead``.  Every copy is thus destroyed by
+the time its last edge is assigned, and no rule needs to look for a
+completed one.  Two devices prune the tree further.  They are always on,
+and ``tests/test_search.py`` checks the verdicts and witnesses they lead to
+against brute-force enumeration of every mapping in the class:
 
-* lookahead: a copy is pending from the moment its second-to-last edge is
-  assigned, and its destroyers narrow its last edge's images at once; a
-  branch that leaves some edge no image dies there, not levels deeper.  It
-  only cuts subtrees without a witness and keeps the walk order, so the
-  first witness is the same one;
 * prefix-stabilizer symmetry: candidate images of the branching edge are
   reduced to orbit minima under vertex permutations that stabilize the
   partial assignment;
 * counting: copies still needing a destroyer must not outnumber the
   destructions the remaining edges can possibly perform.
 
+None of the three, narrowing included, reorders the walk or cuts the
+subtree of its first witness, so the witness returned is the first mapping
+in walk order that avoids every relation.
+
 The walk keeps its state in a few ints per constraint, read against tables
 built once per engine.  Copies of a pattern are numbered, and a set of
 copies is a bitmask over those numbers:
 
-* ``last[e]`` and ``second[e]``: the copies of two or more edges whose
-  largest, and second-largest, edge id is e.  Edges are assigned in id
-  order, so once ``second[e]``'s copies have e assigned they have one
-  unassigned edge left, and ``last[e]``'s copies have none once e is.  A
+* ``second[e]``: the copies of two or more edges whose second-largest edge
+  id is e.  Edges are assigned in id order, so once e is assigned these
+  copies have one unassigned edge left, their last edge ``ends[c]``.  A
   copy's remaining-edge count is thus a function of the depth and is never
   kept;
 * ``kill[e][x]``: the copies through e that image x destroys.  Assigning x
@@ -53,11 +53,6 @@ copies is a bitmask over those numbers:
   copy in ``second[e]`` ANDs its ``destroyers`` into ``allowed`` of its
   last edge; the rule ``lookahead`` prunes when that leaves none.
   ``_candidates`` filters e's pool by ``allowed[e]`` in pool order;
-* quiet constraints: where, at each last edge, one image of the pool
-  destroys every copy ending there, the constraint alone can never empty a
-  pool.  Such a constraint (every one in the class ``all``, for instance)
-  carries no ``allowed`` state and adds no work to ``_apply``:
-  ``_candidates`` forces its intact ``last[e]`` copies directly;
 * the count of moved edges so far, which the objective walk reads.
 
 Undoing a step restores the state from the step's token; a step that
@@ -71,7 +66,7 @@ import math
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import permutations
 from functools import lru_cache
 
@@ -248,21 +243,15 @@ class _Engine:
         # per edge, the images its pending copies still allow; carried down
         # the walk, copied on write and restored from the undo token
         self.allowed = list(self.pool_masks)
-        # per copy constraint: (kill, floor, maxdiff); see
-        # _add_copy_constraint and _counting_tables
+        # per copy constraint: (kill, second, destroyers, ends, floor,
+        # maxdiff); see _add_copy_constraint and _counting_tables
         self.copy_cons: list[tuple] = []
-        # quiet copy constraints, forced at their last edge:
-        # (index, last, destroyers)
-        self.forcing: list[tuple] = []
-        # the other copy constraints, looked ahead at their second-to-last
-        # edge: (index, second, destroyers, ends)
-        self.lookahead: list[tuple] = []
         host = SimpleGraph.complete(spec.n)
         for rel, P in spec.avoid:
             if P.k <= spec.n:
                 self._add_copy_constraint(rel, P, host)
         # per copy constraint, the bitmask of its destroyed copies
-        self.destroyed = (0,) * len(self.copy_cons)
+        self.destroyed = [0] * len(self.copy_cons)
         self.stats.table_time = time.perf_counter() - start
 
     # -- construction-time tables ------------------------------------------
@@ -291,7 +280,6 @@ class _Engine:
         kills = _KILLS[rel]
         destroyers: list[int] = []  # per copy, the images that destroy it at its last edge
         ends: list[int] = []  # per copy, its last edge
-        last = [0] * m  # per edge, the copies of 2+ edges whose last edge it is
         second = [0] * m  # per edge, the copies whose second-to-last edge it is
         through = [0] * m  # per edge, the copies that contain it
         # per edge, its copies grouped by the images that destroy them there
@@ -313,7 +301,6 @@ class _Engine:
             ends.append(f)
             rest = emask & ~(1 << f) if emask else 0
             if rest:
-                last[f] |= bit
                 second[rest.bit_length() - 1] |= bit
             elif emask:
                 # a one-edge copy constrains its edge from the start
@@ -325,25 +312,7 @@ class _Engine:
                 for x in mask_bits(dm):
                     row[x] |= copies
         floor, maxdiff = self._counting_tables(len(destroyers), through, kill)
-        index = len(self.copy_cons)
-        self.copy_cons.append((kill, floor, maxdiff))
-        if self._quiet(last, destroyers):
-            self.forcing.append((index, last, destroyers))
-        else:
-            self.lookahead.append((index, second, destroyers, ends))
-
-    def _quiet(self, last: list[int], destroyers: list[int]) -> bool:
-        """Whether the constraint can never empty a pool: at each last edge
-        f, some image of f's pool destroys every copy ending at f, so
-        forcing the intact ones there always leaves an image.  Looking such
-        copies ahead would only cost time."""
-        for f, copies in enumerate(last):
-            common = self.pool_masks[f]
-            for c in mask_bits(copies):
-                common &= destroyers[c]
-            if copies and not common:
-                return False
-        return True
+        self.copy_cons.append((kill, second, destroyers, ends, floor, maxdiff))
 
     def _counting_tables(self, total: int, through: list[int], kill: list[list[int]]):
         """``floor[e]``, the fewest copies that can be destroyed once edges
@@ -386,16 +355,15 @@ class _Engine:
         if x != e:
             self.moved += 1
 
-        # x came from _candidates, so it destroys every copy that e completes
-        self.destroyed = destroyed = tuple(
-            d | kill[e][x] for (kill, _, _), d in zip(self.copy_cons, self.destroyed)
-        )
-
-        # copies left with one unassigned edge narrow that edge's images;
+        # x came from _candidates, so it destroys every copy that e completes;
+        # copies left with one unassigned edge narrow that edge's images, and
         # the token keeps the list as it was, so the first change copies it
         allowed = self.allowed
-        for index, second, destroyers, ends in self.lookahead:
-            pending = second[e] & ~destroyed[index]
+        destroyed = []
+        for (kill, second, destroyers, ends, _, _), d in zip(self.copy_cons, self.destroyed):
+            d |= kill[e][x]
+            destroyed.append(d)
+            pending = second[e] & ~d
             while pending:
                 low = pending & -pending
                 c = low.bit_length() - 1
@@ -408,6 +376,7 @@ class _Engine:
                     if not after:
                         return "lookahead", token
                 pending ^= low
+        self.destroyed = destroyed
 
         if self.objective is None:
             slack = 0
@@ -418,7 +387,7 @@ class _Engine:
             # maxdiff more copies than a moved one
             fixed_used = (e + 1) - self.moved
             slack = max(0, (self.m_edges - self.objective) - fixed_used)
-        for (_, floor, maxdiff), d in zip(self.copy_cons, destroyed):
+        for (_, _, _, _, floor, maxdiff), d in zip(self.copy_cons, destroyed):
             if d.bit_count() < floor[e] - slack * maxdiff:
                 return "counting", token
         return None, token
@@ -430,20 +399,13 @@ class _Engine:
     # -- tree walk -----------------------------------------------------------
 
     def _candidates(self, e: int) -> list[int]:
-        """The pool of e, less the images that leave some copy complete:
-        a copy whose last edge is e and is still whole must be destroyed
-        by e's image.  ``allowed[e]`` already holds what the looked-ahead
-        constraints and the one-edge copies leave; the quiet constraints'
-        copies are forced here.  This is the one check that enforces the
-        avoided copies, so every image assigned must come from here."""
+        """The pool of e filtered by ``allowed[e]``, in pool order: the
+        images that destroy every intact copy ending at e.  A one-edge copy
+        narrowed ``allowed[e]`` from the start, any other copy when its
+        second-to-last edge was assigned.  This is the one check that
+        enforces the avoided copies, so every image assigned must come from
+        here."""
         allowed = self.allowed[e]
-        destroyed = self.destroyed
-        for index, last, destroyers in self.forcing:
-            forced = last[e] & ~destroyed[index]
-            while forced:
-                low = forced & -forced
-                allowed &= destroyers[low.bit_length() - 1]
-                forced ^= low
         if allowed == self.pool_masks[e]:
             return self.pools[e]
         return [x for x in self.pools[e] if allowed >> x & 1]
@@ -851,8 +813,7 @@ def compute_parameter(
     H: PatternGraph | None = None,
     d: int = 1,
     n_max: int | None = None,
-    options: SearchOptions | None = None,
-    budget_per_n: float | None = 60.0,
+    options: SearchOptions = SearchOptions(budget=60.0),
 ) -> BoundReport:
     """Bracket a forcing threshold by search, certifiers, and constructions.
 
@@ -863,7 +824,8 @@ def compute_parameter(
     and the least host a certifier clears above.  A witness at n is read as
     the threshold exceeding n, matching how these quantities behave on
     every instance decided here.  Search exactness is preferred even when a
-    certifier would close the same value.
+    certifier would close the same value.  Each host's search runs under
+    ``options``, 60 s by default; ``SearchOptions()`` lifts the budget.
     """
     if name not in _PARAMETERS:
         raise ValueError(f"unknown parameter {name!r}, expected one of {_PARAMETERS}")
@@ -888,10 +850,6 @@ def compute_parameter(
 
     klass, avoid = _avoidance_form(name, G, H, d)
 
-    opts = options or SearchOptions()
-    if opts.budget is None and budget_per_n is not None:
-        opts = replace(opts, budget=budget_per_n)
-
     scan_cap = ENVELOPE[klass.kind]
     if n_max is not None:
         scan_cap = min(scan_cap, n_max)
@@ -901,7 +859,7 @@ def compute_parameter(
         if klass.is_empty(n):
             floor = n
             continue
-        out = exists_avoiding(AvoidanceSpec(n, klass, avoid), opts)
+        out = exists_avoiding(AvoidanceSpec(n, klass, avoid), options)
         if out.verdict == "WITNESS":
             floor = n
             continue

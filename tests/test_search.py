@@ -82,11 +82,6 @@ def test_empty_class_reports_exhausted_without_search():
     assert out.stats.nodes == 0
 
 
-# sym, count, look; a run with lookahead left on keeps its two-flag id
-TOGGLES = [
-    pytest.param(sym, count, look, id=f"{sym}-{count}" + ("-True" if look else ""))
-    for sym, count, look in itertools.product((False, True), repeat=3)
-]
 _COUNTING_TABLES = search._Engine._counting_tables
 
 
@@ -97,12 +92,11 @@ def _no_counting(self, total, through, kill):
     return [0] * len(floor), 0
 
 
-@pytest.mark.parametrize("sym,count,look", TOGGLES)
-def test_devices_never_change_the_answer(monkeypatch, sym, count, look):
-    # the three pruning devices are always on; a True here switches one off
-    # by patching the engine, and the answers must not move.  Destroyer
-    # propagation is no device: it is the check that enforces free copies,
-    # at the last edge when lookahead is off.
+@pytest.mark.parametrize("sym,count", itertools.product((False, True), repeat=2))
+def test_devices_never_change_the_answer(monkeypatch, sym, count):
+    # the two pruning devices are always on; a True here switches one off
+    # by patching the engine, and the answers must not move.  Lookahead
+    # narrowing is no device: it is how the engine enforces copies.
     mixed_spec = AvoidanceSpec(4, ALL, (("fixed", make_pattern("K1,2")),) + FREE_2K2)
     mixed_ref = exists_avoiding(mixed_spec)
     excl_spec = AvoidanceSpec(5, DISJ, EXCL_P3)
@@ -114,9 +108,6 @@ def test_devices_never_change_the_answer(monkeypatch, sym, count, look):
         )
     if count:
         monkeypatch.setattr(engine, "_counting_tables", _no_counting)
-    if look:
-        # every copy constraint quiet: forced at its last edge, never ahead
-        monkeypatch.setattr(engine, "_quiet", lambda self, last, destroyers: True)
     out4 = exists_avoiding(AvoidanceSpec(4, OV1, FREE_2K2))
     assert out4.verdict == "WITNESS"
     assert out4.witness.images == (1, 0, 0, 2, 1, 0)
@@ -132,7 +123,6 @@ def test_devices_never_change_the_answer(monkeypatch, sym, count, look):
     prunes = out5.stats.prunes
     assert sym == (prunes.get("symmetry", 0) == 0)
     assert count == (prunes.get("counting", 0) == 0)
-    assert look == (excl.stats.prunes.get("lookahead", 0) == 0)
 
 
 # -- brute-force reference ----------------------------------------------------
@@ -212,7 +202,7 @@ def test_kill_rows_read_every_relation(pattern):
     embeddings = list(enumerate_copies(P, SimpleGraph.complete(n)))
     for rel in detect.RELATIONS:
         engine = search._Engine(AvoidanceSpec(n, ALL, ((rel, P),)))
-        (kill, _, _), = engine.copy_cons
+        (kill, *_), = engine.copy_cons
         for c, emb in enumerate(embeddings):
             eids = frozenset(edge_id(emb[a], emb[b]) for a, b in P.graph.pairs())
             for e in range(m):
@@ -346,7 +336,7 @@ def test_stats_and_outcome_shape():
 TREE_PINS = [
     # n, class, avoid, objective, root, verdict, nodes, prunes, witness
     (6, "fixed_or_strong", (("fixed", "K1,2"), ("exclusive", "K1,2")), None, None,
-     "EXHAUSTED", 31039, {"symmetry": 102}, None),
+     "EXHAUSTED", 12189, {"lookahead": 6003, "symmetry": 102}, None),
     (6, "disjoint", (("free", "3K2"),), None, None,
      "WITNESS", 9827, {"counting": 410, "lookahead": 7768, "symmetry": 2},
      (5, 4, 6, 7, 6, 7, 5, 1, 3, 2, 4, 1, 0, 0, 2)),
@@ -356,7 +346,7 @@ TREE_PINS = [
     (5, "overlap_le_1", (("free", "2K2"),), None, None,
      "EXHAUSTED", 2, {"counting": 2, "symmetry": 7}, None),
     (5, "all", (("shifted", "K1,2"), ("fixed", "2K2")), None, None,
-     "EXHAUSTED", 96, {"symmetry": 13}, None),
+     "EXHAUSTED", 28, {"lookahead": 23, "symmetry": 13}, None),
     (5, "all", (("strong_shifted", "K1,2"), ("fixed", "K1,2")), None, None,
      "WITNESS", 10, {},
      (0, 0, 0, 0, 0, 5, 0, 0, 0, 3)),
@@ -367,7 +357,7 @@ TREE_PINS = [
      "EXHAUSTED", 18287, {"counting": 6562, "symmetry": 160}, None),
     # the middle one of the root images [0, 1, 5]
     (6, "all", (("fixed", "K1,2"), ("free", "2K2")), None, 1,
-     "EXHAUSTED", 3572, {"symmetry": 228}, None),
+     "EXHAUSTED", 1683, {"lookahead": 874, "symmetry": 136}, None),
     # a shifted copy can never be destroyed where the own image is barred,
     # so the lookahead kills each one as its second-to-last edge is assigned
     (5, "overlap_le_1", (("shifted", "K1,2"),), None, None,
@@ -411,6 +401,20 @@ def test_lookahead_settles_exclusive_matching_on_k7():
     assert out.stats.nodes < 100
     assert DISJ.admits(out.witness)
     assert detect.find_any(out.witness, spec.avoid) is None
+
+
+def test_lookahead_settles_exclusive_star_fixed_matching_on_k7():
+    # m*(2K2, K1,2) at n = 7.  Neither constraint alone can empty a pool,
+    # only both together, so the walk stays this small only while every
+    # constraint narrows the images of its copies' last edges ahead
+    spec = AvoidanceSpec(
+        7,
+        MappingClass("fixed_or_strong"),
+        (("fixed", make_pattern("2K2")), ("exclusive", make_pattern("K1,2"))),
+    )
+    out = exists_avoiding(spec, SearchOptions(budget=10.0))
+    assert out.verdict == "EXHAUSTED"
+    assert out.stats.nodes < 20000
 
 
 def test_triangle_coloring_threshold():
@@ -470,7 +474,7 @@ def test_compute_parameter_free_pair_with_certifier():
 
 
 def test_compute_parameter_reports_gaps_honestly():
-    rep = compute_parameter("w", make_pattern("2K2"), budget_per_n=3.0)
+    rep = compute_parameter("w", make_pattern("2K2"), options=SearchOptions(budget=3.0))
     assert rep.status == "gap"
     assert rep.lower.value == 8
     assert rep.upper.value == 10
@@ -505,7 +509,9 @@ def test_certify_at_first_fire(name, G, H, d, n, certifier, flags):
 
 
 def test_compute_parameter_flags_assumed_density():
-    rep = compute_parameter("m", make_pattern("P4"), make_pattern("K3"), budget_per_n=3.0)
+    rep = compute_parameter(
+        "m", make_pattern("P4"), make_pattern("K3"), options=SearchOptions(budget=3.0)
+    )
     assert rep.upper is not None
     assert any("assumed" in fl for fl in rep.upper.flags)
 
