@@ -4,114 +4,192 @@ The code of a graph is the minimum edge-set bitmask over all relabelings
 consistent with a Weisfeiler-Leman vertex invariant.  Restricting to
 invariant-consistent permutations is exact: isomorphisms preserve the
 invariant, so isomorphic graphs range over the same set of codes.
+
+How the minimum is computed.  The invariant orders the vertex classes, and
+class i owns the next block of slots.  An *arrangement* sends each class
+onto its block; a class of pairwise twins keeps its order (every
+permutation of it is an automorphism), the others take every order.  The
+arrangements are the product of the per-class orders: ``itertools.product``
+while there are at most ``_PY_CAP`` of them, numpy slot arrays tiled one
+class block at a time above that.  An arrangement's code is the sum, over
+the edges, of the bit of the edge's slot pair, read from one per-n table
+built on ``graphs.pair_ids``.  Edges whose ends both keep their slot add the
+same bits to every code, so they are summed once; a graph with no class to
+permute (WL-discrete up to twins) is that one sum.
+
+The refinement ranks each round's keys to small integers.  Ranking is
+order-preserving, so the class order and the early stop are those of
+refining on the nested keys themselves; with the same arrangement set this
+gives the same minimum, bit for bit.  An invariant-uniform graph (one class
+that is not all twins) needs all n! arrangements; it is refused above
+n = 9.  Above n = 11 a code does not fit the int64 numpy table, so every
+product is walked in Python.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import chain, permutations, product
 from math import factorial
 
 import numpy as np
 
-from .graphs import edge_count, edge_id, edge_pair, mask_bits
+from .graphs import edge_count, edge_table, mask_bits, pair_ids
 
-# below this many consistent relabelings we loop in python; above, numpy batches
+# up to this many arrangements we loop in python; above, numpy batches
 _PY_CAP = 64
 _WL_ROUNDS = 3
+# the largest n whose codes fit in an int64 (C(11, 2) = 55 bits)
+_NP_MAX_N = 11
 
 
 def _adj_from_mask(n: int, mask: int) -> list[int]:
+    pairs = edge_table(n)[0]
     adj = [0] * n
-    m = mask
-    while m:
-        e = (m & -m).bit_length() - 1
-        m &= m - 1
-        u, v = edge_pair(e)
+    for e in mask_bits(mask):
+        u, v = pairs[e]
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return adj
 
 
 def _wl_classes(n: int, adj: list[int]) -> list[list[int]]:
-    """Vertex classes of the iterated neighborhood invariant, in invariant order."""
-    keys: list = [bin(a).count("1") for a in adj]
+    """Vertex classes of the iterated neighborhood invariant, in invariant order.
+
+    Each round keys a vertex by (its key, its neighbours' keys sorted) and
+    replaces the keys by their ranks, which keeps their order.
+    """
+    nbrs = [mask_bits(a) for a in adj]
+    keys = [len(nb) for nb in nbrs]
+    count = len(set(keys))
     for _ in range(_WL_ROUNDS):
-        new_keys = []
-        for v in range(n):
-            nb = adj[v]
-            sig = []
-            while nb:
-                u = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                sig.append(keys[u])
-            new_keys.append((keys[v], tuple(sorted(sig))))
-        if len(set(new_keys)) == len(set(keys)):
-            keys = new_keys
+        sigs = [(keys[v], tuple(sorted([keys[u] for u in nb]))) for v, nb in enumerate(nbrs)]
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        keys = [rank[sig] for sig in sigs]
+        if len(rank) == count:
             break
-        keys = new_keys
-    groups: dict = {}
+        count = len(rank)
+    groups: list[list[int]] = [[] for _ in range(count)]
     for v in range(n):
-        groups.setdefault(keys[v], []).append(v)
-    return [groups[k] for k in sorted(groups)]
+        groups[keys[v]].append(v)
+    return groups
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
+def _slot_bits(n: int) -> list[int]:
+    """The code bit of slot pair (a, b) at ``a * n + b``; 0 when a == b."""
+    return [1 << e if e >= 0 else 0 for e in pair_ids(n)]
+
+
+@lru_cache(maxsize=16)
+def _slot_bits_np(n: int) -> np.ndarray:
+    """``_slot_bits(n)`` as an n x n int64 array."""
+    return np.array(_slot_bits(n), dtype=np.int64).reshape(n, n)
+
+
+@lru_cache(maxsize=16)
 def _all_perms_np(n: int) -> np.ndarray:
-    return np.array(list(permutations(range(n))), dtype=np.int8)
+    """The n! permutations of range(n), one per row, as int8."""
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for k in range(n):
+        rows = np.concatenate([np.insert(rows, i, k, axis=1) for i in range(k + 1)])
+    return rows
 
 
 def _codes_min(perms: np.ndarray, mask: int, n: int) -> int:
-    """Minimum edge-mask code of the graph over the given relabelings."""
+    """Minimum edge-mask code of the graph over the given relabelings.
+
+    Row i sends vertex v to slot ``perms[i, v]``.
+    """
+    table = _slot_bits_np(n)
+    pairs = edge_table(n)[0]
     codes = np.zeros(len(perms), dtype=np.int64)
-    m = mask
-    while m:
-        e = (m & -m).bit_length() - 1
-        m &= m - 1
-        u, v = edge_pair(e)
-        pu = perms[:, u].astype(np.int64)
-        pv = perms[:, v].astype(np.int64)
-        hi = np.maximum(pu, pv)
-        lo = np.minimum(pu, pv)
-        codes += np.int64(1) << (hi * (hi - 1) // 2 + lo)
+    for e in mask_bits(mask):
+        u, v = pairs[e]
+        codes += table[perms[:, u], perms[:, v]]
     return int(codes.min())
 
 
 def canonical_code(n: int, mask: int) -> int:
-    """Canonical edge-mask; equal codes iff isomorphic (n <= 9 guaranteed)."""
+    """Canonical edge-mask: equal codes iff isomorphic.
+
+    The minimum code over the arrangements that keep each invariant class in
+    its block of slots and each twin class in its order.  One table-driven
+    kernel finds it: ranked refinement, then the product of the per-class
+    orders, each code a sum of slot-pair bits (see the module docstring for
+    why this equals refining on nested keys and walking each arrangement).
+    Raises ``ValueError`` for an invariant-uniform graph on more than 9
+    vertices, the one case that needs all n! arrangements.
+    """
     full = (1 << edge_count(n)) - 1
     if mask == 0 or mask == full:
         return mask
-    adj = _adj_from_mask(n, mask)
-    classes = _wl_classes(n, adj)
-    fixed = [_twins(adj, c) for c in classes]
+    pairs = edge_table(n)[0]
+    edges = [pairs[e] for e in mask_bits(mask)]
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    slot = [0] * n
+    moving: list[list[int]] = []
+    moved = 0
     total = 1
-    for c, f in zip(classes, fixed):
-        if not f:
-            total *= factorial(len(c))
+    start = 0
+    for cls in _wl_classes(n, adj):
+        for i, v in enumerate(cls):
+            slot[v] = start + i
+        if len(cls) > 1 and not _twins(adj, cls):
+            moving.append(cls)
+            total *= factorial(len(cls))
+            for v in cls:
+                moved |= 1 << v
+        start += len(cls)
+    # edges between unmoved vertices add the same bits to every arrangement
+    bits = _slot_bits(n)
+    base = 0
+    varying = []
+    for u, v in edges:
+        if (moved >> u | moved >> v) & 1:
+            varying.append((u, v))
+        else:
+            base += bits[slot[u] * n + slot[v]]
+    if total == 1:
+        return base
     if total == factorial(n):
         if n > 9:
             raise ValueError(f"canonical_code: invariant-uniform graph on {n} > 9 vertices")
         return _codes_min(_all_perms_np(n), mask, n)
-    if total <= _PY_CAP:
-        best = None
-        pairs = [edge_pair(e) for e in mask_bits(mask)]
-        for arrangement in _consistent_perms(classes, fixed):
-            pos = [0] * n
-            for tgt, src in enumerate(arrangement):
-                pos[src] = tgt
-            code = 0
-            for u, v in pairs:
-                code |= 1 << edge_id(pos[u], pos[v])
-            if best is None or code < best:
-                best = code
-        return best
-    perms = np.array(list(_consistent_perms(classes, fixed)), dtype=np.int8)
-    # rows list source vertices by target slot; invert to relabeling arrays
-    inv = np.empty_like(perms)
-    rows = np.arange(n, dtype=np.int8)
-    for i in range(len(perms)):
-        inv[i, perms[i]] = rows
-    return _codes_min(inv, mask, n)
+    if total > _PY_CAP and n <= _NP_MAX_N:
+        # row r takes, in each moving class, the order its mixed-radix digit names
+        rows = np.empty((total, n), dtype=np.int8)
+        rows[:] = slot
+        reps = total
+        for cls in moving:
+            orders = _all_perms_np(len(cls)) + np.int8(slot[cls[0]])
+            reps //= len(orders)
+            rows.reshape(-1, len(orders), reps, n)[:, :, :, cls] = orders[:, None, :]
+        ids = pair_ids(n)
+        return base + _codes_min(rows, sum(1 << ids[u * n + v] for u, v in varying), n)
+    # an arrangement lists the slots of the moving vertices, class by class,
+    # followed by the fixed slots of the unmoved ends of varying edges
+    place = {v: i for i, v in enumerate(chain.from_iterable(moving))}
+    fixed: list[int] = []
+    ends = []
+    for edge in varying:
+        ab = []
+        for v in edge:
+            if v not in place:
+                place[v] = len(place)
+                fixed.append(slot[v])
+            ab.append(place[v])
+        ends.append(tuple(ab))
+    blocks = [permutations(range(slot[c[0]], slot[c[0]] + len(c))) for c in moving]
+    best = None
+    for arrangement in product(*blocks, (tuple(fixed),)):
+        p = tuple(chain.from_iterable(arrangement))
+        code = sum([bits[p[a] * n + p[b]] for a, b in ends])
+        if best is None or code < best:
+            best = code
+    return base + best
 
 
 def _twins(adj: list[int], cls: list[int]) -> bool:
@@ -126,22 +204,6 @@ def _twins(adj: list[int], cls: list[int]) -> bool:
         inside |= 1 << v
     out = adj[cls[0]] & ~inside
     return all(adj[v] == out for v in cls) or all(adj[v] | 1 << v == out | inside for v in cls)
-
-
-def _consistent_perms(classes: list[list[int]], fixed: list[bool]):
-    """All orderings placing each invariant class in its block of slots.
-
-    A class flagged ``fixed`` keeps its given order.
-    """
-
-    def rec(i: int, acc: list[int]):
-        if i == len(classes):
-            yield tuple(acc)
-            return
-        for perm in [classes[i]] if fixed[i] else permutations(classes[i]):
-            yield from rec(i + 1, acc + list(perm))
-
-    yield from rec(0, [])
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +235,7 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
         top = total if max_edges is None else min(max_edges, total)
     if keep is not None and not keep(0):
         return [[]]
-    pairs = [edge_pair(e) for e in range(total)]
+    pairs = edge_table(n)[0]
     levels: list[list[int]] = [[0]]
     for m in range(top):
         nxt: list[int] = []

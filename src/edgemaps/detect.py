@@ -10,8 +10,10 @@ return is a proof over all copies.  Every finder walks the copy plan of
 ``graphs`` (see ``enumerate_copies``), which reaches each copy once.  The
 fixed and shifted finders build the adjacency masks of the edges in their
 relation in one pass over the images and walk those masks; the free and
-exclusive ones check the relation on each edge as it closes.  Both read
-edge endpoints from the per-n ``edge_table``.  Star patterns take their own
+exclusive ones check the relation on each edge as it closes.  All of them
+read edge endpoints from the per-n ``edge_table``; the free and exclusive
+ones read edge ids from the per-n ``pair_ids``, the slot-pair table the
+canonical codes also read.  Star patterns take their own
 path for free and exclusive copies: per center, one exact maximum
 independent set of the conflict graph among the eligible leaves.
 
@@ -33,6 +35,7 @@ from .graphs import (
     edge_vertex_mask,
     edges_overlap,
     mask_bits,
+    pair_ids,
 )
 from .mapping import EdgeMapping
 
@@ -156,6 +159,7 @@ def _copy_walk(mapping: EdgeMapping, P: PatternGraph, exclusive: bool) -> Certif
     order, back, above = _copy_plan(pg)
     images = mapping.images
     vmask = edge_table(n)[1]
+    ids = pair_ids(n)
     last = len(order) - 1
     full = (1 << n) - 1
     emb = [0] * len(order)
@@ -173,8 +177,9 @@ def _copy_walk(mapping: EdgeMapping, P: PatternGraph, exclusive: bool) -> Certif
             hv = low.bit_length() - 1
             emb[i] = hv
             here, c, h = used | low, copy, hit
+            row = hv * n
             for j in back[i]:
-                e = edge_id(hv, emb[j])
+                e = ids[row + emb[j]]
                 img = images[e]
                 if exclusive:
                     iv = vmask[img]
@@ -211,12 +216,13 @@ def _star_copy(
     n = mapping.n
     images = mapping.images
     vmask = edge_table(n)[1]
+    ids = pair_ids(n)
     for c in range(n):
         ends = {}
         for l in range(n):
             if l == c:
                 continue
-            e = edge_id(c, l)
+            e = ids[c * n + l]
             img = images[e]
             iv = vmask[img]
             if exclusive:

@@ -60,6 +60,13 @@ def edge_table(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     return pairs, tuple(1 << u | 1 << v for u, v in pairs)
 
 
+@lru_cache(maxsize=64)
+def pair_ids(n: int) -> tuple[int, ...]:
+    """``edge_id(a, b)`` at index ``a * n + b`` for vertices a != b of K_n,
+    and -1 at ``a * n + a``."""
+    return tuple(edge_id(a, b) if a != b else -1 for a in range(n) for b in range(n))
+
+
 def edges_overlap(e1: int, e2: int) -> int:
     """Number of shared endpoints of two edges (0, 1, or 2)."""
     return bin(edge_vertex_mask(e1) & edge_vertex_mask(e2)).count("1")

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import permutations
 
 import numpy as np
@@ -14,6 +16,7 @@ from edgemaps.canon import (
 )
 from edgemaps.graphs import (
     SimpleGraph,
+    all_trees,
     complete_bipartite,
     contains_copy,
     cycle,
@@ -113,6 +116,42 @@ def test_canonical_code_on_twin_classes_n7_n8():
                 hi = np.array([b.stop for b in blocks])
                 rows = perms[((perms >= lo) & (perms < hi)).all(axis=1)]
                 assert canonical_code(n, g) == _codes_min(rows, g, n), (n, g)
+
+
+def _sha(parts) -> str:
+    return hashlib.sha256(";".join(parts).encode()).hexdigest()
+
+
+def test_canonical_code_values_pinned():
+    # independent of _wl_classes, so a changed class order shows here
+    parts = [
+        ",".join(str(c) for c in sorted(canonical_code(n, g) for g in level))
+        for n in range(2, 8)
+        for level in graphs_by_edge_count(n)
+    ]
+    rng = random.Random(0)
+    for n in (8, 9):
+        parts += [str(canonical_code(n, rng.getrandbits(edge_count(n)))) for _ in range(200)]
+    assert _sha(parts) == "4029fb5f158e0f271e28f4f9d60a8b35dd73ce9f94d17947fc0a8ff41b531a0a"
+
+
+def test_all_trees_order_pinned():
+    assert [len(all_trees(k)) for k in range(1, 10)] == [1, 1, 1, 2, 3, 6, 11, 23, 47]
+    parts = [",".join(str(T.graph.edge_mask) for T in all_trees(k)) for k in range(1, 10)]
+    assert _sha(parts) == "313017036a06e58d84e940a899b38b45545e7479666483bc6192b998a7ecf5d2"
+
+
+def test_canonical_code_keeps_every_edge_above_63_bits():
+    # a spider on 12 vertices: 5!·5! arrangements, and edge ids up to 65
+    pairs = [(0, 11)] + [p for i in range(1, 11, 2) for p in ((0, i), (i, i + 1))]
+    rng = random.Random(3)
+    codes = set()
+    for _ in range(2):
+        perm = list(range(12))
+        rng.shuffle(perm)
+        codes.add(canonical_code(12, sum(1 << edge_id(perm[u], perm[v]) for u, v in pairs)))
+    (code,) = codes
+    assert code.bit_count() == len(pairs) and code.bit_length() > 64
 
 
 def test_canonical_code_separates_nonisomorphic():

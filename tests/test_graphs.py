@@ -31,6 +31,7 @@ from edgemaps.graphs import (
     matching,
     max_clique_size,
     multi,
+    pair_ids,
     parse_edge_list,
     parse_graph6,
     path,
@@ -53,6 +54,15 @@ def test_edge_id_symmetric_and_rejects_loops():
     assert edge_id(3, 1) == edge_id(1, 3)
     with pytest.raises(ValueError):
         edge_id(2, 2)
+
+
+def test_pair_ids_table():
+    for n in range(1, 8):
+        ids = pair_ids(n)
+        assert len(ids) == n * n
+        for a in range(n):
+            assert ids[a * n + a] == -1
+            assert all(ids[a * n + b] == edge_id(a, b) for b in range(n) if b != a)
 
 
 @given(st.integers(min_value=0, max_value=edge_count(40) - 1))
