@@ -169,24 +169,13 @@ def canonical_code(n: int, mask: int) -> int:
             rows.reshape(-1, len(orders), reps, n)[:, :, :, cls] = orders[:, None, :]
         ids = pair_ids(n)
         return base + _codes_min(rows, sum(1 << ids[u * n + v] for u, v in varying), n)
-    # an arrangement lists the slots of the moving vertices, class by class,
-    # followed by the fixed slots of the unmoved ends of varying edges
-    place = {v: i for i, v in enumerate(chain.from_iterable(moving))}
-    fixed: list[int] = []
-    ends = []
-    for edge in varying:
-        ab = []
-        for v in edge:
-            if v not in place:
-                place[v] = len(place)
-                fixed.append(slot[v])
-            ab.append(place[v])
-        ends.append(tuple(ab))
+    order = list(chain.from_iterable(moving))
     blocks = [permutations(range(slot[c[0]], slot[c[0]] + len(c))) for c in moving]
     best = None
-    for arrangement in product(*blocks, (tuple(fixed),)):
-        p = tuple(chain.from_iterable(arrangement))
-        code = sum([bits[p[a] * n + p[b]] for a, b in ends])
+    for arrangement in product(*blocks):
+        for v, s in zip(order, chain.from_iterable(arrangement)):
+            slot[v] = s
+        code = sum([bits[slot[u] * n + slot[v]] for u, v in varying])
         if best is None or code < best:
             best = code
     return base + best
