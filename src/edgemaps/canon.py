@@ -10,7 +10,7 @@ class i owns the next block of slots.  An *arrangement* sends each class
 onto its block; a class of pairwise twins keeps its order (every
 permutation of it is an automorphism), the others take every order.  The
 arrangements are the product of the per-class orders: ``itertools.product``
-while there are at most ``_PY_CAP`` of them, numpy slot arrays tiled one
+while there are at most ``_PY_CAP`` of them, a numpy slot array filled one
 class block at a time above that.  An arrangement's code is the sum, over
 the edges, of the bit of the edge's slot pair, read from one per-n table
 built on ``graphs.pair_ids``.  Edges whose ends both keep their slot add the
