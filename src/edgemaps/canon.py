@@ -5,51 +5,44 @@ consistent with a Weisfeiler-Leman vertex invariant.  Restricting to
 invariant-consistent permutations is exact: isomorphisms preserve the
 invariant, so isomorphic graphs range over the same set of codes.
 
-How the minimum is computed.  The invariant orders the vertex classes, and
-class i owns the next block of slots.  An *arrangement* sends each class
-onto its block; a class of pairwise twins keeps its order (every
-permutation of it is an automorphism), the others take every order.  The
-arrangements are the product of the per-class orders: ``itertools.product``
-while there are at most ``_PY_CAP`` of them, a numpy slot array filled one
-class block at a time above that.  An arrangement's code is the sum, over
-the edges, of the bit of the edge's slot pair, read from one per-n table
-built on ``graphs.pair_ids``.  Edges whose ends both keep their slot add the
-same bits to every code, so they are summed once; a graph with no class to
-permute (WL-discrete up to twins) is that one sum.
+How the minimum is found.  The invariant orders the vertex classes, and
+class i owns the next block of slots; an arrangement sends each class onto
+its block in any order.  Slots a < b carry edge id C(b, 2) + a, so codes
+compare row by row from slot n - 1 down, where the row of slot s is the
+s-bit mask of the lower slots joined to it.  The search is
+individualisation and refinement (McKay and Piperno, "Practical graph
+isomorphism, II", 2014), filling the slots from n - 1 down:
+
+* the cells of an ordered partition own consecutive blocks of slots; at
+  first they are the invariant classes;
+* slot s goes to a vertex v of the last cell.  Row s is least when, in
+  every cell, v's neighbours take the cell's lowest slots, and the
+  arrangements reaching that row are exactly those of the partition that
+  splits each cell into v's neighbours, then the rest;
+* so only the vertices with the least row are branched on, each with its
+  refined partition, and a branch is cut once its rows exceed the best
+  code's.  A candidate that is a twin of an earlier one is skipped:
+  swapping the two is an automorphism that keeps the partition;
+* once every cell is a single vertex, the rest of the code is fixed and is
+  summed from the slot-pair table ``graphs.pair_ids``.
+
+The search thus returns the minimum over every arrangement, so codes do
+not depend on how it is found.  A graph whose classes are all single
+vertices or pairwise twins skips the search: every order of a twin class
+is an automorphism, so all its arrangements have one code.
 
 The refinement ranks each round's keys to small integers.  Ranking is
 order-preserving, so the class order and the early stop are those of
-refining on the nested keys themselves; with the same arrangement set this
-gives the same minimum, bit for bit.  An invariant-uniform graph (one class
-that is not all twins) needs all n! arrangements; it is refused above
-n = 9.  Above n = 11 a code does not fit the int64 numpy table, so every
-product is walked in Python.
+refining on the nested keys themselves.
 """
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, permutations, product
-from math import factorial
+from itertools import chain
 
-import numpy as np
+from .graphs import adjacency_masks, edge_count, edge_table, mask_bits, pair_ids
 
-from .graphs import edge_count, edge_table, mask_bits, pair_ids
-
-# up to this many arrangements we loop in python; above, numpy batches
-_PY_CAP = 64
 _WL_ROUNDS = 3
-# the largest n whose codes fit in an int64 (C(11, 2) = 55 bits)
-_NP_MAX_N = 11
-
-
-def _adj_from_mask(n: int, mask: int) -> list[int]:
-    pairs = edge_table(n)[0]
-    adj = [0] * n
-    for e in mask_bits(mask):
-        u, v = pairs[e]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
 
 
 def _wl_classes(n: int, adj: list[int]) -> list[list[int]]:
@@ -74,111 +67,66 @@ def _wl_classes(n: int, adj: list[int]) -> list[list[int]]:
     return groups
 
 
-@lru_cache(maxsize=16)
-def _slot_bits(n: int) -> list[int]:
-    """The code bit of slot pair (a, b) at ``a * n + b``; 0 when a == b."""
-    return [1 << e if e >= 0 else 0 for e in pair_ids(n)]
-
-
-@lru_cache(maxsize=16)
-def _slot_bits_np(n: int) -> np.ndarray:
-    """``_slot_bits(n)`` as an n x n int64 array."""
-    return np.array(_slot_bits(n), dtype=np.int64).reshape(n, n)
-
-
-@lru_cache(maxsize=16)
-def _all_perms_np(n: int) -> np.ndarray:
-    """The n! permutations of range(n), one per row, as int8."""
-    rows = np.zeros((1, 0), dtype=np.int8)
-    for k in range(n):
-        rows = np.concatenate([np.insert(rows, i, k, axis=1) for i in range(k + 1)])
-    return rows
-
-
-def _codes_min(perms: np.ndarray, mask: int, n: int) -> int:
-    """Minimum edge-mask code of the graph over the given relabelings.
-
-    Row i sends vertex v to slot ``perms[i, v]``.
-    """
-    table = _slot_bits_np(n)
-    pairs = edge_table(n)[0]
-    codes = np.zeros(len(perms), dtype=np.int64)
-    for e in mask_bits(mask):
-        u, v = pairs[e]
-        codes += table[perms[:, u], perms[:, v]]
-    return int(codes.min())
-
-
 def canonical_code(n: int, mask: int) -> int:
     """Canonical edge-mask: equal codes iff isomorphic.
 
     The minimum code over the arrangements that keep each invariant class in
-    its block of slots and each twin class in its order.  One table-driven
-    kernel finds it: ranked refinement, then the product of the per-class
-    orders, each code a sum of slot-pair bits (see the module docstring for
-    why this equals refining on nested keys and walking each arrangement).
-    Raises ``ValueError`` for an invariant-uniform graph on more than 9
-    vertices, the one case that needs all n! arrangements.
+    its block of slots, found by individualisation and refinement (see the
+    module docstring).
     """
     full = (1 << edge_count(n)) - 1
     if mask == 0 or mask == full:
         return mask
-    pairs = edge_table(n)[0]
-    edges = [pairs[e] for e in mask_bits(mask)]
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    slot = [0] * n
-    moving: list[list[int]] = []
-    moved = 0
-    total = 1
-    start = 0
-    for cls in _wl_classes(n, adj):
-        for i, v in enumerate(cls):
-            slot[v] = start + i
-        if len(cls) > 1 and not _twins(adj, cls):
-            moving.append(cls)
-            total *= factorial(len(cls))
-            for v in cls:
-                moved |= 1 << v
-        start += len(cls)
-    # edges between unmoved vertices add the same bits to every arrangement
-    bits = _slot_bits(n)
-    base = 0
-    varying = []
-    for u, v in edges:
-        if (moved >> u | moved >> v) & 1:
-            varying.append((u, v))
-        else:
-            base += bits[slot[u] * n + slot[v]]
-    if total == 1:
-        return base
-    if total == factorial(n):
-        if n > 9:
-            raise ValueError(f"canonical_code: invariant-uniform graph on {n} > 9 vertices")
-        return _codes_min(_all_perms_np(n), mask, n)
-    if total > _PY_CAP and n <= _NP_MAX_N:
-        # row r takes, in each moving class, the order its mixed-radix digit names
-        rows = np.empty((total, n), dtype=np.int8)
-        rows[:] = slot
-        reps = total
-        for cls in moving:
-            orders = _all_perms_np(len(cls)) + np.int8(slot[cls[0]])
-            reps //= len(orders)
-            rows.reshape(-1, len(orders), reps, n)[:, :, :, cls] = orders[:, None, :]
-        ids = pair_ids(n)
-        return base + _codes_min(rows, sum(1 << ids[u * n + v] for u, v in varying), n)
-    order = list(chain.from_iterable(moving))
-    blocks = [permutations(range(slot[c[0]], slot[c[0]] + len(c))) for c in moving]
-    best = None
-    for arrangement in product(*blocks):
-        for v, s in zip(order, chain.from_iterable(arrangement)):
+    eids = mask_bits(mask)
+    adj = adjacency_masks(n, eids)
+    pairs, ids = edge_table(n)[0], pair_ids(n)
+    edges = [pairs[e] for e in eids]
+    classes = _wl_classes(n, adj)
+    if all(len(c) == 1 or _twins(adj, c) for c in classes):
+        slot = [0] * n
+        for s, v in enumerate(chain.from_iterable(classes)):
             slot[v] = s
-        code = sum([bits[slot[u] * n + slot[v]] for u, v in varying])
-        if best is None or code < best:
-            best = code
-    return base + best
+        return sum(1 << ids[slot[u] * n + slot[v]] for u, v in edges)
+    best = full + 1
+
+    def place(cells: list[int], s: int, code: int) -> None:
+        """Fill slots s..0, each cell of ``cells`` owning the next block."""
+        nonlocal best
+        if len(cells) == s + 1:
+            # one vertex per cell: the rest of the code is fixed
+            slot = [0] * n
+            for i, c in enumerate(cells):
+                slot[c.bit_length() - 1] = i
+            inside = sum(cells)
+            code |= sum(
+                1 << ids[slot[u] * n + slot[v]] for u, v in edges if inside >> u & inside >> v & 1
+            )
+            best = min(best, code)
+            return
+        cands: list[int] = []
+        rows: list[int] = []
+        for v in mask_bits(cells[-1]):
+            nb = adj[v]
+            if any((adj[u] ^ nb) & ~(1 << u | 1 << v) == 0 for u in cands):
+                continue
+            row = lo = 0
+            for c in cells:
+                row |= ((1 << (nb & c).bit_count()) - 1) << lo
+                lo += c.bit_count()
+            cands.append(v)
+            rows.append(row)
+        least = min(rows)
+        low = s * (s - 1) // 2
+        code |= least << low
+        for v, row in zip(cands, rows):
+            if code >> low > best >> low:
+                return
+            if row == least:
+                nb, rest = adj[v], ~(adj[v] | 1 << v)
+                place([part for c in cells for part in (c & nb, c & rest) if part], s - 1, code)
+
+    place([sum(1 << v for v in c) for c in classes], n - 1, 0)
+    return best
 
 
 def _twins(adj: list[int], cls: list[int]) -> bool:
@@ -230,7 +178,7 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
         nxt: list[int] = []
         seen: set[int] = set()
         for g in levels[m]:
-            adj = _adj_from_mask(n, g)
+            adj = adjacency_masks(n, mask_bits(g))
             deg = [a.bit_count() for a in adj]
             for e, (u, v) in enumerate(pairs):
                 if g >> e & 1:

@@ -29,6 +29,7 @@ from .graphs import (
     SimpleGraph,
     _copy_plan,
     adjacency_components,
+    adjacency_masks,
     copies_in_masks,
     edge_id,
     edge_table,
@@ -64,7 +65,7 @@ def fixed_graph(mapping: EdgeMapping) -> SimpleGraph:
 def _relation_adj(mapping: EdgeMapping, kind: str) -> list[int]:
     """Adjacency masks of the edges e with f(e) = e (``fixed``), f(e) != e
     (``shifted``) or f(e) disjoint from e (``strong_shifted``)."""
-    pairs, vmask = edge_table(mapping.n)
+    vmask = edge_table(mapping.n)[1]
     images = mapping.images
     if kind == "fixed":
         keep = [e for e, img in enumerate(images) if img == e]
@@ -72,12 +73,7 @@ def _relation_adj(mapping: EdgeMapping, kind: str) -> list[int]:
         keep = [e for e, img in enumerate(images) if img != e]
     else:
         keep = [e for e, img in enumerate(images) if not vmask[e] & vmask[img]]
-    adj = [0] * mapping.n
-    for e in keep:
-        u, v = pairs[e]
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+    return adjacency_masks(mapping.n, keep)
 
 
 def _relation_copy(mapping: EdgeMapping, P: PatternGraph, kind: str) -> Certificate | None:

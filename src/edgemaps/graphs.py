@@ -6,7 +6,7 @@ under growing n, so an edge keeps its id in every host that contains it.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -69,7 +69,19 @@ def pair_ids(n: int) -> tuple[int, ...]:
 
 def edges_overlap(e1: int, e2: int) -> int:
     """Number of shared endpoints of two edges (0, 1, or 2)."""
-    return bin(edge_vertex_mask(e1) & edge_vertex_mask(e2)).count("1")
+    return (edge_vertex_mask(e1) & edge_vertex_mask(e2)).bit_count()
+
+
+def adjacency_masks(n: int, eids: Iterable[int]) -> list[int]:
+    """Adjacency bitmasks, indexed by vertex, of the graph on 0..n-1 with
+    the given edge ids."""
+    pairs = edge_table(n)[0]
+    adj = [0] * n
+    for e in eids:
+        u, v = pairs[e]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -151,16 +163,11 @@ class SimpleGraph:
     @cached_property
     def adj(self) -> tuple[int, ...]:
         """Adjacency bitmasks indexed by vertex."""
-        masks = [0] * self.n
-        for e in self.edges:
-            u, v = edge_pair(e)
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+        return tuple(adjacency_masks(self.n, self.edges))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(bin(a).count("1") for a in self.adj)
+        return tuple(a.bit_count() for a in self.adj)
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(self.degrees, reverse=True))
@@ -451,7 +458,7 @@ def _embedding_order(P: SimpleGraph) -> list[int]:
             for v in comp:
                 if placed[v]:
                     continue
-                back = bin(P.adj[v] & _mask_of(order)).count("1")
+                back = (P.adj[v] & _mask_of(order)).bit_count()
                 key = (back, P.degrees[v], -v)
                 if best is None or key > best[0]:
                     best = (key, v)
@@ -577,13 +584,13 @@ def max_clique_size(G: SimpleGraph) -> int:
 
     def grow(cand: int, size: int):
         nonlocal best
-        if size + bin(cand).count("1") <= best:
+        if size + cand.bit_count() <= best:
             return
         if not cand:
             best = max(best, size)
             return
         while cand:
-            if size + bin(cand).count("1") <= best:
+            if size + cand.bit_count() <= best:
                 return
             v = (cand & -cand).bit_length() - 1
             cand &= cand - 1
@@ -657,7 +664,7 @@ def all_trees(k: int) -> tuple[PatternGraph, ...]:
 
 
 # ---------------------------------------------------------------------------
-# serialization: edge-list text and graph6
+# parsing: edge-list text and graph6
 
 
 def parse_edge_list(text: str, name: str = "") -> PatternGraph:
@@ -678,12 +685,6 @@ def parse_edge_list(text: str, name: str = "") -> PatternGraph:
             raise ValueError(f"bad edge line {ln!r}")
         pairs.append((int(parts[0]), int(parts[1])))
     return from_edge_list(k, pairs, name)
-
-
-def format_edge_list(P: PatternGraph) -> str:
-    lines = [f"{P.k} {P.m}"]
-    lines += [f"{u} {v}" for u, v in P.graph.pairs()]
-    return "\n".join(lines) + "\n"
 
 
 def parse_graph6(text: str, name: str = "") -> PatternGraph:
@@ -713,25 +714,6 @@ def parse_graph6(text: str, name: str = "") -> PatternGraph:
                 pairs.append((u, v))
             idx += 1
     return from_edge_list(n, pairs, name)
-
-
-def format_graph6(P: PatternGraph | SimpleGraph) -> str:
-    g = P.graph if isinstance(P, PatternGraph) else P
-    if g.n > 62:
-        raise ValueError("graph6 with n > 62 not supported")
-    bits = []
-    for v in range(1, g.n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = [chr(g.n + 63)]
-    for i in range(0, len(bits), 6):
-        val = 0
-        for b in bits[i : i + 6]:
-            val = (val << 1) | b
-        chars.append(chr(val + 63))
-    return "".join(chars)
 
 
 def load_pattern(source: str, name: str = "") -> PatternGraph:

@@ -1,14 +1,12 @@
 import hashlib
 import random
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from edgemaps.canon import (
-    _adj_from_mask,
-    _all_perms_np,
-    _codes_min,
     _wl_classes,
     canonical_code,
     generate_by_edge_count,
@@ -16,15 +14,21 @@ from edgemaps.canon import (
 )
 from edgemaps.graphs import (
     SimpleGraph,
+    adjacency_masks,
     all_trees,
     complete_bipartite,
     contains_copy,
     cycle,
     edge_count,
     edge_id,
+    edge_table,
     make_pattern,
+    mask_bits,
+    matching,
+    pair_ids,
     path,
     star,
+    union,
 )
 
 
@@ -62,7 +66,7 @@ def _slot_blocks(n: int, mask: int) -> list[range]:
     """For each vertex, the slots of its invariant class in the class order."""
     blocks = [range(0)] * n
     start = 0
-    for cls in _wl_classes(n, _adj_from_mask(n, mask)):
+    for cls in _wl_classes(n, adjacency_masks(n, mask_bits(mask))):
         for v in cls:
             blocks[v] = range(start, start + len(cls))
         start += len(cls)
@@ -106,16 +110,76 @@ def _twin_heavy(n: int):
         yield full ^ sum(1 << edge_id(2 * i, 2 * i + 1) for i in range(k))
 
 
+@lru_cache(maxsize=16)
+def _all_perms_np(n: int) -> np.ndarray:
+    """The n! permutations of range(n), one per row, as int8."""
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for k in range(n):
+        rows = np.concatenate([np.insert(rows, i, k, axis=1) for i in range(k + 1)])
+    return rows
+
+
+def _codes_min(perms: np.ndarray, mask: int, n: int) -> int:
+    """Minimum edge-mask code of the graph over the given relabelings.
+
+    Row i sends vertex v to slot ``perms[i, v]``.
+    """
+    table = np.array([1 << e if e >= 0 else 0 for e in pair_ids(n)], dtype=np.int64).reshape(n, n)
+    pairs = edge_table(n)[0]
+    codes = np.zeros(len(perms), dtype=np.int64)
+    for e in mask_bits(mask):
+        u, v = pairs[e]
+        codes += table[perms[:, u], perms[:, v]]
+    return int(codes.min())
+
+
+def _uniform_n8():
+    """Graphs on 8 vertices with one invariant class that is not all twins."""
+    yield cycle(8).graph.edge_mask
+    yield matching(4).graph.edge_mask
+    yield union(cycle(5), cycle(3)).graph.edge_mask
+    cube = [(v, v ^ 1 << i) for v in range(8) for i in range(3) if v < v ^ 1 << i]
+    yield SimpleGraph.from_pairs(8, cube).edge_mask
+
+
 def test_canonical_code_on_twin_classes_n7_n8():
     for n, shuffle in ((7, [3, 6, 0, 5, 1, 4, 2]), (8, [5, 2, 7, 0, 3, 6, 1, 4])):
         perms = _all_perms_np(n)
-        for mask in _twin_heavy(n):
+        masks = list(_twin_heavy(n)) + (list(_uniform_n8()) if n == 8 else [])
+        for mask in masks:
             for g in (mask, _apply_perm(n, mask, shuffle)):
                 blocks = _slot_blocks(n, g)
                 lo = np.array([b.start for b in blocks])
                 hi = np.array([b.stop for b in blocks])
                 rows = perms[((perms >= lo) & (perms < hi)).all(axis=1)]
                 assert canonical_code(n, g) == _codes_min(rows, g, n), (n, g)
+
+
+def _spoked_pentagons(step: int) -> int:
+    """A 5-cycle joined by spokes to the inner 5-cycle i -> i + step: the
+    Petersen graph for step 2, the pentagonal prism for step 1."""
+    pairs = [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+    pairs += [(5 + i, 5 + (i + step) % 5) for i in range(5)]
+    return SimpleGraph.from_pairs(10, pairs).edge_mask
+
+
+def test_canonical_code_on_invariant_uniform_n10_n12():
+    # one invariant class each, and the two graphs of a pair share a degree
+    rng = random.Random(5)
+    cases = (
+        (10, _spoked_pentagons(2), _spoked_pentagons(1)),
+        (12, make_pattern("4K3").graph.edge_mask, cycle(12).graph.edge_mask),
+    )
+    for n, a, b in cases:
+        codes = []
+        for mask in (a, b):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            code = canonical_code(n, mask)
+            assert canonical_code(n, _apply_perm(n, mask, perm)) == code
+            assert code.bit_count() == mask.bit_count()
+            codes.append(code)
+        assert codes[0] != codes[1]
 
 
 def _sha(parts) -> str:

@@ -1,10 +1,14 @@
-"""Every imported name is used somewhere in the module that imports it.
+"""Every imported name is used somewhere in the module that imports it, and
+importing the package loads no third-party module.
 
 No linter ships with the project, so this scans the syntax trees of the
 package, the tests, the scripts and the benchmark.  Package ``__init__.py``
 files are skipped: their imports are the public re-exports.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +39,12 @@ def test_no_unused_imports():
     assert paths
     unused = [msg for p in paths for msg in _unused_imports(p)]
     assert unused == []
+
+
+def test_package_imports_no_numpy():
+    # the package runs on the standard library; numpy is a test dependency only
+    code = "import sys, edgemaps; print('numpy' in sys.modules)"
+    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
