@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -188,9 +188,9 @@ def ex_value(n: int, P: PatternGraph) -> ExValue:
     """Largest edge count of an n-vertex graph avoiding P, with provenance.
 
     Source preference: exhaustive oracle on small hosts, then a published
-    closed form inside its validity range, then the tree-density assumption
-    when the pattern carries it.  Anything else is refused rather than
-    guessed.
+    closed form inside its validity range.  Anything else is refused rather
+    than guessed; the certifiers' ``_ex_for`` alone falls back to the
+    tree-density assumption, and flags it.
     """
     if n < 0:
         raise ValueError("need n >= 0")
@@ -213,12 +213,6 @@ def ex_value(n: int, P: PatternGraph) -> ExValue:
     length = _odd_cycle_length(P)
     if length is not None and n >= 2 * length - 2:
         return ExValue(n * n // 4, "half-square closed form (host large enough)")
-    if P.est_assumed:
-        return ExValue(
-            Fraction((P.k - 2) * n, 2),
-            "tree density assumption",
-            flags=(ASSUMED_TREE_DENSITY,),
-        )
     raise OracleLimitError(f"no exact source for the extremal count of {P} at n={n}")
 
 
@@ -473,7 +467,7 @@ def exclusive_star_certify(n: int, ex_g, r: int) -> bool:
     return comb(n, 2) - _exact(ex_g, "ex_g") > Fraction((5 * r - 5) * n, 2)
 
 
-def exclusive_matching_certify(n: int, ex_g, t: int, ex_matching=None) -> bool:
+def exclusive_matching_certify(n: int, ex_g, t: int) -> bool:
     """True certifies m*(G, tK_2) <= n for any G with ex(n, G) <= ex_g.
 
     Threshold: C(n,2) - ex_g > ex(n, (5t-4)K_2).  Past it the moved edges
@@ -485,9 +479,7 @@ def exclusive_matching_certify(n: int, ex_g, t: int, ex_matching=None) -> bool:
         raise ValueError("need t >= 1")
     if n < 0:
         raise ValueError("need n >= 0")
-    if ex_matching is None:
-        ex_matching = matching_turan(n, 5 * t - 4)
-    return comb(n, 2) - _exact(ex_g, "ex_g") > _exact(ex_matching, "ex_matching")
+    return comb(n, 2) - _exact(ex_g, "ex_g") > matching_turan(n, 5 * t - 4)
 
 
 def tree_star_exclusive_upper(k: int, r: int) -> int:
@@ -515,15 +507,19 @@ def _is_tree(G: PatternGraph) -> bool:
 @lru_cache(maxsize=256)
 def _ex_for(n: int, P: PatternGraph) -> ExValue | None:
     """Extremal count with provenance, falling back to the density assumption
-    for trees that did not opt in themselves (the flags say when it fired)."""
+    ex(n, T) <= (k-2)n/2 for a tree that ``ex_value`` has no source for (the
+    flags say when it fired).  Argument errors give None."""
     try:
         return ex_value(n, P)
+    except OracleLimitError:
+        if _is_tree(P):
+            return ExValue(
+                Fraction((P.k - 2) * n, 2),
+                "tree density assumption",
+                flags=(ASSUMED_TREE_DENSITY,),
+            )
+        return None
     except ValueError:
-        if _is_tree(P) and not P.est_assumed:
-            try:
-                return ex_value(n, replace(P, est_assumed=True))
-            except ValueError:
-                return None
         return None
 
 

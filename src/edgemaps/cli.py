@@ -248,7 +248,6 @@ def _cmd_bound(args) -> int:
         record.update(
             n=args.n, pattern=args.pattern, relation=rep.relation, value=rep.value,
             exact=rep.exact, flags=list(rep.flags),
-            scan=[[s, v] for s, v in rep.scan],
             witness=None if rep.witness is None else list(rep.witness.images),
         )
     elif op == "mc-witness":

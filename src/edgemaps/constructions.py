@@ -66,18 +66,13 @@ def frobenius_decomposition(a: int, b: int, N: int) -> tuple[int, int] | None:
     return None
 
 
-def euler_circuit(graph: SimpleGraph, component: list[int] | None = None) -> list[int]:
-    """Closed trail through every edge of a connected even-degree (sub)graph.
+def euler_circuit(graph: SimpleGraph, component: list[int]) -> list[int]:
+    """Closed trail through every edge of one connected even-degree
+    component of ``graph``, given by its vertices.
 
     Returns the circuit as a vertex sequence v0, v1, ..., v0 of length
     (#edges + 1); Hierholzer's algorithm, neighbors taken in ascending order.
     """
-    if component is None:
-        comps = [c for c in graph.components() if len(c) > 1 or graph.degrees[c[0]]]
-        with_edges = [c for c in comps if any(graph.degrees[v] for v in c)]
-        if len(with_edges) != 1:
-            raise ValueError("graph must have exactly one component with edges")
-        component = with_edges[0]
     odd = [v for v in component if graph.degrees[v] % 2]
     if odd:
         raise ValueError(f"odd degrees at {odd}")

@@ -15,12 +15,10 @@ from functools import cached_property
 from . import detect
 from .detect import Certificate
 from .graphs import (
-    SimpleGraph,
     adjacency_components,
     edge_id,
     edge_pair,
     edges_overlap,
-    mask_bits,
     star,
 )
 from .mapping import ContractError, EdgeMapping
@@ -197,25 +195,20 @@ def _find_cycle_edge(start: int, adj: dict[int, set]) -> tuple[int, int]:
     raise ValueError("no cycle in component")
 
 
-def exclusive_star(
-    mapping: EdgeMapping, v: int, r: int, host: SimpleGraph | None = None
-) -> Certificate:
-    """r host edges at v forming an exclusive star, for strong-shifted maps.
+def exclusive_star(mapping: EdgeMapping, v: int, r: int) -> Certificate:
+    """r edges of K_n at v forming an exclusive star, for strong-shifted maps.
 
     The conflict digraph on the edges at v (arc when one image touches the
     other edge) has out-degree <= 2 because no image comes back to v, so a
     color class of the <= 5 gives ceil(deg/5) >= r conflict-free edges.
+    Below n = 4 every edge of K_n touches all the others, so no edge can
+    move clear of itself and the input is refused.
     """
-    if host is None:
-        full = (1 << mapping.n) - 1
-        adj = tuple(full ^ 1 << x for x in range(mapping.n))
-    else:
-        adj = host.adj
     if r < 1:
         raise ValueError("r must be positive")
-    if _dominating_edge(adj) is not None:
-        raise ValueError("host has an edge incident to all other edges")
-    leaves = mask_bits(adj[v])
+    if mapping.n < 4:
+        raise ValueError("strong-shifted edges need n >= 4")
+    leaves = [x for x in range(mapping.n) if x != v]
     deg = len(leaves)
     if deg < 5 * r - 4:
         raise ValueError(f"degree {deg} at vertex {v} is below 5r-4 = {5 * r - 4}")
@@ -238,17 +231,3 @@ def exclusive_star(
     if not detect.validate(mapping, cert):
         raise AssertionError("extracted star failed exclusivity revalidation")
     return cert
-
-
-def _dominating_edge(adj) -> tuple[int, int] | None:
-    """The first edge uv, in edge-id order, of the graph with adjacency masks
-    ``adj`` that touches every other edge, or None.  uv touches every other
-    edge iff no edge avoids both u and v, that is, iff no vertex w outside
-    {u, v} has a neighbour outside {u, v}."""
-    n = len(adj)
-    for v in range(n):
-        for u in mask_bits(adj[v] & ((1 << v) - 1)):
-            uv = 1 << u | 1 << v
-            if all(adj[w] & ~uv == 0 for w in range(n) if not uv >> w & 1):
-                return (u, v)
-    return None

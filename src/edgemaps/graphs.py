@@ -204,15 +204,10 @@ class SimpleGraph:
 
 @dataclass(frozen=True)
 class PatternGraph:
-    """A small graph to be matched inside hosts; carries derived stats.
-
-    ``est_assumed`` marks patterns whose extremal numbers are only available
-    under the unproven tree-density assumption; certifiers propagate the flag.
-    """
+    """A small graph to be matched inside hosts; carries derived stats."""
 
     graph: SimpleGraph
     name: str = ""
-    est_assumed: bool = False
 
     @property
     def k(self) -> int:
@@ -260,8 +255,8 @@ class PatternGraph:
         return None
 
 
-def pattern(graph: SimpleGraph, name: str = "", est_assumed: bool = False) -> PatternGraph:
-    return PatternGraph(graph, name, est_assumed)
+def pattern(graph: SimpleGraph, name: str = "") -> PatternGraph:
+    return PatternGraph(graph, name)
 
 
 # -- family factories.  Labeling conventions are part of the contract. -----

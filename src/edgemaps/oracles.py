@@ -102,20 +102,27 @@ def _pattern_from_key(key: tuple) -> PatternGraph:
 
 @lru_cache(maxsize=128)
 def pair_cover_max(n: int, H: PatternGraph) -> int:
-    """Max over pairs of distinct edges of K_n of the copies of H containing both."""
+    """Max over pairs of distinct edges of K_n of the copies of H containing both.
+
+    Vertex permutations carry copies to copies, and they act on pairs of
+    distinct edges of K_n with two orbits: the pairs that share a vertex and
+    the disjoint ones.  Every pair in an orbit lies in equally many copies,
+    so counting the copies through {01, 02} and through {01, 23} suffices.
+    """
     if n > PAIR_COVER_LIMIT:
         raise OracleLimitError(f"pair_cover_max capped at n={PAIR_COVER_LIMIT}, got {n}")
     if H.m < 2:
         raise ValueError("pair cover needs patterns with at least 2 edges")
     if H.k > n:
         return 0
-    host = SimpleGraph.complete(n)
-    counts: dict[tuple[int, int], int] = {}
+    meeting = 1 << edge_id(0, 1) | 1 << edge_id(0, 2)
+    disjoint = 1 << edge_id(0, 1) | 1 << edge_id(2, 3)
+    through_meeting = through_disjoint = 0
     pairs = H.graph.pairs()
-    for emb in enumerate_copies(H, host):
-        eids = sorted(edge_id(emb[u], emb[v]) for u, v in pairs)
-        for i in range(len(eids)):
-            for j in range(i + 1, len(eids)):
-                key = (eids[i], eids[j])
-                counts[key] = counts.get(key, 0) + 1
-    return max(counts.values(), default=0)
+    for emb in enumerate_copies(H, SimpleGraph.complete(n)):
+        emask = 0
+        for u, v in pairs:
+            emask |= 1 << edge_id(emb[u], emb[v])
+        through_meeting += emask & meeting == meeting
+        through_disjoint += emask & disjoint == disjoint
+    return max(through_meeting, through_disjoint)

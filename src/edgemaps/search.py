@@ -55,6 +55,12 @@ copies is a bitmask over those numbers:
   ``_candidates`` filters e's pool by ``allowed[e]`` in pool order;
 * the count of moved edges so far, which the objective walk reads.
 
+The objective walk is a branch and bound (Land & Doig, 1960): its
+objective is the incumbent bound, the fewest moved edges a mapping must
+have to beat the best witness so far.  Each witness raises it to its own
+moved count plus one and the walk goes on, so the last witness found moves
+the most edges.
+
 Undoing a step restores the state from the step's token; a step that
 narrows ``allowed`` narrows a copy of it.  Witnesses are re-validated by the
 detection module before being returned, so a bug in the incremental
@@ -156,7 +162,8 @@ class SearchOutcome:
 
     WITNESS carries a mapping realizing the avoidance; EXHAUSTED means the
     tree was walked to the end without one; TIMEOUT means the budget ran
-    out first and says nothing about existence.
+    out first and says nothing about existence.  An objective walk ends
+    with the best witness it found, so its TIMEOUT may carry one too.
     """
 
     verdict: str
@@ -417,16 +424,19 @@ class _Engine:
         hit = detect.find_any(mp, self.spec.avoid)
         if hit is not None:
             raise RuntimeError(f"engine witness contains a {hit.kind} copy of {hit.pattern}")
-        if self.objective is not None:
-            count = (
-                mp.profile.strong_shifted
-                if self.klass.kind == "fixed_or_strong"
-                else mp.profile.shifted
-            )
-            if count < self.objective:
-                raise RuntimeError("engine witness misses its moved-edge target")
         self.witness = mp
-        return True
+        if self.objective is None:
+            return True
+        count = (
+            mp.profile.strong_shifted
+            if self.klass.kind == "fixed_or_strong"
+            else mp.profile.shifted
+        )
+        if count < self.objective:
+            raise RuntimeError("engine witness misses its moved-edge target")
+        # branch and bound: only a mapping that moves more can replace it
+        self.objective = count + 1
+        return False
 
     def _dfs(self, i: int, group) -> bool:
         if i == self.m_edges:
@@ -467,10 +477,9 @@ class _Engine:
 
     def run(self) -> SearchOutcome:
         start = time.perf_counter()
-        verdict = "EXHAUSTED"
         try:
-            if self._dfs(0, self._initial_group()):
-                verdict = "WITNESS"
+            self._dfs(0, self._initial_group())
+            verdict = "EXHAUSTED" if self.witness is None else "WITNESS"
         except _Timeout:
             verdict = "TIMEOUT"
         self.stats.wall_time = time.perf_counter() - start
@@ -504,9 +513,11 @@ def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -
     finished without one, or TIMEOUT when the budget expired.  An empty
     class yields EXHAUSTED with zero nodes: no mapping exists at all, so in
     particular none avoids.  With workers > 1 the root branches run in
-    separate processes; the reported witness is the one the sequential walk
-    would have found first.  The budget is one deadline, fixed here, that
-    every branch honours, so it bounds the whole call with workers too.
+    separate processes; the reported witness is that of the first root
+    branch, in walk order, that found one.  It is the witness the sequential
+    walk would have found first unless an earlier branch timed out.  The
+    budget is one deadline, fixed here, that every branch honours, so it
+    bounds the whole call with workers too.
     """
     options = options or SearchOptions()
     _check_envelope(spec, options.budget)
@@ -583,7 +594,6 @@ class CapacityReport:
     exact: bool
     witness: EdgeMapping | None
     flags: tuple[str, ...]
-    scan: tuple[tuple[int, str], ...]
 
 
 def shift_capacity(
@@ -596,41 +606,26 @@ def shift_capacity(
 
     The exclusive variant instead counts edges moved clear of both
     endpoints, over mappings that never share exactly one endpoint with
-    their image, and avoids exclusive copies.  Targets are scanned downward
-    with a fresh walk each; the first witness pins the value.  A step that
-    times out leaves the levels above unresolved, so the result degrades to
-    an inexact lower bound and says so.  The identity mapping settles
-    target 0, hence the scan always terminates.
+    their image, and avoids exclusive copies.  One objective walk answers
+    by branch and bound; its last witness pins the value.  The budget is
+    one deadline on that walk: a walk that times out reports the best
+    witness so far as an inexact lower bound and says so.  The identity
+    mapping moves no edge and avoids every free and exclusive copy, so the
+    value is at least 0.
     """
     relation = "exclusive" if exclusive else "free"
     klass = MappingClass("fixed_or_strong" if exclusive else "all")
     spec = AvoidanceSpec(n, klass, ((relation, H),))
     _check_envelope(spec, budget)
-    scan: list[tuple[int, str]] = []
-    exact = True
-    for target in range(edge_count(n), -1, -1):
-        out = _Engine(spec, _deadline(budget), objective=target).run()
-        scan.append((target, out.verdict))
-        if out.verdict == "TIMEOUT":
-            exact = False
-            continue
-        if out.verdict == "WITNESS":
-            flags = (INFERRED_CAPACITY,)
-            if not exact:
-                flags += ("unresolved levels above; value is a lower bound",)
-            return CapacityReport(
-                n, H, relation, target, exact, out.witness, flags, tuple(scan)
-            )
-    return CapacityReport(
-        n,
-        H,
-        relation,
-        0,
-        False,
-        None,
-        (INFERRED_CAPACITY, "every level timed out"),
-        tuple(scan),
-    )
+    engine = _Engine(spec, _deadline(budget), objective=0)
+    out = engine.run()
+    exact = out.verdict != "TIMEOUT"
+    flags = (INFERRED_CAPACITY,)
+    if not exact:
+        flags += ("the walk timed out; value is a lower bound",)
+    # each witness raised the objective to its moved count plus one
+    value = max(engine.objective - 1, 0)
+    return CapacityReport(n, H, relation, value, exact, out.witness, flags)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import pytest
 
 from edgemaps.bounds import (
     OracleLimitError,
+    _ex_for,
     ex_value,
     exclusive_matching_certify,
     exclusive_star_certify,
@@ -27,7 +28,7 @@ from edgemaps.bounds import (
     w_clique_bounds,
     w_star_upper,
 )
-from edgemaps.graphs import make_pattern, pattern, path
+from edgemaps.graphs import PatternGraph, SimpleGraph, make_pattern
 from edgemaps.oracles import ex_bruteforce, supersat_min
 
 
@@ -63,9 +64,12 @@ def test_ex_value_closed_forms_beyond_oracle():
 def test_ex_value_tree_density_is_opt_in():
     with pytest.raises(OracleLimitError):
         ex_value(10, make_pattern("P4"))
-    assumed = ex_value(10, pattern(path(4).graph, "P4", est_assumed=True))
+    assumed = _ex_for(10, make_pattern("P4"))
     assert assumed.value == Fraction(10)
     assert any("assumed" in fl for fl in assumed.flags)
+    # argument errors are not a missing source
+    assert _ex_for(-1, make_pattern("P4")) is None
+    assert _ex_for(10, PatternGraph(SimpleGraph.empty(1))) is None
 
 
 def test_certifiers_reject_floats():

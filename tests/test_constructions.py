@@ -32,7 +32,7 @@ def test_frobenius_decomposition():
 
 def test_euler_circuit_covers_k5():
     K5 = complete(5).graph
-    walk = euler_circuit(K5)
+    walk = euler_circuit(K5, list(range(5)))
     assert walk[0] == walk[-1]
     assert len(walk) == K5.m + 1
     used = {edge_id(u, v) for u, v in zip(walk, walk[1:])}
@@ -41,7 +41,7 @@ def test_euler_circuit_covers_k5():
 
 def test_euler_circuit_rejects_odd_degrees():
     with pytest.raises(ValueError):
-        euler_circuit(complete(4).graph)
+        euler_circuit(complete(4).graph, list(range(4)))
 
 
 def test_cycle_decomposition_partitions_edges():

