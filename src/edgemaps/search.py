@@ -19,19 +19,37 @@ second-to-last edge is assigned, and its destroyers at once narrow the
 images its last edge may take.  A branch that leaves some edge no image
 dies there, under the rule ``lookahead``.  Every copy is thus destroyed by
 the time its last edge is assigned, and no rule needs to look for a
-completed one.  Two devices prune the tree further.  They are always on,
-and ``tests/test_search.py`` checks the verdicts and witnesses they lead to
-against brute-force enumeration of every mapping in the class:
+completed one.  Three devices prune the tree further.  They are always
+on, and ``tests/test_search.py`` checks the verdicts and witnesses they
+lead to against brute-force enumeration of every mapping in the class:
 
+* interchangeable images (Freuder, "Eliminating interchangeable values in
+  constraint satisfaction problems", AAAI 1991): each edge's pool keeps
+  only the first image, in pool order, of each signature.  The signature
+  of image x at edge e is whether x moves e and, per constraint, the
+  copies ``kill[e][x]`` it destroys there.  Class conditions are per edge
+  and every relation enters the walk only through its kill rows, so the
+  moved count, the destroyed masks, the narrowing and the counting and
+  objective rules see an image only through its signature: two images of
+  one signature leave identical states and identical subtrees.  The
+  counting rule's per-edge maxima keep an image of each kill count and do
+  not change;
 * prefix-stabilizer symmetry: candidate images of the branching edge are
   reduced to orbit minima under vertex permutations that stabilize the
   partial assignment;
 * counting: copies still needing a destroyer must not outnumber the
   destructions the remaining edges can possibly perform.
 
-None of the three, narrowing included, reorders the walk or cuts the
+None of the four, narrowing included, reorders the walk or cuts the
 subtree of its first witness, so the witness returned is the first mapping
-in walk order that avoids every relation.
+in walk order that avoids every relation.  The first witness never uses a
+cut image: the same mapping with the earlier image of that signature would
+avoid every relation too and lie in a subtree walked first, where symmetry
+pruning is sound as well (a stabilizer maps a witness to one earlier in
+pool order at the branching edge, and swapping in the first image of each
+signature keeps it earlier), so that subtree would have given a witness
+first.  On the objective walk the same holds of the first witness with
+the most moved edges, since signatures keep the moved count.
 
 The walk keeps its state in a few ints per constraint, read against tables
 built once per engine.  Copies of a pattern are numbered, and a set of
@@ -59,7 +77,8 @@ The objective walk is a branch and bound (Land & Doig, 1960): its
 objective is the incumbent bound, the fewest moved edges a mapping must
 have to beat the best witness so far.  Each witness raises it to its own
 moved count plus one and the walk goes on, so the last witness found moves
-the most edges.
+the most edges.  A witness that moves every edge cannot be beaten, so the
+walk stops there.
 
 Undoing a step restores the state from the step's token; a step that
 narrows ``allowed`` narrows a copy of it.  Witnesses are re-validated by the
@@ -96,8 +115,10 @@ from .graphs import (
     edge_count,
     edge_id,
     edge_pair,
+    edge_table,
     enumerate_copies,
     mask_bits,
+    pair_ids,
 )
 from .mapping import EdgeMapping, MappingClass, admissible_images, random_mapping
 
@@ -188,12 +209,10 @@ class _Timeout(Exception):
 @lru_cache(maxsize=4)
 def _edge_perms(n: int) -> tuple[tuple[int, ...], ...]:
     """Every vertex permutation as a permutation of edge ids."""
-    m = edge_count(n)
-    pairs = [edge_pair(e) for e in range(m)]
-    out = []
-    for sigma in permutations(range(n)):
-        out.append(tuple(edge_id(sigma[u], sigma[v]) for u, v in pairs))
-    return tuple(out)
+    ids = pair_ids(n)
+    rows = [ids[u * n : (u + 1) * n] for u in range(n)]
+    pairs = edge_table(n)[0]
+    return tuple(tuple(rows[s[u]][s[v]] for u, v in pairs) for s in permutations(range(n)))
 
 
 # Per relation, the images that destroy a copy at one of its edges e, from
@@ -257,6 +276,7 @@ class _Engine:
         for rel, P in spec.avoid:
             if P.k <= spec.n:
                 self._add_copy_constraint(rel, P, host)
+        self._cut_pools()
         # per copy constraint, the bitmask of its destroyed copies
         self.destroyed = [0] * len(self.copy_cons)
         self.stats.table_time = time.perf_counter() - start
@@ -274,6 +294,18 @@ class _Engine:
             own = [e] if len(moved) < len(images) else []
             pools.append(moved + own if shifted_first else own + moved)
         return pools
+
+    def _cut_pools(self) -> None:
+        """Keep, of each edge's pool, the first image of each signature:
+        whether it moves the edge, and the copies it destroys there in each
+        constraint.  Images of one signature are interchangeable."""
+        for e, pool in enumerate(self.pools):
+            kept = {}
+            for x in pool:
+                kept.setdefault((x != e, *(kill[e][x] for kill, *_ in self.copy_cons)), x)
+            self.pools[e] = cut = list(kept.values())
+            self.pool_masks[e] = mask = sum(1 << x for x in cut)
+            self.allowed[e] &= mask
 
     def vertex_edges(self, vertices) -> int:
         """The edges touching any of ``vertices``."""
@@ -434,9 +466,10 @@ class _Engine:
         )
         if count < self.objective:
             raise RuntimeError("engine witness misses its moved-edge target")
-        # branch and bound: only a mapping that moves more can replace it
+        # branch and bound: only a mapping that moves more can replace it,
+        # and none moves more than every edge
         self.objective = count + 1
-        return False
+        return count == self.m_edges
 
     def _dfs(self, i: int, group) -> bool:
         if i == self.m_edges:

@@ -212,6 +212,35 @@ def test_kill_rows_read_every_relation(pattern):
                     assert (kill[e][x] >> c & 1) == breaks, (rel, emb, e, x)
 
 
+@pytest.mark.parametrize("kind", MappingClass.KINDS)
+@pytest.mark.parametrize("rel", detect.RELATIONS)
+def test_pools_keep_one_image_per_signature(rel, kind):
+    # an image's signature at e is whether it moves e and which copies it
+    # destroys there, per constraint, read from the reference relations
+    klass = MappingClass(kind)
+    avoid = ((rel, make_pattern("K1,2")), (rel, make_pattern("2K2")))
+    for n in (5, 6):
+        copies = [list(_copies(P, n)) for _, P in avoid]
+        for objective in (None, 0):
+            engine = search._Engine(AvoidanceSpec(n, klass, avoid), objective=objective)
+            for e, pool in enumerate(_pools(klass, n, moved_first=objective is not None)):
+                firsts = {}
+                for x in pool:
+                    sig = (x != e,) + tuple(
+                        frozenset(
+                            i
+                            for i, (eids, verts) in enumerate(cs)
+                            if e in eids and not _edge_holds(rel, e, x, eids, verts)
+                        )
+                        for cs in copies
+                    )
+                    firsts.setdefault(sig, x)
+                # one image per signature, the first in pool order
+                assert engine.pools[e] == list(firsts.values()), (n, objective, e)
+                assert engine.pool_masks[e] == sum(1 << x for x in firsts.values())
+                assert klass.value_ok(e, e) == (e in engine.pools[e])
+
+
 MAX_SPACE = 59049
 SMALL_SPACES = [
     (kind, n)
@@ -288,6 +317,15 @@ def test_shift_capacity_matches_brute_force(pattern, exclusive):
     assert rep.witness.images == first
 
 
+def test_edge_perms_follow_the_definition():
+    for n in range(1, 7):
+        pairs = [edge_pair(e) for e in range(edge_count(n))]
+        expect = tuple(
+            tuple(edge_id(s[u], s[v]) for u, v in pairs) for s in itertools.permutations(range(n))
+        )
+        assert search._edge_perms(n) == expect
+
+
 def test_parallel_workers_agree_with_serial():
     spec = AvoidanceSpec(5, OV1, FREE_2K2)
     serial = exists_avoiding(spec)
@@ -300,8 +338,9 @@ def test_parallel_workers_agree_with_serial():
 def test_budget_is_one_deadline_under_workers():
     # three root branches on two workers: the last starts late and must
     # still stop at the deadline fixed when the call began.  The walk must
-    # outlast the budget by far: serially it had no verdict after 20 s
-    # (about 2.6M nodes on a 2-vCPU Xeon)
+    # outlast the budget by far: each root branch alone is still TIMEOUT
+    # after 3 s, and serially the walk finds its witness after 16 s (4.6M
+    # nodes on a 2-vCPU Xeon)
     spec = AvoidanceSpec(8, ALL, (("fixed", make_pattern("P4")), ("free", make_pattern("K3"))))
     out = exists_avoiding(spec, SearchOptions(budget=1.0, workers=2))
     assert out.verdict == "TIMEOUT"
@@ -339,30 +378,30 @@ TREE_PINS = [
     (6, "fixed_or_strong", (("fixed", "K1,2"), ("exclusive", "K1,2")), None, None,
      "EXHAUSTED", 12189, {"lookahead": 6003, "symmetry": 102}, None),
     (6, "disjoint", (("free", "3K2"),), None, None,
-     "WITNESS", 9827, {"counting": 410, "lookahead": 7768, "symmetry": 2},
+     "WITNESS", 331, {"counting": 45, "lookahead": 169},
      (5, 4, 6, 7, 6, 7, 5, 1, 3, 2, 4, 1, 0, 0, 2)),
     (7, "disjoint", (("exclusive", "P4"),), None, None,
      "WITNESS", 39, {"lookahead": 18},
      (5, 4, 3, 2, 1, 0, 2, 1, 0, 0, 2, 1, 9, 8, 5, 14, 14, 9, 14, 13, 0)),
     (5, "overlap_le_1", (("free", "2K2"),), None, None,
-     "EXHAUSTED", 2, {"counting": 2, "symmetry": 7}, None),
+     "EXHAUSTED", 2, {"counting": 2, "symmetry": 2}, None),
     (5, "all", (("shifted", "K1,2"), ("fixed", "2K2")), None, None,
-     "EXHAUSTED", 28, {"lookahead": 23, "symmetry": 13}, None),
+     "EXHAUSTED", 8, {"lookahead": 4}, None),
     (5, "all", (("strong_shifted", "K1,2"), ("fixed", "K1,2")), None, None,
      "WITNESS", 10, {},
      (0, 0, 0, 0, 0, 5, 0, 0, 0, 3)),
     # objective walks with a fixed moved-edge bound and no witness to raise it
     (5, "all", (("free", "K1,2"),), 10, None,
-     "EXHAUSTED", 3, {"counting": 2, "objective": 1, "symmetry": 7}, None),
+     "EXHAUSTED", 3, {"counting": 2, "objective": 1, "symmetry": 5}, None),
     (6, "all", (("free", "K1,2"),), 7, None,
-     "EXHAUSTED", 18287, {"counting": 6562, "symmetry": 160}, None),
+     "EXHAUSTED", 11126, {"counting": 3856, "symmetry": 81}, None),
     # the middle one of the root images [0, 1, 5]
     (6, "all", (("fixed", "K1,2"), ("free", "2K2")), None, 1,
-     "EXHAUSTED", 1683, {"lookahead": 874, "symmetry": 136}, None),
+     "EXHAUSTED", 404, {"lookahead": 210, "symmetry": 36}, None),
     # a shifted copy can never be destroyed where the own image is barred,
     # so the lookahead kills each one as its second-to-last edge is assigned
     (5, "overlap_le_1", (("shifted", "K1,2"),), None, None,
-     "EXHAUSTED", 2, {"lookahead": 2, "symmetry": 7}, None),
+     "EXHAUSTED", 1, {"lookahead": 1}, None),
 ]
 
 
@@ -428,6 +467,17 @@ def test_shift_capacity_known_values():
     assert shift_capacity(4, make_pattern("K2")).value == 0
     rep = shift_capacity(5, make_pattern("2K2"))
     assert rep.value == 7 and rep.exact
+
+
+def test_objective_walk_stops_once_every_edge_moves():
+    # nothing beats a witness that moves every edge, so the walk ends there
+    spec = AvoidanceSpec(6, MappingClass("fixed_or_strong"), (("exclusive", make_pattern("3K2")),))
+    engine = search._Engine(spec, objective=0)
+    out = engine.run()
+    assert out.verdict == "WITNESS" and out.stats.nodes == 15
+    assert out.witness.profile.strong_shifted == edge_count(6)
+    rep = shift_capacity(6, make_pattern("3K2"), exclusive=True)
+    assert rep.value == 15 and rep.exact
 
 
 def test_shift_capacity_budget_is_one_deadline():
