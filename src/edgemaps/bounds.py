@@ -187,17 +187,21 @@ def _odd_cycle_length(P: PatternGraph) -> int | None:
 def ex_value(n: int, P: PatternGraph) -> ExValue:
     """Largest edge count of an n-vertex graph avoiding P, with provenance.
 
-    Source preference: exhaustive oracle on small hosts, then a published
-    closed form inside its validity range.  Anything else is refused rather
-    than guessed; the certifiers' ``_ex_for`` alone falls back to the
-    tree-density assumption, and flags it.
+    Source preference: first a closed form that is exact at every n, that
+    is Turán's theorem for K_r, Erdős–Gallai for sK2 and the degree bound
+    for K1,r; then the exhaustive oracle on small hosts; then a closed form
+    that holds only once the host is large enough.  The order is sound
+    because the every-n forms equal the oracle wherever both exist (the
+    tests check it on n <= 8), so it changes the source, never the value,
+    and it spares building the isomorph-free catalogues for those patterns.
+    Anything else is refused rather than guessed; the certifiers'
+    ``_ex_for`` alone falls back to the tree-density assumption, and flags
+    it.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     if P.m == 0:
         raise ValueError("pattern needs at least one edge")
-    if n <= oracles.EX_LIMIT:
-        return ExValue(oracles.ex_bruteforce(n, P), "oracle")
     r = P.as_complete()
     if r is not None:
         return ExValue(turan_count(n, r), "complete-pattern closed form")
@@ -207,6 +211,8 @@ def ex_value(n: int, P: PatternGraph) -> ExValue:
     r = P.as_star()
     if r is not None:
         return ExValue(star_turan(n, r), "star closed form")
+    if n <= oracles.EX_LIMIT:
+        return ExValue(oracles.ex_bruteforce(n, P), "oracle")
     t = _near_clique_gap(P)
     if t is not None and n >= 6 * t:
         return ExValue(n * n // 4, "half-square closed form (host large enough)")

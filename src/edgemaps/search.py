@@ -88,6 +88,7 @@ bookkeeping surfaces as a loud error rather than a wrong verdict.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -234,7 +235,10 @@ class _Engine:
     ``deadline`` is a ``time.perf_counter()`` reading; the walk stops with
     TIMEOUT once it has passed.  ``root`` restricts edge 0 to that one
     image, as in one root branch of ``workers``; every image still comes
-    from ``_candidates``.
+    from ``_candidates``.  ``stop`` is that branch's stop signal, an event
+    set once an earlier branch has a witness; the walk polls it on the
+    deadline's tick and ends as TIMEOUT too, an outcome ``_parallel``
+    never reads.
     """
 
     def __init__(
@@ -243,10 +247,13 @@ class _Engine:
         deadline: float | None = None,
         objective: int | None = None,
         root: int | None = None,
+        stop=None,
     ):
         start = time.perf_counter()
         self.spec = spec
         self.deadline = deadline
+        self.stop = stop
+        self.polled = deadline is not None or stop is not None
         self.n = spec.n
         m = self.m_edges = edge_count(spec.n)
         self.klass = spec.klass
@@ -386,8 +393,10 @@ class _Engine:
         None, the token that undoes it)."""
         stats = self.stats
         stats.nodes += 1
-        if self.deadline is not None and stats.nodes & 1023 == 0:
-            if time.perf_counter() > self.deadline:
+        if self.polled and stats.nodes & 1023 == 0:
+            if self.deadline is not None and time.perf_counter() > self.deadline:
+                raise _Timeout
+            if self.stop is not None and self.stop.is_set():
                 raise _Timeout
         self.assign[e] = x
         token = (e, self.moved, self.destroyed, self.allowed)
@@ -534,9 +543,27 @@ def _deadline(budget: float | None) -> float | None:
     return None if budget is None else time.perf_counter() + budget
 
 
-def _branch_entry(args) -> SearchOutcome:
-    spec, deadline, root = args
-    return _Engine(spec, deadline, root=root).run()
+# One stop signal per root branch of the running ``_parallel`` call, put in
+# each pool process by the executor's initializer.
+_STOPS: tuple = ()
+
+
+def _install_stops(stops: tuple) -> None:
+    global _STOPS
+    _STOPS = stops
+
+
+def _branch_entry(args) -> SearchOutcome | None:
+    """Walk root branch i; on a witness, stop every later branch.  A branch
+    stopped before it starts returns None."""
+    spec, deadline, i, root = args
+    if _STOPS[i].is_set():
+        return None
+    out = _Engine(spec, deadline, root=root, stop=_STOPS[i]).run()
+    if out.verdict == "WITNESS":
+        for later in _STOPS[i + 1 :]:
+            later.set()
+    return out
 
 
 def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -> SearchOutcome:
@@ -548,9 +575,12 @@ def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -
     particular none avoids.  With workers > 1 the root branches run in
     separate processes; the reported witness is that of the first root
     branch, in walk order, that found one.  It is the witness the sequential
-    walk would have found first unless an earlier branch timed out.  The
-    budget is one deadline, fixed here, that every branch honours, so it
-    bounds the whole call with workers too.
+    walk would have found first unless an earlier branch timed out.  A
+    branch with a witness stops every later one, and the stats cover the
+    branches up to the first witness, so on a WITNESS they are the
+    sequential walk's unless an earlier branch timed out; with no witness
+    they cover every branch.  The budget is one deadline, fixed here, that
+    every branch honours, so it bounds the whole call with workers too.
     """
     options = options or SearchOptions()
     _check_envelope(spec, options.budget)
@@ -563,6 +593,14 @@ def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -
 
 
 def _parallel(spec: AvoidanceSpec, workers: int, deadline: float | None) -> SearchOutcome:
+    """One process per root branch, at most ``workers`` at a time.
+
+    Branch i, on a witness, sets the stop signal of every branch after it
+    (one ``multiprocessing.Event`` each).  Results are read in walk order
+    up to the first witness: every branch before it ran to its end or to
+    the deadline, since only an earlier witness stops a branch, so the
+    stats do not depend on timing.  The stopped branches are never read.
+    """
     start = time.perf_counter()
     engine = _Engine(spec)
     roots = engine.root_candidates()
@@ -570,17 +608,21 @@ def _parallel(spec: AvoidanceSpec, workers: int, deadline: float | None) -> Sear
     if not roots:
         stats.wall_time = time.perf_counter() - start
         return SearchOutcome("EXHAUSTED", None, stats)
-    args = [(spec, deadline, x) for x in roots]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(_branch_entry, args))
+    args = [(spec, deadline, i, x) for i, x in enumerate(roots)]
+    stops = tuple(multiprocessing.Event() for _ in roots)
     witness = None
     timed_out = False
-    for res in results:
-        stats.merge(res.stats)
-        if res.verdict == "WITNESS" and witness is None:
-            witness = res.witness
-        elif res.verdict == "TIMEOUT":
-            timed_out = True
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(roots)),
+        initializer=_install_stops,
+        initargs=(stops,),
+    ) as pool:
+        for res in pool.map(_branch_entry, args):
+            stats.merge(res.stats)
+            if res.verdict == "WITNESS":
+                witness = res.witness
+                break
+            timed_out |= res.verdict == "TIMEOUT"
     stats.wall_time = time.perf_counter() - start
     if witness is not None:
         return SearchOutcome("WITNESS", witness, stats)

@@ -28,7 +28,7 @@ from edgemaps.bounds import (
     w_clique_bounds,
     w_star_upper,
 )
-from edgemaps.graphs import PatternGraph, SimpleGraph, make_pattern
+from edgemaps.graphs import PatternGraph, SimpleGraph, complete, make_pattern, matching, star
 from edgemaps.oracles import ex_bruteforce, supersat_min
 
 
@@ -52,6 +52,26 @@ def test_ex_value_uses_oracle_on_small_hosts():
     assert got.value == 12
     assert got.source == "oracle"
     assert got.flags == ()
+
+
+def test_ex_value_every_n_closed_forms_equal_oracle():
+    # patterns larger than the host included: K9 and 5K2 never fit in K8,
+    # and n < 2s leaves sK2 with the whole clique
+    families = [
+        ([complete(r) for r in range(2, 10)], "complete-pattern closed form"),
+        ([matching(s) for s in range(1, 6)], "matching closed form"),
+        ([star(r) for r in range(1, 8)], "star closed form"),
+    ]
+    for patterns, source in families:
+        for P in patterns:
+            for n in range(1, 9):
+                got = ex_value(n, P)
+                assert got.value == ex_bruteforce(n, P), (P, n)
+                # K2, K1,1 and 1K2 are one graph, read as the complete one
+                assert got.source == (source if P.m > 1 else "complete-pattern closed form")
+                assert got.flags == ()
+    assert ex_value(6, make_pattern("K3")).source == "complete-pattern closed form"
+    assert ex_value(6, make_pattern("C4")).source == "oracle"
 
 
 def test_ex_value_closed_forms_beyond_oracle():

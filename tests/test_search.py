@@ -1,5 +1,6 @@
 import itertools
 import math
+import multiprocessing
 import time
 from unittest import mock
 
@@ -333,6 +334,76 @@ def test_parallel_workers_agree_with_serial():
     assert serial.verdict == parallel.verdict == "EXHAUSTED"
     spec4 = AvoidanceSpec(4, OV1, FREE_2K2)
     assert exists_avoiding(spec4, SearchOptions(workers=2)).verdict == "WITNESS"
+
+
+MSTAR_P4_K12 = AvoidanceSpec(
+    6,
+    MappingClass("fixed_or_strong"),
+    (("fixed", make_pattern("P4")), ("exclusive", make_pattern("K1,2"))),
+)
+
+
+def test_parallel_stats_are_those_of_the_serial_walk():
+    # roots [0, 5]: branch 5 alone walks 7390 nodes to a witness that the
+    # first branch's witness makes moot
+    assert search._Engine(MSTAR_P4_K12).root_candidates() == [0, 5]
+    serial = exists_avoiding(MSTAR_P4_K12)
+    parallel = exists_avoiding(MSTAR_P4_K12, SearchOptions(workers=2))
+    assert parallel.verdict == serial.verdict == "WITNESS"
+    assert parallel.witness == serial.witness
+    assert parallel.stats.nodes == serial.stats.nodes == 951
+    assert parallel.stats.prunes == serial.stats.prunes
+    # with no witness every branch runs to its end and counts
+    spec = AvoidanceSpec(6, ALL, (("fixed", make_pattern("K1,2")), ("free", make_pattern("2K2"))))
+    out = exists_avoiding(spec, SearchOptions(workers=2))
+    assert out.verdict == "EXHAUSTED"
+    assert out.stats.nodes == 2186
+
+
+def test_a_witness_stops_the_later_branches(monkeypatch):
+    stops = tuple(multiprocessing.Event() for _ in range(2))
+    monkeypatch.setattr(search, "_STOPS", stops)
+    first = search._branch_entry((MSTAR_P4_K12, None, 0, 0))
+    assert first.verdict == "WITNESS"
+    assert not stops[0].is_set() and stops[1].is_set()
+    # a branch stopped before it starts builds nothing
+    assert search._branch_entry((MSTAR_P4_K12, None, 1, 5)) is None
+    # one stopped mid-walk ends on the next 1024-node tick
+    out = search._Engine(MSTAR_P4_K12, root=5, stop=stops[1]).run()
+    assert out.verdict == "TIMEOUT"
+    assert out.stats.nodes == 1024
+
+
+def test_parallel_pool_is_sized_to_the_roots(monkeypatch):
+    sizes = []
+
+    class Inline:
+        """ProcessPoolExecutor stand-in: records its size and runs every
+        branch in this process."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Inline)
+    monkeypatch.setattr(search, "_STOPS", ())
+    spec = AvoidanceSpec(6, ALL, (("fixed", make_pattern("K1,2")), ("free", make_pattern("3K2"))))
+    assert search._Engine(spec).root_candidates() == [0, 1, 5]
+    serial = exists_avoiding(spec)
+    for workers in (8, 3, 2):
+        out = exists_avoiding(spec, SearchOptions(workers=workers))
+        assert out.witness == serial.witness
+        assert out.stats.nodes == serial.stats.nodes == 34
+    assert sizes == [3, 3, 2]
 
 
 def test_budget_is_one_deadline_under_workers():
