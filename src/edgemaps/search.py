@@ -84,6 +84,13 @@ Undoing a step restores the state from the step's token; a step that
 narrows ``allowed`` narrows a copy of it.  Witnesses are re-validated by the
 detection module before being returned, so a bug in the incremental
 bookkeeping surfaces as a loud error rather than a wrong verdict.
+
+With ``workers`` the walk is the same tree, split at depth 0: it runs in
+the calling process until its first 1024-node tick and only then shares
+its unstarted root branches with worker processes, which claim them one at
+a time alongside the calling process (``_parallel``).  Most walks end
+before that tick and start no process; verdict, witness, node and prune
+counts match the serial walk's whenever no branch times out.
 """
 from __future__ import annotations
 
@@ -238,7 +245,10 @@ class _Engine:
     from ``_candidates``.  ``stop`` is that branch's stop signal, an event
     set once an earlier branch has a witness; the walk polls it on the
     deadline's tick and ends as TIMEOUT too, an outcome ``_parallel``
-    never reads.
+    never reads.  ``hand_off`` is called once, on the walk's first tick,
+    with the root images the depth-0 loop has not reached yet, in walk
+    order, each with whether the symmetry rule drops it; the loop then
+    ends after the current root, so those branches are left to the caller.
     """
 
     def __init__(
@@ -248,12 +258,14 @@ class _Engine:
         objective: int | None = None,
         root: int | None = None,
         stop=None,
+        hand_off=None,
     ):
         start = time.perf_counter()
         self.spec = spec
         self.deadline = deadline
         self.stop = stop
-        self.polled = deadline is not None or stop is not None
+        self.hand_off = hand_off
+        self.polled = deadline is not None or stop is not None or hand_off is not None
         self.n = spec.n
         m = self.m_edges = edge_count(spec.n)
         self.klass = spec.klass
@@ -393,12 +405,15 @@ class _Engine:
         None, the token that undoes it)."""
         stats = self.stats
         stats.nodes += 1
+        self.assign[e] = x
         if self.polled and stats.nodes & 1023 == 0:
             if self.deadline is not None and time.perf_counter() > self.deadline:
                 raise _Timeout
             if self.stop is not None and self.stop.is_set():
                 raise _Timeout
-        self.assign[e] = x
+            if self.hand_off is not None:
+                hand_off, self.hand_off = self.hand_off, None
+                hand_off(self._cut_roots())
         token = (e, self.moved, self.destroyed, self.allowed)
         if x != e:
             self.moved += 1
@@ -485,10 +500,15 @@ class _Engine:
             return self._leaf()
         stab = [p for p in group if p[i] == i] if len(group) > 1 else group
         pool = self._candidates(i)
-        if i == 0 and self.root is not None:
-            pool = [self.root] if self.root in pool else []
+        if i == 0:
+            if self.root is not None:
+                pool = [self.root] if self.root in pool else []
+            # the loop below reads this list as it goes, so _cut_roots
+            # ends it after the current root by cutting the rest
+            pool = self.roots = list(pool)
+            self.root_stab = stab
         for x in pool:
-            if len(stab) > 1 and any(p[x] < x for p in stab):
+            if len(stab) > 1 and self._dropped(stab, x):
                 self.stats.bump("symmetry")
                 continue
             cause, token = self._apply(i, x)
@@ -502,20 +522,25 @@ class _Engine:
             self._undo(token)
         return False
 
+    @staticmethod
+    def _dropped(stab, x: int) -> bool:
+        """The symmetry rule: an image that some permutation fixing the
+        edges assigned so far sends lower is covered by that lower one."""
+        return any(p[x] < x for p in stab)
+
+    def _cut_roots(self) -> list[tuple[int, bool]]:
+        """End the depth-0 loop after the current root, which edge 0 holds
+        on a tick, and return the root images it would have tried next,
+        each with whether the symmetry rule drops it."""
+        k = self.roots.index(self.assign[0]) + 1
+        later = self.roots[k:]
+        del self.roots[k:]
+        return [(x, self._dropped(self.root_stab, x)) for x in later]
+
     def _initial_group(self):
         if self.n <= 8:
             return list(_edge_perms(self.n))
         return [tuple(range(self.m_edges))]
-
-    def root_candidates(self) -> list[int]:
-        if self.m_edges == 0:
-            return []
-        group = self._initial_group()
-        stab = [p for p in group if p[0] == 0] if len(group) > 1 else group
-        pool = self._candidates(0)
-        if len(stab) > 1:
-            pool = [x for x in pool if not any(p[x] < x for p in stab)]
-        return pool
 
     def run(self) -> SearchOutcome:
         start = time.perf_counter()
@@ -543,27 +568,37 @@ def _deadline(budget: float | None) -> float | None:
     return None if budget is None else time.perf_counter() + budget
 
 
-# One stop signal per root branch of the running ``_parallel`` call, put in
-# each pool process by the executor's initializer.
-_STOPS: tuple = ()
+# The running ``_parallel`` call's stop signals, one per handed-off root
+# branch, and the shared index of the next branch nobody has claimed; put
+# in each pool process by the executor's initializer.
+_SHARED: tuple = ((), None)
 
 
-def _install_stops(stops: tuple) -> None:
-    global _STOPS
-    _STOPS = stops
+def _install_shared(stops: tuple, next_root) -> None:
+    global _SHARED
+    _SHARED = (stops, next_root)
 
 
-def _branch_entry(args) -> SearchOutcome | None:
-    """Walk root branch i; on a witness, stop every later branch.  A branch
-    stopped before it starts returns None."""
-    spec, deadline, i, root = args
-    if _STOPS[i].is_set():
-        return None
-    out = _Engine(spec, deadline, root=root, stop=_STOPS[i]).run()
-    if out.verdict == "WITNESS":
-        for later in _STOPS[i + 1 :]:
-            later.set()
-    return out
+def _walk_branches(spec, deadline, roots, stops, next_root) -> dict[int, SearchOutcome]:
+    """Claim root branches one at a time, in walk order, until none is
+    left, walk each claimed one, and return their outcomes by root image.
+    A branch with a witness stops every later one, so claiming a stopped
+    branch ends the loop: all after it are stopped too."""
+    done = {}
+    while True:
+        with next_root.get_lock():
+            i = next_root.value
+            next_root.value = i + 1
+        if i >= len(roots) or stops[i].is_set():
+            return done
+        out = done[roots[i]] = _Engine(spec, deadline, root=roots[i], stop=stops[i]).run()
+        if out.verdict == "WITNESS":
+            for later in stops[i + 1 :]:
+                later.set()
+
+
+def _branch_entry(spec, deadline, roots) -> dict[int, SearchOutcome]:
+    return _walk_branches(spec, deadline, roots, *_SHARED)
 
 
 def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -> SearchOutcome:
@@ -572,15 +607,17 @@ def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -
     Returns WITNESS with a re-validated mapping, EXHAUSTED when the walk
     finished without one, or TIMEOUT when the budget expired.  An empty
     class yields EXHAUSTED with zero nodes: no mapping exists at all, so in
-    particular none avoids.  With workers > 1 the root branches run in
-    separate processes; the reported witness is that of the first root
-    branch, in walk order, that found one.  It is the witness the sequential
-    walk would have found first unless an earlier branch timed out.  A
-    branch with a witness stops every later one, and the stats cover the
-    branches up to the first witness, so on a WITNESS they are the
-    sequential walk's unless an earlier branch timed out; with no witness
-    they cover every branch.  The budget is one deadline, fixed here, that
-    every branch honours, so it bounds the whole call with workers too.
+    particular none avoids.  With workers > 1 the walk starts in this
+    process as the serial one does; once it reaches its first 1024-node
+    tick, the root branches it has not started are claimed one at a time
+    by at most ``workers - 1`` more processes and by this one (see
+    ``_parallel``), so a walk that ends before that tick starts none.  The
+    reported witness is that of the first root branch, in walk order, that
+    found one, and the stats cover the branches up to it, or every branch
+    when there is none: both are the serial walk's unless an earlier
+    branch timed out.  The budget is one deadline, fixed here, that every
+    branch honours, so it bounds the whole call with workers too.  No
+    child process outlives the call.
     """
     options = options or SearchOptions()
     _check_envelope(spec, options.budget)
@@ -593,36 +630,72 @@ def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -
 
 
 def _parallel(spec: AvoidanceSpec, workers: int, deadline: float | None) -> SearchOutcome:
-    """One process per root branch, at most ``workers`` at a time.
+    """The serial walk, which shares its later root branches with
+    processes once it has proved long.
 
-    Branch i, on a witness, sets the stop signal of every branch after it
-    (one ``multiprocessing.Event`` each).  Results are read in walk order
-    up to the first witness: every branch before it ran to its end or to
-    the deadline, since only an earlier witness stops a branch, so the
-    stats do not depend on timing.  The stopped branches are never read.
+    This process walks the root branches in order, as ``_Engine.run``
+    does.  At the walk's first 1024-node tick it keeps the current root
+    branch and hands every later one over, to be claimed one at a time in
+    walk order (``_walk_branches``) by a pool of at most ``workers - 1``
+    processes and, once its own branch is done, by this process too (lazy
+    task creation: Mohr, Kranz & Halstead, IEEE TPDS 2(3), 1991).  So at
+    most ``workers`` processes walk at once, and none sits idle while a
+    branch is left unclaimed.  A walk that ends before that tick starts no
+    process.  A branch with a witness stops every later one (one
+    ``multiprocessing.Event`` each).  Results are read in walk order up to
+    the first witness, and a root image that the symmetry rule drops counts
+    there as one ``symmetry`` prune: every branch before the witness ran to
+    its end or to the deadline, since only an earlier witness stops a
+    branch, so the stats are the serial walk's unless a branch timed out.
+    The pool is shut down, and any branch still running stopped, before
+    this returns or raises.
     """
     start = time.perf_counter()
-    engine = _Engine(spec)
-    roots = engine.root_candidates()
-    stats = SearchStats(table_time=engine.stats.table_time)
-    if not roots:
-        stats.wall_time = time.perf_counter() - start
-        return SearchOutcome("EXHAUSTED", None, stats)
-    args = [(spec, deadline, i, x) for i, x in enumerate(roots)]
-    stops = tuple(multiprocessing.Event() for _ in roots)
-    witness = None
-    timed_out = False
-    with ProcessPoolExecutor(
-        max_workers=min(workers, len(roots)),
-        initializer=_install_stops,
-        initargs=(stops,),
-    ) as pool:
-        for res in pool.map(_branch_entry, args):
-            stats.merge(res.stats)
-            if res.verdict == "WITNESS":
-                witness = res.witness
-                break
-            timed_out |= res.verdict == "TIMEOUT"
+    later: list[tuple[int, bool]] = []  # the handed-off root images
+    live: list[int] = []  # those of them that the symmetry rule keeps
+    stops: list = []
+    next_root = pool = None
+    tasks = []
+
+    def hand_off(roots: list[tuple[int, bool]]) -> None:
+        nonlocal next_root, pool
+        later.extend(roots)
+        live.extend(x for x, dropped in roots if not dropped)
+        if not live:
+            return
+        stops.extend(multiprocessing.Event() for _ in live)
+        next_root = multiprocessing.Value("i", 0)
+        size = min(workers - 1, len(live))
+        pool = ProcessPoolExecutor(
+            max_workers=size, initializer=_install_shared, initargs=(tuple(stops), next_root)
+        )
+        tasks.extend(pool.submit(_branch_entry, spec, deadline, tuple(live)) for _ in range(size))
+
+    try:
+        out = _Engine(spec, deadline, hand_off=hand_off).run()
+        stats, witness = out.stats, out.witness
+        timed_out = out.verdict == "TIMEOUT"
+        if witness is None:
+            done = {}
+            if pool is not None:
+                done = _walk_branches(spec, deadline, live, stops, next_root)
+                for task in tasks:
+                    done.update(task.result())
+            for x, dropped in later:
+                if dropped:
+                    stats.bump("symmetry")
+                    continue
+                res = done[x]
+                stats.merge(res.stats)
+                if res.verdict == "WITNESS":
+                    witness = res.witness
+                    break
+                timed_out |= res.verdict == "TIMEOUT"
+    finally:
+        for stop in stops:
+            stop.set()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     stats.wall_time = time.perf_counter() - start
     if witness is not None:
         return SearchOutcome("WITNESS", witness, stats)

@@ -2,6 +2,7 @@ import itertools
 import math
 import multiprocessing
 import time
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -327,6 +328,14 @@ def test_edge_perms_follow_the_definition():
         assert search._edge_perms(n) == expect
 
 
+def _roots(spec):
+    """The root branches of spec's serial walk, in walk order: the images
+    of edge 0 that its depth-0 loop walks rather than drops."""
+    engine = search._Engine(spec)
+    engine.run()
+    return [x for x in engine.roots if not engine._dropped(engine.root_stab, x)]
+
+
 def test_parallel_workers_agree_with_serial():
     spec = AvoidanceSpec(5, OV1, FREE_2K2)
     serial = exists_avoiding(spec)
@@ -343,10 +352,17 @@ MSTAR_P4_K12 = AvoidanceSpec(
 )
 
 
+FOS_K12_K12 = AvoidanceSpec(
+    6,
+    MappingClass("fixed_or_strong"),
+    (("fixed", make_pattern("K1,2")), ("exclusive", make_pattern("K1,2"))),
+)
+
+
 def test_parallel_stats_are_those_of_the_serial_walk():
-    # roots [0, 5]: branch 5 alone walks 7390 nodes to a witness that the
-    # first branch's witness makes moot
-    assert search._Engine(MSTAR_P4_K12).root_candidates() == [0, 5]
+    # roots [0, 5]: the first branch's witness comes at node 951, before
+    # the first 1024-node tick, so branch 5 is never handed off
+    assert _roots(MSTAR_P4_K12) == [0, 5]
     serial = exists_avoiding(MSTAR_P4_K12)
     parallel = exists_avoiding(MSTAR_P4_K12, SearchOptions(workers=2))
     assert parallel.verdict == serial.verdict == "WITNESS"
@@ -358,64 +374,184 @@ def test_parallel_stats_are_those_of_the_serial_walk():
     out = exists_avoiding(spec, SearchOptions(workers=2))
     assert out.verdict == "EXHAUSTED"
     assert out.stats.nodes == 2186
+    # this walk hands root 5 to a process; the root images that the
+    # symmetry rule drops after the handoff still count
+    forked = exists_avoiding(FOS_K12_K12, SearchOptions(workers=2))
+    assert forked.verdict == "EXHAUSTED"
+    assert forked.stats.nodes == 12189
+    assert forked.stats.prunes == {"lookahead": 6003, "symmetry": 102}
 
 
-def test_a_witness_stops_the_later_branches(monkeypatch):
+def _recording_pool(monkeypatch, claims=None) -> list[int]:
+    """Let ``_parallel`` start real pools, and list each one's size and, in
+    ``claims``, its shared index of the next unclaimed branch."""
+    sizes = []
+    real = search.ProcessPoolExecutor
+
+    def pool(max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        if claims is not None:
+            claims.append(initargs[1])
+        return real(max_workers=max_workers, initializer=initializer, initargs=initargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", pool)
+    return sizes
+
+
+def _deferred_pool(monkeypatch) -> tuple[list[int], list[dict]]:
+    """Stand in for ProcessPoolExecutor with pools that run each task in
+    this process, and only once its result is asked for, as if no pool
+    process got going before the caller finished its own branch.  Lists
+    each pool's size and each task's result."""
+    sizes, results = [], []
+
+    class Deferred:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            self.install = lambda: initializer(*initargs)
+
+        def submit(self, fn, *args):
+            def result():
+                self.install()
+                results.append(fn(*args))
+                return results[-1]
+
+            return SimpleNamespace(result=result)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", Deferred)
+    monkeypatch.setattr(search, "_SHARED", search._SHARED)
+    return sizes, results
+
+
+def test_a_witness_stops_the_later_branches():
     stops = tuple(multiprocessing.Event() for _ in range(2))
-    monkeypatch.setattr(search, "_STOPS", stops)
-    first = search._branch_entry((MSTAR_P4_K12, None, 0, 0))
-    assert first.verdict == "WITNESS"
+    next_root = multiprocessing.Value("i", 0)
+    done = search._walk_branches(MSTAR_P4_K12, None, (0, 5), stops, next_root)
+    # branch 0's witness stops branch 5, which is then claimed but never built
+    assert list(done) == [0] and done[0].verdict == "WITNESS"
     assert not stops[0].is_set() and stops[1].is_set()
-    # a branch stopped before it starts builds nothing
-    assert search._branch_entry((MSTAR_P4_K12, None, 1, 5)) is None
+    assert next_root.value == 2
     # one stopped mid-walk ends on the next 1024-node tick
     out = search._Engine(MSTAR_P4_K12, root=5, stop=stops[1]).run()
     assert out.verdict == "TIMEOUT"
     assert out.stats.nodes == 1024
+    # a branch another process has claimed is left to it: branch 5 alone
+    # walks 7390 nodes to a witness that branch 0's makes moot
+    stops = tuple(multiprocessing.Event() for _ in range(2))
+    done = search._walk_branches(MSTAR_P4_K12, None, (0, 5), stops, multiprocessing.Value("i", 1))
+    assert list(done) == [5] and done[5].verdict == "WITNESS"
+    assert done[5].stats.nodes == 7390
+
+
+def test_this_process_takes_the_branches_no_pool_process_started(monkeypatch):
+    # the pool's one process starts nothing before this process has
+    # finished its own branch, so this process walks the handed-off root
+    # branch itself and the pool's task finds none left
+    sizes, results = _deferred_pool(monkeypatch)
+    serial = exists_avoiding(FOS_K12_K12)
+    out = exists_avoiding(FOS_K12_K12, SearchOptions(workers=2))
+    assert sizes == [1] and results == [{}]
+    assert out.verdict == serial.verdict == "EXHAUSTED"
+    assert (out.stats.nodes, out.stats.prunes) == (serial.stats.nodes, serial.stats.prunes)
+
+
+def test_a_small_walk_stays_in_process(monkeypatch):
+    # 951 nodes: the walk ends before its first tick, so no pool is made
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", refuse)
+    serial = exists_avoiding(MSTAR_P4_K12)
+    out = exists_avoiding(MSTAR_P4_K12, SearchOptions(workers=2))
+    assert out.verdict == "WITNESS"
+    assert out.witness == serial.witness
+    assert out.stats.nodes == serial.stats.nodes == 951
+    assert out.stats.prunes == serial.stats.prunes
 
 
 def test_parallel_pool_is_sized_to_the_roots(monkeypatch):
-    sizes = []
-
-    class Inline:
-        """ProcessPoolExecutor stand-in: records its size and runs every
-        branch in this process."""
-
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(search, "ProcessPoolExecutor", Inline)
-    monkeypatch.setattr(search, "_STOPS", ())
+    sizes, _ = _deferred_pool(monkeypatch)
+    # a walk under 1024 nodes makes no pool, however many roots it has
     spec = AvoidanceSpec(6, ALL, (("fixed", make_pattern("K1,2")), ("free", make_pattern("3K2"))))
-    assert search._Engine(spec).root_candidates() == [0, 1, 5]
+    assert _roots(spec) == [0, 1, 5]
     serial = exists_avoiding(spec)
     for workers in (8, 3, 2):
         out = exists_avoiding(spec, SearchOptions(workers=workers))
         assert out.witness == serial.witness
         assert out.stats.nodes == serial.stats.nodes == 34
-    assert sizes == [3, 3, 2]
+    assert sizes == []
+    # with symmetry off every image of edge 0 is a root: this walk ticks in
+    # the second of its 8 root branches and hands the other 6 off, to at
+    # most workers - 1 processes, since this one walks a branch too
+    monkeypatch.setattr(
+        search._Engine, "_initial_group", lambda self: [tuple(range(self.m_edges))]
+    )
+    spec = AvoidanceSpec(6, ALL, (("fixed", make_pattern("K1,2")), ("free", make_pattern("2K2"))))
+    assert len(_roots(spec)) == 8
+    serial = exists_avoiding(spec)
+    for workers in (8, 3, 2):
+        out = exists_avoiding(spec, SearchOptions(workers=workers))
+        assert out.verdict == serial.verdict == "EXHAUSTED"
+        assert (out.stats.nodes, out.stats.prunes) == (serial.stats.nodes, serial.stats.prunes)
+    assert sizes == [6, 2, 1]
 
 
-def test_budget_is_one_deadline_under_workers():
-    # three root branches on two workers: the last starts late and must
-    # still stop at the deadline fixed when the call began.  The walk must
-    # outlast the budget by far: each root branch alone is still TIMEOUT
-    # after 3 s, and serially the walk finds its witness after 16 s (4.6M
-    # nodes on a 2-vCPU Xeon)
+def test_each_branch_is_claimed_once(monkeypatch):
+    # with symmetry off the walk ticks in the second of its 8 root branches
+    # and shares the other 6 among 3 pool processes and this one, more
+    # walkers than cores.  Each claim moves the shared index once: it ends
+    # at 6 plus one last claim per walker, and a lost update would leave it
+    # lower, with a branch walked twice
+    claims = []
+    sizes = _recording_pool(monkeypatch, claims)
+    monkeypatch.setattr(
+        search._Engine, "_initial_group", lambda self: [tuple(range(self.m_edges))]
+    )
+    spec = AvoidanceSpec(6, ALL, (("fixed", make_pattern("K1,2")), ("free", make_pattern("2K2"))))
+    serial = exists_avoiding(spec)
+    out = exists_avoiding(spec, SearchOptions(workers=4))
+    assert out.verdict == serial.verdict == "EXHAUSTED"
+    assert (out.stats.nodes, out.stats.prunes) == (serial.stats.nodes, serial.stats.prunes)
+    assert sizes == [3]
+    assert claims[0].value == 6 + 3 + 1
+    assert multiprocessing.active_children() == []
+
+
+def test_no_child_process_outlives_the_call(monkeypatch):
+    sizes = _recording_pool(monkeypatch)
+    # EXHAUSTED: every handed-off branch is read
+    out = exists_avoiding(FOS_K12_K12, SearchOptions(workers=2))
+    assert out.verdict == "EXHAUSTED"
+    assert multiprocessing.active_children() == []
+    # WITNESS in this process's own root branch: the handed-off branches
+    # are moot and get stopped
+    spec = AvoidanceSpec(6, ALL, (("fixed", make_pattern("K1,3")), ("free", make_pattern("P4"))))
+    serial = exists_avoiding(spec)
+    out = exists_avoiding(spec, SearchOptions(workers=2))
+    assert out.verdict == "WITNESS" and out.witness == serial.witness
+    assert (out.stats.nodes, out.stats.prunes) == (serial.stats.nodes, serial.stats.prunes)
+    assert multiprocessing.active_children() == []
+    # both walks did start a pool
+    assert sizes == [1, 1]
+
+
+def test_budget_is_one_deadline_under_workers(monkeypatch):
+    # three root branches on two workers: this process walks the first
+    # and one pool process the other two, so the last starts late and must
+    # still stop at the deadline fixed when the call began.  The walk
+    # must outlast the budget by far: each root branch alone is still
+    # TIMEOUT after 3 s, and serially the walk finds its witness after 16 s
+    # (4.6M nodes on a 2-vCPU Xeon)
+    sizes = _recording_pool(monkeypatch)
     spec = AvoidanceSpec(8, ALL, (("fixed", make_pattern("P4")), ("free", make_pattern("K3"))))
     out = exists_avoiding(spec, SearchOptions(budget=1.0, workers=2))
     assert out.verdict == "TIMEOUT"
     assert out.stats.wall_time <= 1.0 + 0.25
+    assert sizes == [1]
+    assert multiprocessing.active_children() == []
 
 
 def test_stats_and_outcome_shape():
@@ -492,9 +628,11 @@ def _pin_id(pin) -> str:
 def test_tree_is_pinned(n, kind, avoid, objective, root, verdict, nodes, prunes, witness):
     spec = AvoidanceSpec(n, MappingClass(kind), tuple((r, make_pattern(p)) for r, p in avoid))
     engine = search._Engine(spec, objective=objective, root=root)
-    if root is not None:
-        assert root in engine.root_candidates()
     out = engine.run()
+    if root is not None:
+        # the root branch was walked, not dropped
+        assert engine.roots == [root]
+        assert not engine._dropped(engine.root_stab, root)
     assert (out.verdict, out.stats.nodes, out.stats.prunes) == (verdict, nodes, prunes)
     assert (None if out.witness is None else out.witness.images) == witness
 
