@@ -56,8 +56,10 @@ def _pattern_arg(text: str) -> PatternGraph:
 
 
 def _read_mapping(path: str) -> EdgeMapping:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_mapping(text)
+    if path == "-":
+        return parse_mapping(sys.stdin.read())
+    with open(path) as fh:
+        return parse_mapping(fh.read())
 
 
 def _jsonable(value):

@@ -75,29 +75,16 @@ def supersat_min(n: int, m: int, H: PatternGraph) -> int:
 
 
 @lru_cache(maxsize=128)
-def _supersat_cached(n: int, key: tuple) -> tuple[int, ...]:
-    H = _pattern_from_key(key)
-    levels = graphs_by_edge_count(n)
-    return tuple(
-        min(count_copies(H, _host(n, mask)) for mask in level) for level in levels
-    )
-
-
 def supersat_table(n: int, H: PatternGraph) -> tuple[int, ...]:
     """supersat_min for every edge count 0..C(n,2) at once."""
     if n > FULL_CATALOGUE_LIMIT:
         raise OracleLimitError(
             f"supersaturation needs the full catalogue, capped at n={FULL_CATALOGUE_LIMIT}"
         )
-    return _supersat_cached(n, _pattern_key(H))
-
-
-def _pattern_key(H: PatternGraph) -> tuple:
-    return (H.k, H.graph.edge_mask)
-
-
-def _pattern_from_key(key: tuple) -> PatternGraph:
-    return PatternGraph(_host(key[0], key[1]))
+    levels = graphs_by_edge_count(n)
+    return tuple(
+        min(count_copies(H, _host(n, mask)) for mask in level) for level in levels
+    )
 
 
 @lru_cache(maxsize=128)

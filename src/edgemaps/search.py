@@ -26,10 +26,10 @@ lead to against brute-force enumeration of every mapping in the class:
 * interchangeable images (Freuder, "Eliminating interchangeable values in
   constraint satisfaction problems", AAAI 1991): each edge's pool keeps
   only the first image, in pool order, of each signature.  The signature
-  of image x at edge e is whether x moves e and, per constraint, the
-  copies ``kill[e][x]`` it destroys there.  Class conditions are per edge
-  and every relation enters the walk only through its kill rows, so the
-  moved count, the destroyed masks, the narrowing and the counting and
+  of image x at edge e is whether x moves e and the copies ``kill[e][x]``
+  it destroys there, of every relation at once.  Class conditions are per
+  edge and every relation enters the walk only through its kill rows, so
+  the moved count, the destroyed mask, the narrowing and the counting and
   objective rules see an image only through its signature: two images of
   one signature leave identical states and identical subtrees.  The
   counting rule's per-edge maxima keep an image of each kill count and do
@@ -37,8 +37,12 @@ lead to against brute-force enumeration of every mapping in the class:
 * prefix-stabilizer symmetry: candidate images of the branching edge are
   reduced to orbit minima under vertex permutations that stabilize the
   partial assignment;
-* counting: copies still needing a destroyer must not outnumber the
-  destructions the remaining edges can possibly perform.
+* counting: copies still needing a destroyer, of all relations at once,
+  must not outnumber the destructions the remaining edges can perform.
+  Every copy must be destroyed by the leaf, and an image of edge f
+  destroys at most ``best[f]`` copies, the most any image of f destroys of
+  all relations together; so edges 0..e must destroy all copies but the
+  sum of ``best`` over the edges after e.
 
 None of the four, narrowing included, reorders the walk or cuts the
 subtree of its first witness, so the witness returned is the first mapping
@@ -51,18 +55,19 @@ signature keeps it earlier), so that subtree would have given a witness
 first.  On the objective walk the same holds of the first witness with
 the most moved edges, since signatures keep the moved count.
 
-The walk keeps its state in a few ints per constraint, read against tables
-built once per engine.  Copies of a pattern are numbered, and a set of
-copies is a bitmask over those numbers:
+The walk keeps its state in a few ints, read against tables built once
+per engine.  The copies of all avoided patterns are numbered in one
+sequence, pattern by pattern in ``spec.avoid`` order, so a number names a
+copy of one relation, and a set of copies is a bitmask over those numbers:
 
 * ``second[e]``: the copies of two or more edges whose second-largest edge
   id is e.  Edges are assigned in id order, so once e is assigned these
   copies have one unassigned edge left, their last edge ``ends[c]``.  A
   copy's remaining-edge count is thus a function of the depth and is never
   kept;
-* ``kill[e][x]``: the copies through e that image x destroys.  Assigning x
-  to e ORs it into the constraint's destroyed-copies mask; the counting
-  rule reads its popcount;
+* ``kill[e][x]``: the copies through e that image x destroys, each by its
+  relation's rule.  Assigning x to e ORs it into the destroyed-copies
+  mask; the counting rule reads its popcount;
 * ``destroyers[c]``: the images that destroy copy c at its last edge, that
   is c's bit read down the kill row of that edge;
 * ``allowed[f]``: the images of f that every pending copy with last edge f
@@ -144,7 +149,8 @@ class AvoidanceSpec:
     """What to avoid: (relation, pattern) pairs over mappings of K_n.
 
     Patterns larger than the host are dropped by the engine (they cannot
-    occur).  Relations are the keys of ``detect.FINDERS``.
+    occur).  Relations are the keys of ``detect.FINDERS``.  Edgeless
+    patterns are refused: every copy of one holds in every relation.
     """
 
     n: int
@@ -160,6 +166,8 @@ class AvoidanceSpec:
                 raise ValueError(f"unknown relation {rel!r}")
             if not isinstance(P, PatternGraph):
                 raise TypeError("avoid entries take PatternGraph patterns")
+            if P.m == 0:
+                raise ValueError("avoided patterns need at least one edge")
 
 
 @dataclass(frozen=True)
@@ -237,7 +245,8 @@ _KILLS = {
 
 class _Engine:
     """One depth-first walk.  Edges are assigned strictly in id order, so
-    the recursion depth equals the id of the edge being assigned.
+    the recursion depth equals the id of the edge being assigned.  All
+    avoided copies share one numbering, one set of tables and one mask.
 
     ``deadline`` is a ``time.perf_counter()`` reading; the walk stops with
     TIMEOUT once it has passed.  ``root`` restricts edge 0 to that one
@@ -288,16 +297,18 @@ class _Engine:
         # per edge, the images its pending copies still allow; carried down
         # the walk, copied on write and restored from the undo token
         self.allowed = list(self.pool_masks)
-        # per copy constraint: (kill, second, destroyers, ends, floor,
-        # maxdiff); see _add_copy_constraint and _counting_tables
-        self.copy_cons: list[tuple] = []
-        host = SimpleGraph.complete(spec.n)
+        # the tables of all avoided copies; see _add_copies, _counting_tables
+        self.kill = [[0] * m for _ in range(m)]  # per edge and image, the copies it destroys
+        self.second = [0] * m  # per edge, the copies whose second-to-last edge it is
+        self.destroyers: list[int] = []  # per copy, the images that destroy it at its last edge
+        self.ends: list[int] = []  # per copy, its last edge
+        through = [0] * m  # per edge, the copies that contain it
         for rel, P in spec.avoid:
             if P.k <= spec.n:
-                self._add_copy_constraint(rel, P, host)
+                self._add_copies(rel, P, through)
         self._cut_pools()
-        # per copy constraint, the bitmask of its destroyed copies
-        self.destroyed = [0] * len(self.copy_cons)
+        self.floor, self.maxdiff = self._counting_tables(len(self.ends), through, self.kill)
+        self.destroyed = 0  # the bitmask of the destroyed copies
         self.stats.table_time = time.perf_counter() - start
 
     # -- construction-time tables ------------------------------------------
@@ -316,12 +327,12 @@ class _Engine:
 
     def _cut_pools(self) -> None:
         """Keep, of each edge's pool, the first image of each signature:
-        whether it moves the edge, and the copies it destroys there in each
-        constraint.  Images of one signature are interchangeable."""
-        for e, pool in enumerate(self.pools):
+        whether it moves the edge, and the copies it destroys there.  Images
+        of one signature are interchangeable."""
+        for e, (pool, row) in enumerate(zip(self.pools, self.kill)):
             kept = {}
             for x in pool:
-                kept.setdefault((x != e, *(kill[e][x] for kill, *_ in self.copy_cons)), x)
+                kept.setdefault((x != e, row[x]), x)
             self.pools[e] = cut = list(kept.values())
             self.pool_masks[e] = mask = sum(1 << x for x in cut)
             self.allowed[e] &= mask
@@ -333,44 +344,36 @@ class _Engine:
             out |= self.at_vertex[v]
         return out
 
-    def _add_copy_constraint(self, rel: str, P: PatternGraph, host: SimpleGraph) -> None:
-        m = self.m_edges
+    def _add_copies(self, rel: str, P: PatternGraph, through: list[int]) -> None:
+        """Number the copies of P in K_n after those already numbered, and
+        add them to the tables under relation ``rel``."""
         kills = _KILLS[rel]
-        destroyers: list[int] = []  # per copy, the images that destroy it at its last edge
-        ends: list[int] = []  # per copy, its last edge
-        second = [0] * m  # per edge, the copies whose second-to-last edge it is
-        through = [0] * m  # per edge, the copies that contain it
-        # per edge, its copies grouped by the images that destroy them there
-        groups: list[dict[int, int]] = [{} for _ in range(m)]
+        # per edge, the new copies grouped by the images that destroy them there
+        groups: list[dict[int, int]] = [{} for _ in range(self.m_edges)]
         pairs = P.graph.pairs()
-        for emb in enumerate_copies(P, host):
+        for emb in enumerate_copies(P, SimpleGraph.complete(self.n)):
             emask = 0
             for a, b in pairs:
                 emask |= 1 << edge_id(emb[a], emb[b])
-            bit = 1 << len(destroyers)
-            dm = 0
+            bit = 1 << len(self.ends)
             for e in mask_bits(emask):
                 through[e] |= bit
                 dm = kills(self, e, emb, emask)
                 groups[e][dm] = groups[e].get(dm, 0) | bit
             # edges come in id order, so dm is the last edge's kill column
-            destroyers.append(dm)
+            self.destroyers.append(dm)
             f = emask.bit_length() - 1
-            ends.append(f)
-            rest = emask & ~(1 << f) if emask else 0
+            self.ends.append(f)
+            rest = emask & ~(1 << f)
             if rest:
-                second[rest.bit_length() - 1] |= bit
-            elif emask:
+                self.second[rest.bit_length() - 1] |= bit
+            else:
                 # a one-edge copy constrains its edge from the start
                 self.allowed[f] &= dm
-        # kill[e][x]: the copies through e that image x destroys
-        kill = [[0] * m for _ in range(m)]
-        for row, group in zip(kill, groups):
+        for row, group in zip(self.kill, groups):
             for dm, copies in group.items():
                 for x in mask_bits(dm):
                     row[x] |= copies
-        floor, maxdiff = self._counting_tables(len(destroyers), through, kill)
-        self.copy_cons.append((kill, second, destroyers, ends, floor, maxdiff))
 
     def _counting_tables(self, total: int, through: list[int], kill: list[list[int]]):
         """``floor[e]``, the fewest copies that can be destroyed once edges
@@ -422,24 +425,21 @@ class _Engine:
         # copies left with one unassigned edge narrow that edge's images, and
         # the token keeps the list as it was, so the first change copies it
         allowed = self.allowed
-        destroyed = []
-        for (kill, second, destroyers, ends, _, _), d in zip(self.copy_cons, self.destroyed):
-            d |= kill[e][x]
-            destroyed.append(d)
-            pending = second[e] & ~d
-            while pending:
-                low = pending & -pending
-                c = low.bit_length() - 1
-                f = ends[c]
-                after = allowed[f] & destroyers[c]
-                if after != allowed[f]:
-                    if allowed is token[3]:
-                        allowed = self.allowed = allowed[:]
-                    allowed[f] = after
-                    if not after:
-                        return "lookahead", token
-                pending ^= low
-        self.destroyed = destroyed
+        d = self.destroyed = self.destroyed | self.kill[e][x]
+        pending = self.second[e] & ~d
+        ends, destroyers = self.ends, self.destroyers
+        while pending:
+            low = pending & -pending
+            c = low.bit_length() - 1
+            f = ends[c]
+            after = allowed[f] & destroyers[c]
+            if after != allowed[f]:
+                if allowed is token[3]:
+                    allowed = self.allowed = allowed[:]
+                allowed[f] = after
+                if not after:
+                    return "lookahead", token
+            pending ^= low
 
         if self.objective is None:
             slack = 0
@@ -450,9 +450,8 @@ class _Engine:
             # maxdiff more copies than a moved one
             fixed_used = (e + 1) - self.moved
             slack = max(0, (self.m_edges - self.objective) - fixed_used)
-        for (_, _, _, _, floor, maxdiff), d in zip(self.copy_cons, destroyed):
-            if d.bit_count() < floor[e] - slack * maxdiff:
-                return "counting", token
+        if d.bit_count() < self.floor[e] - slack * self.maxdiff:
+            return "counting", token
         return None, token
 
     def _undo(self, token) -> None:

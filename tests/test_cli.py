@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import warnings
 
 import pytest
 
@@ -99,6 +101,19 @@ def test_detect_reports_embedding(tmp_path, capsys):
     assert record["found"] is True
     assert len(record["embedding"]) == 3
     assert len(record["copy_edges"]) == 3
+
+
+def test_detect_closes_the_mapping_file(tmp_path, capsys):
+    path = tmp_path / "inv.map"
+    run_cli(capsys, "construct", "k4_involution", "--out", str(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, _, _ = run_cli(
+            capsys, "detect", "--mapping", str(path), "--pattern", "K3", "--relation", "free",
+        )
+        gc.collect()
+    assert code == 0
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_bound_ex_value(capsys):

@@ -44,6 +44,12 @@ EXCL_P3 = (("exclusive", make_pattern("K1,2")),)
 def test_spec_validation():
     with pytest.raises(ValueError):
         AvoidanceSpec(4, OV1, (("sideways", make_pattern("K2")),))
+    # no mapping avoids an edgeless pattern in any relation
+    for rel in detect.RELATIONS:
+        with pytest.raises(ValueError):
+            AvoidanceSpec(1, ALL, ((rel, make_pattern("K1")),))
+    with pytest.raises(ValueError):
+        shift_capacity(2, make_pattern("K1"))
     # degenerate hosts are legal: no edges means nothing to avoid
     tiny = exists_avoiding(AvoidanceSpec(1, OV1, FREE_2K2))
     assert tiny.verdict == "WITNESS" and tiny.witness.images == ()
@@ -195,30 +201,47 @@ def _avoiders(n, avoid, maps):
     return good
 
 
-@pytest.mark.parametrize("pattern", ["K1,2", "2K2"])
-def test_kill_rows_read_every_relation(pattern):
+# the specs whose kill rows are read: each relation alone on one pattern,
+# and two relations at once, whose copies share one numbering
+KILL_SPECS = {
+    "K1,2": [((rel, "K1,2"),) for rel in detect.RELATIONS],
+    "2K2": [((rel, "2K2"),) for rel in detect.RELATIONS],
+    "fixed:K1,2+free:2K2": [(("fixed", "K1,2"), ("free", "2K2"))],
+}
+
+
+@pytest.mark.parametrize("specs", KILL_SPECS.values(), ids=KILL_SPECS)
+def test_kill_rows_read_every_relation(specs):
     # one kill rule per relation, and each one's kill rows destroy a copy
-    # exactly where the reference says the edge breaks the relation
+    # exactly where the reference says the edge breaks the relation; the
+    # copies are numbered pattern by pattern in avoid order
     assert set(search._KILLS) == set(detect.RELATIONS)
-    n, P = 4, make_pattern(pattern)
+    n = 4
     m = edge_count(n)
-    embeddings = list(enumerate_copies(P, SimpleGraph.complete(n)))
-    for rel in detect.RELATIONS:
-        engine = search._Engine(AvoidanceSpec(n, ALL, ((rel, P),)))
-        (kill, *_), = engine.copy_cons
-        for c, emb in enumerate(embeddings):
-            eids = frozenset(edge_id(emb[a], emb[b]) for a, b in P.graph.pairs())
+    for avoid in specs:
+        avoid = tuple((rel, make_pattern(p)) for rel, p in avoid)
+        numbered = []
+        for rel, P in avoid:
+            copies = [
+                (frozenset(edge_id(emb[a], emb[b]) for a, b in P.graph.pairs()), frozenset(emb))
+                for emb in enumerate_copies(P, SimpleGraph.complete(n))
+            ]
+            assert set(copies) == _copies(P, n) and len(copies) == len(set(copies))
+            numbered += [(rel, eids, verts) for eids, verts in copies]
+        engine = search._Engine(AvoidanceSpec(n, ALL, avoid))
+        assert len(engine.ends) == len(numbered)
+        for c, (rel, eids, verts) in enumerate(numbered):
             for e in range(m):
                 for x in range(m):
-                    breaks = e in eids and not _edge_holds(rel, e, x, eids, frozenset(emb))
-                    assert (kill[e][x] >> c & 1) == breaks, (rel, emb, e, x)
+                    breaks = e in eids and not _edge_holds(rel, e, x, eids, verts)
+                    assert (engine.kill[e][x] >> c & 1) == breaks, (rel, eids, e, x)
 
 
 @pytest.mark.parametrize("kind", MappingClass.KINDS)
 @pytest.mark.parametrize("rel", detect.RELATIONS)
 def test_pools_keep_one_image_per_signature(rel, kind):
     # an image's signature at e is whether it moves e and which copies it
-    # destroys there, per constraint, read from the reference relations
+    # destroys there, of each relation, read from the reference relations
     klass = MappingClass(kind)
     avoid = ((rel, make_pattern("K1,2")), (rel, make_pattern("2K2")))
     for n in (5, 6):
@@ -609,6 +632,10 @@ TREE_PINS = [
     # so the lookahead kills each one as its second-to-last edge is assigned
     (5, "overlap_le_1", (("shifted", "K1,2"),), None, None,
      "EXHAUSTED", 1, {"lookahead": 1}, None),
+    # the floor over the copies of both relations fires at the first edge,
+    # where neither relation's copies alone could fire it
+    (4, "all", (("fixed", "K4"), ("free", "K2")), None, None,
+     "EXHAUSTED", 1, {"counting": 1}, None),
 ]
 
 
