@@ -26,7 +26,6 @@ from .search import (
     SearchOutcome,
     compute_parameter,
     exists_avoiding,
-    monte_carlo_w_witness,
     shift_capacity,
     z_via_coloring,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "format_mapping",
     "load_pattern",
     "make_pattern",
-    "monte_carlo_w_witness",
     "parse_mapping",
     "random_mapping",
     "run_all",

@@ -35,8 +35,9 @@ from .mapping import EdgeMapping, MappingClass, format_mapping, parse_mapping
 from .oracles import ex_bruteforce, pair_cover_max, supersat_min
 from .reproduce import MANIFEST, RunContext, run_all, run_manifest
 from .search import (
+    AvoidanceSpec,
     compute_parameter,
-    monte_carlo_w_witness,
+    exists_avoiding,
     shift_capacity,
     SearchOptions,
 )
@@ -53,6 +54,14 @@ def _pattern_arg(text: str) -> PatternGraph:
         with open(text[1:]) as fh:
             return load_pattern(fh.read())
     return make_pattern(text)
+
+
+def _relation_arg(text: str) -> tuple[str, PatternGraph]:
+    """RELATION:PATTERN, as ``verify --claim`` and ``search --avoid`` take it."""
+    rel, _, spec = text.partition(":")
+    if rel not in detect.FINDERS or not spec:
+        raise ValueError(f"{text!r} is not RELATION:PATTERN")
+    return rel, _pattern_arg(spec)
 
 
 def _read_mapping(path: str) -> EdgeMapping:
@@ -99,11 +108,6 @@ def _emit(record: dict, as_json: bool) -> None:
 # subcommands
 
 
-_NO_ARG_BUILDERS = {
-    name: (lambda name=name: constructions.small_exact_constructions(name))
-    for name in ("k4_involution", "matching_3k2", "pentagon_involution", "z7_difference")
-}
-
 _BUILDERS = {
     "modular_shift": (("n",), constructions.modular_shift),
     "fixed_clique_partition": (("r", "k"), constructions.fixed_clique_partition),
@@ -112,7 +116,10 @@ _BUILDERS = {
     "frobenius_tree_lower": (("k", "r", "variant"), constructions.frobenius_tree_lower),
     "cycle_decomp_star_exclusive": (("k", "r"), constructions.cycle_decomp_star_exclusive),
     "chromatic_blocks": (("chi", "r"), constructions.chromatic_blocks),
-    **{name: ((), fn) for name, fn in _NO_ARG_BUILDERS.items()},
+    "k4_involution": ((), constructions.k4_involution),
+    "matching_3k2": ((), constructions.matching_3k2),
+    "pentagon_involution": ((), constructions.pentagon_involution),
+    "z7_difference": ((), constructions.z7_difference),
 }
 
 
@@ -149,11 +156,7 @@ def _cmd_verify(args) -> int:
         ok_all = ok_all and ok
         checks.append({"check": f"class {args.klass}", "status": "PASS" if ok else "FAIL"})
     for claim in args.claim or ():
-        rel, _, spec = claim.partition(":")
-        if rel not in detect.FINDERS or not spec:
-            print(f"error: claim {claim!r} is not RELATION:PATTERN", file=sys.stderr)
-            return EXIT_USAGE
-        P = _pattern_arg(spec)
+        rel, P = _relation_arg(claim)
         cert = detect.FINDERS[rel](mapping, P)
         ok = cert is None
         ok_all = ok_all and ok
@@ -252,18 +255,17 @@ def _cmd_bound(args) -> int:
             exact=rep.exact, flags=list(rep.flags),
             witness=None if rep.witness is None else list(rep.witness.images),
         )
-    elif op == "mc-witness":
-        rep = monte_carlo_w_witness(
-            _pattern_arg(args.pattern), args.n, trials=args.trials, seed=args.seed
-        )
-        record.update(
-            pattern=args.pattern, n=args.n, trials=rep.trials, tried=rep.tried,
-            seed=rep.seed, conclusive=rep.conclusive,
-            expected_copies=round(rep.expected_copies, 6),
-            witness=None if rep.witness is None else list(rep.witness.images),
-        )
     _emit(record, args.json)
     return EXIT_OK
+
+
+def _cmd_search(args) -> int:
+    spec = AvoidanceSpec(
+        args.n, MappingClass(args.klass), tuple(_relation_arg(a) for a in args.avoid or ())
+    )
+    out = exists_avoiding(spec, SearchOptions(budget=args.budget, workers=args.workers))
+    _emit(out.as_dict(), args.json)
+    return EXIT_SKIPPED if out.verdict == "TIMEOUT" else EXIT_OK
 
 
 def _cmd_compute(args) -> int:
@@ -390,10 +392,15 @@ def _parser() -> argparse.ArgumentParser:
         budget={"type": float, "default": None},
     )
     q.add_argument("--exclusive", action="store_true")
-    bound_op(
-        "mc-witness", pattern=patreq, n=intreq,
-        trials={"type": int, "default": 2000}, seed={"type": int, "default": 0},
-    )
+
+    p = sub.add_parser("search", help="one avoidance search: witness, exhaustion or timeout")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--klass", choices=MappingClass.KINDS, required=True)
+    p.add_argument("--avoid", action="append", metavar="RELATION:PATTERN")
+    p.add_argument("--budget", type=float, help="seconds; required above the envelope")
+    p.add_argument("--workers", type=int, default=default_workers)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("compute", help="bracket a forcing threshold")
     p.add_argument("parameter", choices=("m", "m_star", "g", "w", "z"))

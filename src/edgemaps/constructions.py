@@ -4,6 +4,10 @@ Every generator returns a ConstructionResult whose claims have already been
 rechecked through ``detect``; a claim that fails verification raises instead
 of returning, so downstream code can treat claims as facts.
 
+Cyclic witnesses come from one rule, ``circulant``: a mapping that
+commutes with i -> i + 1 (mod n) is fixed by the images of one edge per
+difference, as in the K4, pentagon and Z7 builders.
+
 Helper layer: Euler circuits (Hierholzer), even-graph cycle decomposition,
 bipartite matching (Kuhn's augmenting paths), and nonnegative two-coin
 representations N = x*a + y*b.
@@ -495,31 +499,34 @@ def chromatic_blocks(chi: int, r: int) -> ConstructionResult:
     return _emit(f, claims, f"chromatic_blocks(chi={chi},r={r})")
 
 
-def small_exact_constructions(name: str) -> ConstructionResult:
-    """Four fixed-size witnesses: the K4 involution, the K6 matching cover,
-    the pentagon involution, and the Z7 difference mapping."""
-    builders = {
-        "k4_involution": _k4_involution,
-        "matching_3k2": _matching_3k2,
-        "pentagon_involution": _pentagon_involution,
-        "z7_difference": _z7_difference,
+def circulant(n: int, reps: dict[int, tuple[int, int]]) -> EdgeMapping:
+    """The mapping of K_n that commutes with i -> i + 1 (mod n).
+
+    ``reps[d] = (a, b)`` sends the edge {0, d} to {a, b}, hence each edge
+    {i, i + d} to {a + i, b + i}; d runs over 1..n // 2.  For even n the
+    half-turn i -> i + n/2 fixes the edge {0, n/2}, so its image must be
+    fixed too, that is b - a = n/2 (mod n); anything else is refused.
+    """
+    if any(2 * d == n and (b - a) % n != d for d, (a, b) in reps.items()):
+        raise ValueError(f"the image of {{0, {n // 2}}} is not fixed by the half-turn")
+    if set(reps) != set(range(1, n // 2 + 1)):
+        raise ValueError(f"need one representative image per difference 1..{n // 2}")
+    images = {
+        edge_id(i, (i + d) % n): edge_id((a + i) % n, (b + i) % n)
+        for d, (a, b) in reps.items()
+        for i in range(n)
     }
-    if name not in builders:
-        raise ValueError(f"unknown construction {name!r}, expected one of {sorted(builders)}")
-    return builders[name]()
+    return EdgeMapping(n, tuple(images[e] for e in range(edge_count(n))))
 
 
-def _k4_involution() -> ConstructionResult:
-    assoc = []
-    for u in range(4):
-        for v in range(u + 1, 4):
-            x, y = sorted(set(range(4)) - {u, v})
-            assoc.append(((u, v), (x, y)))
-    f = EdgeMapping.from_pairs(4, assoc)
+def k4_involution() -> ConstructionResult:
+    """Every edge of K4 to the edge it misses."""
+    f = circulant(4, {1: (2, 3), 2: (1, 3)})
     return _emit(f, [("free", matching(2))], "k4_involution")
 
 
-def _matching_3k2() -> ConstructionResult:
+def matching_3k2() -> ConstructionResult:
+    """Each edge of K6 to another edge of a perfect matching through it."""
     n = 6
     edges = list(range(edge_count(n)))
     matchings = _perfect_matchings(n)
@@ -552,26 +559,14 @@ def _perfect_matchings(n: int) -> list[frozenset[int]]:
     return [frozenset(m) for m in rec(tuple(range(n)))]
 
 
-def _pentagon_involution() -> ConstructionResult:
-    assoc = []
-    for i in range(5):
-        assoc.append(((i, (i + 1) % 5), ((i + 2) % 5, (i + 4) % 5)))
-        assoc.append(((i, (i + 2) % 5), ((i + 3) % 5, (i + 4) % 5)))
-    dedup = {}
-    for (u, v), (x, y) in assoc:
-        dedup[edge_id(u, v)] = (min(x, y), max(x, y))
-    f = EdgeMapping(
-        5, tuple(edge_id(*dedup[e]) for e in range(edge_count(5)))
-    )
+def pentagon_involution() -> ConstructionResult:
+    """The moved-clear circulant of K5 with no exclusive K1,2."""
+    f = circulant(5, {1: (2, 4), 2: (3, 4)})
     return _emit(f, [("exclusive", star(2))], "pentagon_involution")
 
 
-def _z7_difference() -> ConstructionResult:
-    n = 7
-    images = {}
-    for i in range(n):
-        for j in (1, 2, 3):
-            e = edge_id(i, (i + j) % n)
-            images[e] = edge_id((i + 2 * j) % n, (i + 3 * j) % n)
-    f = EdgeMapping(n, tuple(images[e] for e in range(edge_count(n))))
+def z7_difference() -> ConstructionResult:
+    """The moved-clear circulant {i, i + j} -> {i + 2j, i + 3j} of K7, with no
+    exclusive 2K2."""
+    f = circulant(7, {j: (2 * j, 3 * j) for j in (1, 2, 3)})
     return _emit(f, [("exclusive", matching(2))], "z7_difference")

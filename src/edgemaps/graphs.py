@@ -679,7 +679,10 @@ def parse_edge_list(text: str, name: str = "") -> PatternGraph:
         if len(parts) != 2:
             raise ValueError(f"bad edge line {ln!r}")
         pairs.append((int(parts[0]), int(parts[1])))
-    return from_edge_list(k, pairs, name)
+    P = from_edge_list(k, pairs, name)
+    if P.m != m:
+        raise ValueError(f"header promises {m} edges, found {P.m} distinct ones")
+    return P
 
 
 def parse_graph6(text: str, name: str = "") -> PatternGraph:

@@ -32,6 +32,8 @@ class EdgeMapping:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError("negative vertex count")
         m = edge_count(self.n)
         if len(self.images) != m:
             raise ValueError(f"expected {m} images for n={self.n}, got {len(self.images)}")

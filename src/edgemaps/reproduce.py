@@ -174,7 +174,7 @@ def _run_threshold_matchings(ctx: RunContext) -> list[ClaimResult]:
 
 def _run_star_two_exact(ctx: RunContext) -> list[ClaimResult]:
     out = []
-    pent = constructions.small_exact_constructions("pentagon_involution")
+    pent = constructions.pentagon_involution()
     excl_p3 = (("exclusive", star(2)),)
     ok = pent.mapping.n == 5 and detect.find_any(pent.mapping, excl_p3) is None
     out.append(
@@ -201,7 +201,7 @@ def _run_star_two_exact(ctx: RunContext) -> list[ClaimResult]:
             )
         )
 
-    seven = constructions.small_exact_constructions("z7_difference")
+    seven = constructions.z7_difference()
     excl_2k2 = (("exclusive", matching(2)),)
     ok = seven.mapping.n == 7 and detect.find_any(seven.mapping, excl_2k2) is None
     out.append(
@@ -283,7 +283,7 @@ def _run_construction_suite(ctx: RunContext) -> list[ClaimResult]:
     out.append(
         _suite_case(
             "z7_difference: no exclusive 2K2 on K7",
-            lambda: constructions.small_exact_constructions("z7_difference"),
+            constructions.z7_difference,
             (("exclusive", matching(2)),),
         )
     )

@@ -99,9 +99,7 @@ counts match the serial walk's whenever no branch times out.
 """
 from __future__ import annotations
 
-import math
 import multiprocessing
-import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -133,7 +131,7 @@ from .graphs import (
     mask_bits,
     pair_ids,
 )
-from .mapping import EdgeMapping, MappingClass, admissible_images, random_mapping
+from .mapping import EdgeMapping, MappingClass, admissible_images
 
 # Largest host the engine accepts per class without a budget.  The
 # moved-clear class has the smallest pools and stretches one vertex further.
@@ -775,46 +773,6 @@ def shift_capacity(
     return CapacityReport(n, H, relation, value, exact, out.witness, flags)
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
-    pattern: PatternGraph
-    n: int
-    seed: int
-    trials: int
-    tried: int
-    witness: EdgeMapping | None
-    expected_copies: float
-
-    @property
-    def conclusive(self) -> bool:
-        return self.witness is not None
-
-
-def monte_carlo_w_witness(
-    G: PatternGraph, n: int, trials: int = 2000, seed: int = 0
-) -> MonteCarloReport:
-    """Randomized hunt for a moved-clear mapping with no exclusive copy of G.
-
-    Draws mappings uniformly per edge and keeps the first that detection
-    clears.  The companion value exp(k ln n - 2m(k-2)/(n-2)) estimates the
-    surviving labeled-copy count under that model; below 1, witnesses
-    should be abundant.  Coming up empty is inconclusive and the report
-    says which.  Fixed seed, fixed outcome.
-    """
-    if n < 4:
-        raise ValueError("moved-clear mappings need n >= 4")
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    expected = math.exp(G.k * math.log(n) - 2.0 * G.m * (G.k - 2) / (n - 2))
-    rng = random.Random(seed)
-    cls = MappingClass("disjoint")
-    for t in range(trials):
-        f = random_mapping(n, rng, cls)
-        if detect.find_exclusive(f, G) is None:
-            return MonteCarloReport(G, n, seed, trials, t + 1, f, expected)
-    return MonteCarloReport(G, n, seed, trials, trials, None, expected)
-
-
 # ---------------------------------------------------------------------------
 # parameter assembly
 
@@ -862,9 +820,9 @@ def _construction_thunks(name: str, G: PatternGraph, H: PatternGraph | None, d: 
     if name == "g":
         t = G.as_matching()
         if t == 2:
-            thunks.append(lambda: constructions.small_exact_constructions("k4_involution"))
+            thunks.append(constructions.k4_involution)
         if t == 3:
-            thunks.append(lambda: constructions.small_exact_constructions("matching_3k2"))
+            thunks.append(constructions.matching_3k2)
         r = G.as_star()
         if r is not None and r >= 2:
             nn = 2 * r - 1
@@ -875,11 +833,9 @@ def _construction_thunks(name: str, G: PatternGraph, H: PatternGraph | None, d: 
             )
     elif name == "w":
         if G.as_star() == 2:
-            thunks.append(
-                lambda: constructions.small_exact_constructions("pentagon_involution")
-            )
+            thunks.append(constructions.pentagon_involution)
         if G.as_matching() == 2:
-            thunks.append(lambda: constructions.small_exact_constructions("z7_difference"))
+            thunks.append(constructions.z7_difference)
     elif name in ("m", "m_star") and H is not None:
         r = H.as_star()
         tree = _is_tree(G)

@@ -7,7 +7,7 @@ import pytest
 
 from edgemaps import cli, detect
 from edgemaps.graphs import make_pattern
-from edgemaps.mapping import format_mapping, parse_mapping, random_mapping
+from edgemaps.mapping import EdgeMapping, MappingClass, format_mapping, parse_mapping, random_mapping
 from edgemaps.reproduce import ClaimResult, RunRecord
 
 
@@ -173,6 +173,57 @@ def test_cli_error_paths(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--mapping", str(path), "--claim", "free:K2")
     assert code == cli.EXIT_USAGE
     assert "out of range" in err
+
+
+def test_search_text_and_json_carry_identical_values(capsys):
+    argv = ("search", "--n", "5", "--klass", "disjoint", "--avoid", "exclusive:K1,2")
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == cli.EXIT_OK
+    code, raw, _ = run_cli(capsys, *argv, "--json")
+    assert code == cli.EXIT_OK
+    record = json.loads(raw)
+    assert record["verdict"] == "WITNESS"
+    for key in ("verdict", "witness", "nodes"):
+        assert f"{key}: {record[key]}" in text
+    for rule, count in record["prunes"].items():
+        assert f"  {rule}: {count}" in text
+
+
+def test_search_witness_passes_detection(capsys):
+    code, raw, _ = run_cli(
+        capsys, "search", "--n", "10", "--klass", "disjoint", "--avoid", "exclusive:K4",
+        "--budget", "5", "--json",
+    )
+    assert code == cli.EXIT_OK
+    record = json.loads(raw)
+    assert record["verdict"] == "WITNESS"
+    f = EdgeMapping(10, tuple(record["witness"]))
+    assert MappingClass("disjoint").admits(f)
+    assert detect.find_any(f, (("exclusive", make_pattern("K4")),)) is None
+
+
+def test_search_exhausted_timeout_and_usage_exits(capsys):
+    code, raw, _ = run_cli(
+        capsys, "search", "--n", "6", "--klass", "disjoint", "--avoid", "exclusive:K1,2", "--json"
+    )
+    assert code == cli.EXIT_OK
+    assert json.loads(raw)["verdict"] == "EXHAUSTED"
+
+    code, raw, _ = run_cli(
+        capsys, "search", "--n", "7", "--klass", "all", "--avoid", "fixed:2K2",
+        "--avoid", "free:K3", "--budget", "0.05", "--json",
+    )
+    assert code == cli.EXIT_SKIPPED
+    assert json.loads(raw)["verdict"] == "TIMEOUT"
+
+    # above the disjoint envelope of 7 only a budget lets the walk start
+    code, _, err = run_cli(
+        capsys, "search", "--n", "8", "--klass", "disjoint", "--avoid", "exclusive:C4"
+    )
+    assert code == cli.EXIT_USAGE
+    assert "budget" in err
+    code, _, err = run_cli(capsys, "search", "--n", "6", "--klass", "all", "--avoid", "bogus:K3")
+    assert code == cli.EXIT_USAGE
 
 
 def test_reproduce_list_and_single_run(capsys):

@@ -4,6 +4,7 @@ from edgemaps.constructions import (
     ConstructionResult,
     bipartite_matching,
     chromatic_blocks,
+    circulant,
     cycle_decomp_star_exclusive,
     cycle_decomposition,
     euler_circuit,
@@ -11,13 +12,16 @@ from edgemaps.constructions import (
     fixed_clique_partition,
     frobenius_decomposition,
     frobenius_tree_lower,
+    k4_involution,
+    matching_3k2,
     modular_shift,
-    small_exact_constructions,
+    pentagon_involution,
     star_shift,
     tripartite_hall,
+    z7_difference,
 )
 from edgemaps.detect import find_exclusive, find_fixed, find_free, find_shifted, fixed_graph
-from edgemaps.graphs import SimpleGraph, complete, edge_id, make_pattern, star
+from edgemaps.graphs import SimpleGraph, complete, edge_id, edge_pair, make_pattern, star
 from edgemaps.mapping import MappingClass
 
 
@@ -84,10 +88,10 @@ ALL_BUILDERS = [
     lambda: cycle_decomp_star_exclusive(3, 2),
     lambda: cycle_decomp_star_exclusive(3, 3),
     lambda: chromatic_blocks(3, 2),
-    lambda: small_exact_constructions("k4_involution"),
-    lambda: small_exact_constructions("matching_3k2"),
-    lambda: small_exact_constructions("pentagon_involution"),
-    lambda: small_exact_constructions("z7_difference"),
+    lambda: k4_involution(),
+    lambda: matching_3k2(),
+    lambda: pentagon_involution(),
+    lambda: z7_difference(),
 ]
 
 
@@ -99,9 +103,44 @@ def test_builders_return_verified_results(builder):
     assert res.provenance
 
 
-def test_small_exact_rejects_unknown_name():
+def _rotate(n: int, e: int) -> int:
+    u, v = edge_pair(e)
+    return edge_id((u + 1) % n, (v + 1) % n)
+
+
+@pytest.mark.parametrize(
+    "n, reps",
+    [
+        (5, {1: (2, 4), 2: (3, 4)}),
+        (6, {1: (2, 4), 2: (0, 3), 3: (1, 4)}),
+        (7, {1: (3, 5), 2: (1, 2), 3: (0, 6)}),
+        (8, {1: (2, 5), 2: (1, 6), 3: (3, 4), 4: (2, 6)}),
+    ],
+)
+def test_circulant_commutes_with_rotation(n, reps):
+    f = circulant(n, reps)
+    for e in range(len(f.images)):
+        assert f(_rotate(n, e)) == _rotate(n, f(e))
+    for d, (a, b) in reps.items():
+        assert f(edge_id(0, d)) == edge_id(a % n, b % n)
+
+
+def test_circulant_refuses_what_the_half_turn_moves():
+    # the half-turn fixes {0, 2} on K4 but moves (0, 1) to (2, 3)
+    with pytest.raises(ValueError, match="half-turn"):
+        circulant(4, {2: (0, 1)})
+    with pytest.raises(ValueError, match="half-turn"):
+        circulant(4, {1: (2, 3), 2: (0, 1)})
     with pytest.raises(ValueError):
-        small_exact_constructions("left_handed")
+        circulant(5, {1: (2, 4)})  # difference 2 has no image
+
+
+def test_cyclic_builders_keep_their_images():
+    assert k4_involution().mapping.images == (5, 4, 3, 2, 1, 0)
+    assert pentagon_involution().mapping.images == (8, 9, 3, 2, 6, 7, 4, 5, 0, 1)
+    assert z7_difference().mapping.images == (
+        5, 19, 9, 17, 10, 14, 18, 3, 16, 20, 8, 6, 7, 1, 15, 2, 13, 11, 12, 4, 0
+    )
 
 
 def test_star_shift_claims_directly():
@@ -193,7 +232,7 @@ def test_modular_shift_stays_within_overlap_one():
 
 
 def test_pentagon_involution_avoids_exclusive_star():
-    res = small_exact_constructions("pentagon_involution")
+    res = pentagon_involution()
     f = res.mapping
     assert f.n == 5
     assert MappingClass("disjoint").admits(f)
@@ -201,7 +240,7 @@ def test_pentagon_involution_avoids_exclusive_star():
 
 
 def test_z7_difference_avoids_exclusive_matching():
-    res = small_exact_constructions("z7_difference")
+    res = z7_difference()
     f = res.mapping
     assert f.n == 7
     assert MappingClass("disjoint").admits(f)

@@ -136,9 +136,9 @@ Z7_DIFFERENCE = None  # filled lazily, construction import kept local
 def _z7():
     global Z7_DIFFERENCE
     if Z7_DIFFERENCE is None:
-        from edgemaps.constructions import small_exact_constructions
+        from edgemaps.constructions import z7_difference
 
-        Z7_DIFFERENCE = small_exact_constructions("z7_difference").mapping
+        Z7_DIFFERENCE = z7_difference().mapping
     return Z7_DIFFERENCE
 
 

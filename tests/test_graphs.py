@@ -175,6 +175,14 @@ def test_from_edge_list_validates():
     assert P.graph.m == 2
 
 
+def test_parse_edge_list_refuses_a_repeated_edge():
+    # "1 0" is the edge "0 1" again, so the header's two edges are one
+    with pytest.raises(ValueError, match="distinct"):
+        parse_edge_list("3 2\n0 1\n1 0\n")
+    with pytest.raises(ValueError, match="distinct"):
+        load_pattern("3 2\n0 1\n0 1\n")
+
+
 def test_copy_counts_in_complete_host():
     K5 = complete(5).graph
     assert count_copies(complete(3), K5) == math.comb(5, 3)

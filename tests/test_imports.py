@@ -48,3 +48,21 @@ def test_package_imports_no_numpy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_package_exports_match_its_imports():
+    # a name deleted from a module but left in __all__, or imported by
+    # __init__ and never listed, fails here rather than at a user's import
+    import edgemaps
+
+    tree = ast.parse((ROOT / "src/edgemaps/__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert [name for name in edgemaps.__all__ if not hasattr(edgemaps, name)] == []
+    assert sorted(imported - set(edgemaps.__all__)) == []
+    assert len(set(edgemaps.__all__)) == len(edgemaps.__all__)

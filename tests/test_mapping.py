@@ -34,6 +34,16 @@ def test_constructor_validation():
         EdgeMapping(4, (0, 1, 2, 3, 4, 6))
 
 
+def test_negative_vertex_count_refused():
+    # edge_count(-1) == 1 and edge_count(-3) == 6, so only the vertex count itself can refuse
+    with pytest.raises(ValueError, match="negative"):
+        EdgeMapping(-1, (0,))
+    with pytest.raises(ValueError, match="negative"):
+        EdgeMapping.identity(-3)
+    with pytest.raises(ValueError, match="negative"):
+        random_mapping(-1, random.Random(0))
+
+
 def test_from_pairs_round_trip():
     f = EdgeMapping.from_pairs(4, [((u, v), edge_pair(K4_INVOLUTION(edge_id(u, v))))
                                    for u in range(4) for v in range(u + 1, 4)])

@@ -27,7 +27,6 @@ from edgemaps.search import (
     SearchOptions,
     compute_parameter,
     exists_avoiding,
-    monte_carlo_w_witness,
     shift_capacity,
     z_via_coloring,
 )
@@ -726,15 +725,6 @@ def test_shift_capacity_budget_is_one_deadline():
     if rep.witness is not None:
         assert detect.find_any(rep.witness, (("free", P4),)) is None
         assert rep.witness.profile.shifted == rep.value
-
-
-def test_monte_carlo_witness_expected_copies():
-    rep = monte_carlo_w_witness(make_pattern("K4"), 5, trials=50, seed=0)
-    k, m, n = 4, 6, 5
-    expect = math.exp(k * math.log(n) - 2 * m * (k - 2) / (n - 2))
-    assert rep.expected_copies == pytest.approx(expect)
-    assert rep.conclusive
-    assert rep.tried == 1
 
 
 @pytest.mark.parametrize(
