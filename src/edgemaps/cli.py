@@ -333,13 +333,24 @@ def _cmd_reproduce(args) -> int:
 # argument wiring
 
 
+def _default_workers() -> int:
+    raw = os.environ.get("EDGEMAP_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"EDGEMAP_THREADS must be a positive integer, not {raw!r}")
+    return workers
+
+
 def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="edgemaps",
         description="Forcing thresholds for edge mappings of complete graphs.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    default_workers = int(os.environ.get("EDGEMAP_THREADS", "1"))
+    default_workers = _default_workers()
 
     p = sub.add_parser("construct", help="build a named mapping construction")
     p.add_argument("name", choices=sorted(_BUILDERS))
@@ -434,8 +445,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

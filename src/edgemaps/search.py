@@ -36,7 +36,11 @@ lead to against brute-force enumeration of every mapping in the class:
   not change;
 * prefix-stabilizer symmetry: candidate images of the branching edge are
   reduced to orbit minima under vertex permutations that stabilize the
-  partial assignment;
+  partial assignment.  The group starts as the stabilizer of edge 0, built
+  directly (``_edge_perms``), and each assigned edge narrows it to the
+  permutations that also fix that edge and its image.  Above n = 8 the
+  walk uses the identity alone, until the per-node cost of this filtering
+  is measured there;
 * counting: copies still needing a destroyer, of all relations at once,
   must not outnumber the destructions the remaining edges can perform.
   Every copy must be destroyed by the leaf, and an image of edge f
@@ -170,8 +174,15 @@ class AvoidanceSpec:
 
 @dataclass(frozen=True)
 class SearchOptions:
+    """``budget`` is a hard limit in seconds, or None for none; ``workers``
+    is how many processes may walk at once."""
+
     budget: float | None = None
     workers: int = 1
+
+    def __post_init__(self):
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, not {self.workers}")
 
 
 @dataclass
@@ -222,11 +233,17 @@ class _Timeout(Exception):
 
 @lru_cache(maxsize=4)
 def _edge_perms(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every vertex permutation as a permutation of edge ids."""
+    """The stabilizer of edge 0 = {0, 1}: the 2·(n − 2)! vertex
+    permutations that map {0, 1} to itself, in lexicographic order, as
+    permutations of edge ids.  The walk's depth 0 fixes edge 0, so it needs
+    no other permutation.  Below n = 2 it is the one empty permutation."""
+    if n < 2:
+        return ((),)
     ids = pair_ids(n)
     rows = [ids[u * n : (u + 1) * n] for u in range(n)]
     pairs = edge_table(n)[0]
-    return tuple(tuple(rows[s[u]][s[v]] for u, v in pairs) for s in permutations(range(n)))
+    stab = (h + rest for h in ((0, 1), (1, 0)) for rest in permutations(range(2, n)))
+    return tuple(tuple(rows[s[u]][s[v]] for u, v in pairs) for s in stab)
 
 
 # Per relation, the images that destroy a copy at one of its edges e, from
@@ -535,6 +552,9 @@ class _Engine:
         return [(x, self._dropped(self.root_stab, x)) for x in later]
 
     def _initial_group(self):
+        """The symmetry group at depth 0: the stabilizer of edge 0 up to
+        n = 8, and above that the identity alone, so no image is dropped
+        by ``symmetry`` there."""
         if self.n <= 8:
             return list(_edge_perms(self.n))
         return [tuple(range(self.m_edges))]
@@ -562,7 +582,13 @@ def _check_envelope(spec: AvoidanceSpec, budget: float | None) -> None:
 
 
 def _deadline(budget: float | None) -> float | None:
-    return None if budget is None else time.perf_counter() + budget
+    """The ``time.perf_counter()`` reading at which a budget runs out;
+    refuses a budget that is not a positive number of seconds."""
+    if budget is None:
+        return None
+    if not budget > 0:
+        raise ValueError(f"budget must be a positive number of seconds, not {budget}")
+    return time.perf_counter() + budget
 
 
 # The running ``_parallel`` call's stop signals, one per handed-off root
@@ -618,9 +644,9 @@ def exists_avoiding(spec: AvoidanceSpec, options: SearchOptions | None = None) -
     """
     options = options or SearchOptions()
     _check_envelope(spec, options.budget)
+    deadline = _deadline(options.budget)
     if spec.klass.is_empty(spec.n):
         return SearchOutcome("EXHAUSTED", None, SearchStats())
-    deadline = _deadline(options.budget)
     if options.workers > 1 and edge_count(spec.n) > 0:
         return _parallel(spec, options.workers, deadline)
     return _Engine(spec, deadline).run()

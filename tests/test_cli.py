@@ -224,6 +224,13 @@ def test_search_exhausted_timeout_and_usage_exits(capsys):
     assert "budget" in err
     code, _, err = run_cli(capsys, "search", "--n", "6", "--klass", "all", "--avoid", "bogus:K3")
     assert code == cli.EXIT_USAGE
+    small = ("search", "--n", "5", "--klass", "disjoint", "--avoid", "exclusive:K1,2")
+    code, _, err = run_cli(capsys, *small, "--workers", "0")
+    assert code == cli.EXIT_USAGE
+    assert "workers" in err
+    code, _, err = run_cli(capsys, *small, "--budget", "-1")
+    assert code == cli.EXIT_USAGE
+    assert "budget" in err
 
 
 def test_reproduce_list_and_single_run(capsys):
@@ -271,3 +278,12 @@ def test_threads_env_sets_default_workers(monkeypatch):
     monkeypatch.delenv("EDGEMAP_THREADS")
     args = cli._parser().parse_args(["compute", "g", "--g", "2K2"])
     assert args.workers == 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5", ""])
+def test_bad_threads_env_is_a_usage_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("EDGEMAP_THREADS", value)
+    code, out, err = run_cli(capsys, "construct", "k4_involution")
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: EDGEMAP_THREADS")

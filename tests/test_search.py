@@ -342,12 +342,43 @@ def test_shift_capacity_matches_brute_force(pattern, exclusive):
 
 
 def test_edge_perms_follow_the_definition():
-    for n in range(1, 7):
+    # the stabilizer of edge 0: every vertex permutation that maps edge 0
+    # to itself, as a permutation of edge ids
+    for n in range(1, 8):
         pairs = [edge_pair(e) for e in range(edge_count(n))]
-        expect = tuple(
+        every = (
             tuple(edge_id(s[u], s[v]) for u, v in pairs) for s in itertools.permutations(range(n))
         )
-        assert search._edge_perms(n) == expect
+        expect = sorted(p for p in every if not p or p[0] == 0)
+        assert sorted(search._edge_perms(n)) == expect
+        if n >= 2:
+            assert len(search._edge_perms(n)) == 2 * math.factorial(n - 2)
+
+
+def test_symmetry_stops_at_n_8():
+    # above n = 8 the walk has no symmetry group; builds the engines only
+    avoid = (("free", make_pattern("K3")),)
+    for n in range(2, 10):
+        group = search._Engine(AvoidanceSpec(n, ALL, avoid))._initial_group()
+        if n <= 8:
+            assert group == list(search._edge_perms(n))
+        else:
+            assert group == [tuple(range(edge_count(n)))]
+
+
+def test_nonsense_options_refused():
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            SearchOptions(workers=workers)
+    spec = AvoidanceSpec(4, OV1, FREE_2K2)
+    for budget in (0, -1, float("nan")):
+        with pytest.raises(ValueError, match="budget"):
+            exists_avoiding(spec, SearchOptions(budget=budget))
+        with pytest.raises(ValueError, match="budget"):
+            shift_capacity(4, make_pattern("K1,2"), budget=budget)
+    # an empty class refuses the budget too, before it answers
+    with pytest.raises(ValueError, match="budget"):
+        exists_avoiding(AvoidanceSpec(3, DISJ, EXCL_P3), SearchOptions(budget=-1))
 
 
 def _roots(spec):
