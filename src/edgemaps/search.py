@@ -38,9 +38,12 @@ lead to against brute-force enumeration of every mapping in the class:
   reduced to orbit minima under vertex permutations that stabilize the
   partial assignment.  The group starts as the stabilizer of edge 0, built
   directly (``_edge_perms``), and each assigned edge narrows it to the
-  permutations that also fix that edge and its image.  Above n = 8 the
-  walk uses the identity alone, until the per-node cost of this filtering
-  is measured there;
+  permutations that also fix that edge and its image.  The walk holds the
+  group as a bitmask over the indices of those permutations, so narrowing
+  it and asking whether some member sends an image lower are one AND each
+  with a per-edge mask (``_symmetry_masks``).  Above n = 8 the walk uses
+  the identity alone, until the per-node cost of this filtering is
+  measured there;
 * counting: copies still needing a destroyer, of all relations at once,
   must not outnumber the destructions the remaining edges can perform.
   Every copy must be destroyed by the leaf, and an image of edge f
@@ -79,7 +82,8 @@ copy of one relation, and a set of copies is a bitmask over those numbers:
   copies of one edge, f alone, rule out.  After e is assigned, each intact
   copy in ``second[e]`` ANDs its ``destroyers`` into ``allowed`` of its
   last edge; the rule ``lookahead`` prunes when that leaves none.
-  ``_candidates`` filters e's pool by ``allowed[e]`` in pool order;
+  The walk tries e's pool in pool order, skipping images outside
+  ``allowed[e]``;
 * the count of moved edges so far, which the objective walk reads.
 
 The objective walk is a branch and bound (Land & Doig, 1960): its
@@ -89,10 +93,13 @@ moved count plus one and the walk goes on, so the last witness found moves
 the most edges.  A witness that moves every edge cannot be beaten, so the
 walk stops there.
 
-Undoing a step restores the state from the step's token; a step that
-narrows ``allowed`` narrows a copy of it.  Witnesses are re-validated by the
-detection module before being returned, so a bug in the incremental
-bookkeeping surfaces as a loud error rather than a wrong verdict.
+A node's loop keeps its own moved count, destroyed mask and ``allowed``
+list in locals and works out each child's from them; a child that narrows
+``allowed`` narrows a copy of it.  Only a child that no rule prunes writes
+its state to the engine, and the loop writes its own back after that
+child's subtree.  Witnesses are re-validated by the detection module before
+being returned, so a bug in the incremental bookkeeping surfaces as a loud
+error rather than a wrong verdict.
 
 With ``workers`` the walk is the same tree, split at depth 0: it runs in
 the calling process until its first 1024-node tick and only then shares
@@ -103,6 +110,7 @@ counts match the serial walk's whenever no branch times out.
 """
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -246,6 +254,21 @@ def _edge_perms(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(rows[s[u]][s[v]] for u, v in pairs) for s in stab)
 
 
+@lru_cache(maxsize=4)
+def _symmetry_masks(perms: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per edge e, ``fix[e]``, the bitmask of the j with perms[j][e] = e, and
+    ``lower[e]``, that of the j with perms[j][e] < e.  A group held as a
+    bitmask over ``perms`` narrows to the permutations fixing e with one
+    AND, and some permutation in it sends e lower when it meets
+    ``lower[e]``."""
+    fix, lower = [], []
+    for e, images in enumerate(zip(*perms)):
+        # bit j of the int is the character at position -1 - j
+        fix.append(int("".join("1" if y == e else "0" for y in reversed(images)), 2))
+        lower.append(int("".join("1" if y < e else "0" for y in reversed(images)), 2))
+    return tuple(fix), tuple(lower)
+
+
 # Per relation, the images that destroy a copy at one of its edges e, from
 # (engine, e, embedding, edge mask): free and exclusive copies by what the
 # image meets of the copy, the others by what it meets of e.
@@ -265,14 +288,14 @@ class _Engine:
 
     ``deadline`` is a ``time.perf_counter()`` reading; the walk stops with
     TIMEOUT once it has passed.  ``root`` restricts edge 0 to that one
-    image, as in one root branch of ``workers``; every image still comes
-    from ``_candidates``.  ``stop`` is that branch's stop signal, an event
-    set once an earlier branch has a witness; the walk polls it on the
-    deadline's tick and ends as TIMEOUT too, an outcome ``_parallel``
-    never reads.  ``hand_off`` is called once, on the walk's first tick,
-    with the root images the depth-0 loop has not reached yet, in walk
-    order, each with whether the symmetry rule drops it; the loop then
-    ends after the current root, so those branches are left to the caller.
+    image, as in one root branch of ``workers``, if edge 0 may take it.
+    ``stop`` is that branch's stop signal, an event set once an earlier
+    branch has a witness; the walk polls it on the deadline's tick and
+    ends as TIMEOUT too, an outcome ``_parallel`` never reads.
+    ``hand_off`` is called once, on the walk's first tick, with the root
+    images the depth-0 loop has not reached yet, in walk order, each with
+    whether the symmetry rule drops it; the loop then ends after the
+    current root, so those branches are left to the caller.
     """
 
     def __init__(
@@ -310,7 +333,7 @@ class _Engine:
         self.pools = self._build_pools()
         self.pool_masks = [sum(1 << x for x in pool) for pool in self.pools]
         # per edge, the images its pending copies still allow; carried down
-        # the walk, copied on write and restored from the undo token
+        # the walk, copied on write and restored after each subtree
         self.allowed = list(self.pool_masks)
         # the tables of all avoided copies; see _add_copies, _counting_tables
         self.kill = [[0] * m for _ in range(m)]  # per edge and image, the copies it destroys
@@ -324,6 +347,11 @@ class _Engine:
         self._cut_pools()
         self.floor, self.maxdiff = self._counting_tables(len(self.ends), through, self.kill)
         self.destroyed = 0  # the bitmask of the destroyed copies
+        # the symmetry group at depth 0, as a bitmask over the indices of
+        # _initial_group's permutations, and the masks that narrow it
+        perms = tuple(self._initial_group())
+        self.group = (1 << len(perms)) - 1
+        self.fix, self.lower = _symmetry_masks(perms)
         self.stats.table_time = time.perf_counter() - start
 
     # -- construction-time tables ------------------------------------------
@@ -393,7 +421,7 @@ class _Engine:
     def _counting_tables(self, total: int, through: list[int], kill: list[list[int]]):
         """``floor[e]``, the fewest copies that can be destroyed once edges
         0..e are assigned if the rest are to destroy every copy left, and
-        ``maxdiff`` for the objective walk (see ``_apply``).  Static
+        ``maxdiff`` for the objective walk (see ``_dfs``).  Static
         per-edge maxima are sound even after pools narrow."""
         m = self.m_edges
         moved_only = self.objective is not None
@@ -416,76 +444,18 @@ class _Engine:
             later += best[e]
         return floor, maxdiff
 
-    # -- incremental state --------------------------------------------------
-
-    def _apply(self, e: int, x: int):
-        """Assign image x to edge e; return (the prune rule it breaks or
-        None, the token that undoes it)."""
-        stats = self.stats
-        stats.nodes += 1
-        self.assign[e] = x
-        if self.polled and stats.nodes & 1023 == 0:
-            if self.deadline is not None and time.perf_counter() > self.deadline:
-                raise _Timeout
-            if self.stop is not None and self.stop.is_set():
-                raise _Timeout
-            if self.hand_off is not None:
-                hand_off, self.hand_off = self.hand_off, None
-                hand_off(self._cut_roots())
-        token = (e, self.moved, self.destroyed, self.allowed)
-        if x != e:
-            self.moved += 1
-
-        # x came from _candidates, so it destroys every copy that e completes;
-        # copies left with one unassigned edge narrow that edge's images, and
-        # the token keeps the list as it was, so the first change copies it
-        allowed = self.allowed
-        d = self.destroyed = self.destroyed | self.kill[e][x]
-        pending = self.second[e] & ~d
-        ends, destroyers = self.ends, self.destroyers
-        while pending:
-            low = pending & -pending
-            c = low.bit_length() - 1
-            f = ends[c]
-            after = allowed[f] & destroyers[c]
-            if after != allowed[f]:
-                if allowed is token[3]:
-                    allowed = self.allowed = allowed[:]
-                allowed[f] = after
-                if not after:
-                    return "lookahead", token
-            pending ^= low
-
-        if self.objective is None:
-            slack = 0
-        else:
-            if self.moved + (self.m_edges - e - 1) < self.objective:
-                return "objective", token
-            # fixed images the target still allows, each destroying up to
-            # maxdiff more copies than a moved one
-            fixed_used = (e + 1) - self.moved
-            slack = max(0, (self.m_edges - self.objective) - fixed_used)
-        if d.bit_count() < self.floor[e] - slack * self.maxdiff:
-            return "counting", token
-        return None, token
-
-    def _undo(self, token) -> None:
-        e, self.moved, self.destroyed, self.allowed = token
-        self.assign[e] = -1
-
     # -- tree walk -----------------------------------------------------------
 
-    def _candidates(self, e: int) -> list[int]:
-        """The pool of e filtered by ``allowed[e]``, in pool order: the
-        images that destroy every intact copy ending at e.  A one-edge copy
-        narrowed ``allowed[e]`` from the start, any other copy when its
-        second-to-last edge was assigned.  This is the one check that
-        enforces the avoided copies, so every image assigned must come from
-        here."""
-        allowed = self.allowed[e]
-        if allowed == self.pool_masks[e]:
-            return self.pools[e]
-        return [x for x in self.pools[e] if allowed >> x & 1]
+    def _tick(self) -> None:
+        """The poll on every 1024th node, made after the node's image is
+        assigned: the deadline, the stop signal and the one hand-off."""
+        if self.deadline is not None and time.perf_counter() > self.deadline:
+            raise _Timeout
+        if self.stop is not None and self.stop.is_set():
+            raise _Timeout
+        if self.hand_off is not None:
+            hand_off, self.hand_off = self.hand_off, None
+            hand_off(self._cut_roots())
 
     def _leaf(self) -> bool:
         mp = EdgeMapping(self.n, tuple(self.assign))
@@ -509,38 +479,89 @@ class _Engine:
         self.objective = count + 1
         return count == self.m_edges
 
-    def _dfs(self, i: int, group) -> bool:
-        if i == self.m_edges:
+    def _dfs(self, i: int, group: int) -> bool:
+        """Walk the subtree below edges 0..i-1, whose symmetry group is the
+        bitmask ``group``; return whether the walk should stop there."""
+        m = self.m_edges
+        if i == m:
             return self._leaf()
-        stab = [p for p in group if p[i] == i] if len(group) > 1 else group
-        pool = self._candidates(i)
+        stab = group & self.fix[i]
+        moved, destroyed, allowed = self.moved, self.destroyed, self.allowed
+        # the images that destroy every intact copy ending at i: a one-edge
+        # copy narrowed allowed[i] from the start, any other copy when its
+        # second-to-last edge was assigned.  Skipping the pool's others is
+        # the one check that enforces the avoided copies.
+        pool, here = self.pools[i], allowed[i]
         if i == 0:
+            pool = [x for x in pool if here >> x & 1]
             if self.root is not None:
                 pool = [self.root] if self.root in pool else []
             # the loop below reads this list as it goes, so _cut_roots
             # ends it after the current root by cutting the rest
-            pool = self.roots = list(pool)
+            self.roots = pool
             self.root_stab = stab
+        stats, prunes, assign = self.stats, self.stats.prunes, self.assign
+        fix, lower, polled = self.fix, self.lower, self.polled
+        kill, pending_at = self.kill[i], self.second[i]
+        ends, destroyers = self.ends, self.destroyers
+        floor, maxdiff = self.floor[i], self.maxdiff
         for x in pool:
-            if len(stab) > 1 and self._dropped(stab, x):
-                self.stats.bump("symmetry")
+            if not here >> x & 1:
                 continue
-            cause, token = self._apply(i, x)
+            if stab & lower[x]:
+                prunes["symmetry"] = prunes.get("symmetry", 0) + 1
+                continue
+            stats.nodes += 1
+            assign[i] = x
+            if polled and not stats.nodes & 1023:
+                self._tick()
+            # x destroys every copy that i completes; copies left with one
+            # unassigned edge narrow that edge's images, in a copy of
+            # allowed made at the first change
+            d = destroyed | kill[x]
+            narrowed = allowed
+            cause = None
+            pending = pending_at & ~d
+            while pending:
+                low = pending & -pending
+                c = low.bit_length() - 1
+                f = ends[c]
+                after = narrowed[f] & destroyers[c]
+                if after != narrowed[f]:
+                    if narrowed is allowed:
+                        narrowed = allowed[:]
+                    narrowed[f] = after
+                    if not after:
+                        cause = "lookahead"
+                        break
+                pending ^= low
             if cause is None:
-                child = [p for p in stab if p[x] == x] if len(stab) > 1 else stab
-                if self._dfs(i + 1, child):
-                    self._undo(token)
-                    return True
-            else:
-                self.stats.bump(cause)
-            self._undo(token)
+                now_moved = moved + (x != i)
+                objective = self.objective  # _leaf raises it
+                slack = 0
+                if objective is not None:
+                    if now_moved + (m - i - 1) < objective:
+                        cause = "objective"
+                    # fixed images the target still allows, each destroying
+                    # up to maxdiff more copies than a moved one
+                    slack = max(0, (m - objective) - (i + 1 - now_moved))
+                if cause is None and d.bit_count() < floor - slack * maxdiff:
+                    cause = "counting"
+            if cause is not None:
+                prunes[cause] = prunes.get(cause, 0) + 1
+                continue
+            self.moved, self.destroyed, self.allowed = now_moved, d, narrowed
+            found = self._dfs(i + 1, stab & fix[x])
+            self.moved, self.destroyed, self.allowed = moved, destroyed, allowed
+            if found:
+                return True
         return False
 
-    @staticmethod
-    def _dropped(stab, x: int) -> bool:
+    def _dropped(self, stab: int, x: int) -> bool:
         """The symmetry rule: an image that some permutation fixing the
-        edges assigned so far sends lower is covered by that lower one."""
-        return any(p[x] < x for p in stab)
+        edges assigned so far, one of the bitmask ``stab``, sends lower is
+        covered by that lower one."""
+        return stab & self.lower[x] != 0
 
     def _cut_roots(self) -> list[tuple[int, bool]]:
         """End the depth-0 loop after the current root, which edge 0 holds
@@ -552,9 +573,10 @@ class _Engine:
         return [(x, self._dropped(self.root_stab, x)) for x in later]
 
     def _initial_group(self):
-        """The symmetry group at depth 0: the stabilizer of edge 0 up to
-        n = 8, and above that the identity alone, so no image is dropped
-        by ``symmetry`` there."""
+        """The symmetry group at depth 0, as a list of edge-id
+        permutations: the stabilizer of edge 0 up to n = 8, and above that
+        the identity alone, so no image is dropped by ``symmetry`` there.
+        The walk holds a group as a bitmask over this list's indices."""
         if self.n <= 8:
             return list(_edge_perms(self.n))
         return [tuple(range(self.m_edges))]
@@ -562,7 +584,7 @@ class _Engine:
     def run(self) -> SearchOutcome:
         start = time.perf_counter()
         try:
-            self._dfs(0, self._initial_group())
+            self._dfs(0, self.group)
             verdict = "EXHAUSTED" if self.witness is None else "WITNESS"
         except _Timeout:
             verdict = "TIMEOUT"
@@ -583,11 +605,11 @@ def _check_envelope(spec: AvoidanceSpec, budget: float | None) -> None:
 
 def _deadline(budget: float | None) -> float | None:
     """The ``time.perf_counter()`` reading at which a budget runs out;
-    refuses a budget that is not a positive number of seconds."""
+    refuses a budget that is not a finite positive number of seconds."""
     if budget is None:
         return None
-    if not budget > 0:
-        raise ValueError(f"budget must be a positive number of seconds, not {budget}")
+    if not 0 < budget < math.inf:
+        raise ValueError(f"budget must be a finite positive number of seconds, not {budget}")
     return time.perf_counter() + budget
 
 

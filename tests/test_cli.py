@@ -231,6 +231,12 @@ def test_search_exhausted_timeout_and_usage_exits(capsys):
     code, _, err = run_cli(capsys, *small, "--budget", "-1")
     assert code == cli.EXIT_USAGE
     assert "budget" in err
+    # a budget without an end does not open the envelope
+    code, _, err = run_cli(
+        capsys, "search", "--n", "9", "--klass", "all", "--avoid", "free:K3", "--budget", "inf"
+    )
+    assert code == cli.EXIT_USAGE
+    assert "finite" in err
 
 
 def test_reproduce_list_and_single_run(capsys):

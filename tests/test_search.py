@@ -355,6 +355,25 @@ def test_edge_perms_follow_the_definition():
             assert len(search._edge_perms(n)) == 2 * math.factorial(n - 2)
 
 
+def test_symmetry_masks_follow_the_definition():
+    # bit j of fix[e] and lower[e] reads _edge_perms(n)[j][e] == e and < e;
+    # above n = 8 the group is the identity alone, bit 0
+    avoid = (("free", make_pattern("K3")),)
+    for n in range(2, 10):
+        engine = search._Engine(AvoidanceSpec(n, ALL, avoid))
+        m = edge_count(n)
+        assert len(engine.fix) == len(engine.lower) == m
+        if n <= 8:
+            perms = search._edge_perms(n)
+            assert engine.group == (1 << len(perms)) - 1
+            for e in range(m):
+                assert engine.fix[e] == sum(1 << j for j, p in enumerate(perms) if p[e] == e)
+                assert engine.lower[e] == sum(1 << j for j, p in enumerate(perms) if p[e] < e)
+        else:
+            assert engine.group == 1
+            assert engine.fix == (1,) * m and engine.lower == (0,) * m
+
+
 def test_symmetry_stops_at_n_8():
     # above n = 8 the walk has no symmetry group; builds the engines only
     avoid = (("free", make_pattern("K3")),)
@@ -371,11 +390,18 @@ def test_nonsense_options_refused():
         with pytest.raises(ValueError, match="workers"):
             SearchOptions(workers=workers)
     spec = AvoidanceSpec(4, OV1, FREE_2K2)
-    for budget in (0, -1, float("nan")):
+    for budget in (0, -1, float("nan"), float("inf"), -float("inf")):
         with pytest.raises(ValueError, match="budget"):
             exists_avoiding(spec, SearchOptions(budget=budget))
         with pytest.raises(ValueError, match="budget"):
             shift_capacity(4, make_pattern("K1,2"), budget=budget)
+    # no budget without an end opens the envelope either
+    big = AvoidanceSpec(9, ALL, (("free", make_pattern("K3")),))
+    with pytest.raises(ValueError, match="finite"):
+        exists_avoiding(big, SearchOptions(budget=float("inf")))
+    endless = SearchOptions(budget=float("inf"))
+    with pytest.raises(ValueError, match="finite"):
+        compute_parameter("m", make_pattern("K1,3"), make_pattern("P4"), options=endless)
     # an empty class refuses the budget too, before it answers
     with pytest.raises(ValueError, match="budget"):
         exists_avoiding(AvoidanceSpec(3, DISJ, EXCL_P3), SearchOptions(budget=-1))
@@ -666,6 +692,13 @@ TREE_PINS = [
     # where neither relation's copies alone could fire it
     (4, "all", (("fixed", "K4"), ("free", "K2")), None, None,
      "EXHAUSTED", 1, {"counting": 1}, None),
+    # hosts whose symmetry groups hold 240 and 1440 permutations
+    (7, "fixed_or_strong", (("fixed", "2K2"), ("exclusive", "K1,2")), None, None,
+     "EXHAUSTED", 11061, {"lookahead": 7029, "symmetry": 1186}, None),
+    (8, "fixed_or_strong", (("fixed", "2K2"), ("exclusive", "K1,3")), None, None,
+     "WITNESS", 18400, {"lookahead": 12441, "symmetry": 5},
+     (0, 1, 2, 2, 1, 0, 2, 1, 0, 0, 4, 3, 3, 17, 17, 7, 6, 13, 23, 24, 0, 13, 19, 6, 12, 12,
+      8, 8)),
 ]
 
 
