@@ -27,7 +27,6 @@ from .search import (
     compute_parameter,
     exists_avoiding,
     shift_capacity,
-    z_via_coloring,
 )
 from .reproduce import MANIFEST, RunContext, RunRecord, run_all, run_manifest
 
@@ -68,5 +67,4 @@ __all__ = [
     "run_all",
     "run_manifest",
     "shift_capacity",
-    "z_via_coloring",
 ]

@@ -698,12 +698,15 @@ def parse_graph6(text: str, name: str = "") -> PatternGraph:
     n = data[0]
     if n == 63:
         raise ValueError("graph6 with n > 62 not supported")
+    need = comb(n, 2)
+    length = 1 + (need + 5) // 6  # the size byte, then six edge bits a byte
+    if len(data) != length:
+        raise ValueError(f"graph6 string for n={n} needs {length} characters, not {len(data)}")
     bits = []
     for b in data[1:]:
         bits.extend((b >> i) & 1 for i in range(5, -1, -1))
-    need = comb(n, 2)
-    if len(bits) < need:
-        raise ValueError("graph6 string too short")
+    if any(bits[need:]):
+        raise ValueError("graph6 padding bits must be zero")
     pairs = []
     idx = 0
     for v in range(1, n):

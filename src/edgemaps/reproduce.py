@@ -52,7 +52,6 @@ from .search import (
     _parameter_label,
     compute_parameter,
     exists_avoiding,
-    z_via_coloring,
 )
 
 DEFAULT_SEED = 902613
@@ -229,8 +228,10 @@ def _run_star_two_exact(ctx: RunContext) -> list[ClaimResult]:
 
 def _run_triangle_ramsey(ctx: RunContext) -> list[ClaimResult]:
     t = complete(3)
-    good5 = z_via_coloring(t, t, 5)
-    good6 = z_via_coloring(t, t, 6)
+    klass, avoid = _avoidance_form("z", t, t, 1)
+    good5, good6 = (
+        exists_avoiding(AvoidanceSpec(n, klass, avoid)).verdict == "WITNESS" for n in (5, 6)
+    )
     rep = compute_parameter("z", t, t)
     lo = rep.lower.value if rep.lower else None
     hi = rep.upper.value if rep.upper else None
@@ -244,7 +245,7 @@ def _run_triangle_ramsey(ctx: RunContext) -> list[ClaimResult]:
         _claim_pass(
             "6 vertices force a monochromatic triangle",
             not good6,
-            "isomorph-free enumeration of all red graphs",
+            "exhaustive avoidance search: fixed K3 + shifted K3",
             {"n": 6, "admits": good6},
         ),
         _claim_pass(

@@ -130,11 +130,9 @@ from .bounds import (
     w_clique_bounds,
     w_star_upper,
 )
-from .canon import graphs_by_edge_count
 from .graphs import (
     PatternGraph,
     SimpleGraph,
-    contains_copy,
     edge_count,
     edge_id,
     edge_pair,
@@ -189,6 +187,9 @@ class SearchOptions:
     workers: int = 1
 
     def __post_init__(self):
+        # a float or a bool would pass the bound and fail only once a pool starts
+        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
+            raise ValueError(f"workers must be an int, not {self.workers!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, not {self.workers}")
 
@@ -750,30 +751,7 @@ def _parallel(spec: AvoidanceSpec, workers: int, deadline: float | None) -> Sear
 
 
 # ---------------------------------------------------------------------------
-# specialized deciders
-
-
-def z_via_coloring(G: PatternGraph, H: PatternGraph, n: int) -> bool:
-    """Whether some red/blue edge coloring of K_n has no red G and no blue H.
-
-    Red subgraphs are enumerated once per isomorphism class.  The verdict
-    transfers to mappings: painting the fixed edges red turns a coloring
-    witness into a mapping with no fixed G and no moved H and vice versa,
-    any blue edge having somewhere else to go once n >= 3; at n = 2 both
-    readings force monochromatic and agree as well.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > 8:
-        raise ValueError("isomorph-free enumeration is capped at n = 8")
-    for level in graphs_by_edge_count(n):
-        for mask in level:
-            red = SimpleGraph(n, frozenset(mask_bits(mask)))
-            if contains_copy(G, red):
-                continue
-            if not contains_copy(H, red.complement()):
-                return True
-    return False
+# shift capacity: the objective walk
 
 
 @dataclass(frozen=True)
@@ -842,6 +820,9 @@ def _avoidance_form(
         return MappingClass(kind), (("free", G),)
     if name == "w":
         return MappingClass("disjoint"), (("exclusive", G),)
+    if name == "z":
+        # a coloring read as a mapping: fixed edges red, moved edges blue
+        return MappingClass("all"), (("fixed", G), ("shifted", H))
     raise ValueError(f"unknown parameter {name!r}")
 
 
@@ -972,6 +953,14 @@ def compute_parameter(
     every instance decided here.  Search exactness is preferred even when a
     certifier would close the same value.  Each host's search runs under
     ``options``, 60 s by default; ``SearchOptions()`` lifts the budget.
+
+    Every parameter is one avoidance form (``_avoidance_form``) decided by
+    ``exists_avoiding``.  z(G, H), the two-color Ramsey number, is fixed G +
+    shifted H over all mappings: read the fixed edges as red and the moved
+    ones as blue.  Two things set z apart.  At n = 2 the lone edge of K_2
+    cannot move, so it follows the coloring rule instead: K_2 has a good
+    coloring unless G and H are both K_2.  Under a budget z scans to host 8,
+    past the ``all`` envelope of 6; with none it stops at the envelope.
     """
     if name not in _PARAMETERS:
         raise ValueError(f"unknown parameter {name!r}, expected one of {_PARAMETERS}")
@@ -981,22 +970,13 @@ def compute_parameter(
         raise ValueError(f"parameter {name} takes a single pattern")
 
     label = _parameter_label(name, G, H, d)
-    if name == "z":
-        cap = min(8, n_max) if n_max is not None else 8
-        floor = 1
-        for n in range(2, cap + 1):
-            if z_via_coloring(G, H, n):
-                floor = n
-                continue
-            b = Bound(n, "two-coloring enumeration")
-            return BoundReport(label, lower=b, upper=b)
-        return BoundReport(
-            label, lower=Bound(floor + 1, "two-coloring enumeration"), upper=None
-        )
-
     klass, avoid = _avoidance_form(name, G, H, d)
 
     scan_cap = ENVELOPE[klass.kind]
+    if name == "z" and options.budget is not None:
+        # hosts 7 and 8 settle classical values such as z(K3, C4) = 7 and
+        # z(K3, K4) > 8, and the budget bounds each of them
+        scan_cap = 8
     if n_max is not None:
         scan_cap = min(scan_cap, n_max)
     floor = 1
@@ -1005,7 +985,14 @@ def compute_parameter(
         if klass.is_empty(n):
             floor = n
             continue
-        out = exists_avoiding(AvoidanceSpec(n, klass, avoid), options)
+        spec = AvoidanceSpec(n, klass, avoid)
+        # K_2's one edge has nowhere to move, so a mapping of K_2 fixes it,
+        # but a coloring may paint it blue: that has no red G, and no blue H
+        # unless H is K_2 itself, the one pattern with an edge on 2 vertices
+        if name == "z" and n == 2 and H.k > 2:
+            floor = n
+            continue
+        out = exists_avoiding(spec, options)
         if out.verdict == "WITNESS":
             floor = n
             continue

@@ -78,7 +78,7 @@ def test_criterion_6_extraction_trials():
 DIGEST_PINS = {
     "matching-thresholds": "c3b560e886775b48323c600e8aa82896677fa8d904038cf369cfc743d8796a22",
     "two-star-exclusive": "c07024b2fe6714d5206f08b955aa8828ab3de55a1bd59996fdf24f59855595fb",
-    "triangle-ramsey": "17942a7f6636e853c904b5d4dd06debae0cfa5d6ab0dd842291d25e18870eef2",
+    "triangle-ramsey": "bfe51a7d101b22fb0152e3ec45d2d1db39d7fe337f23f411213648da9e65d26c",
     "construction-suite": "607228b1ee2c3750cc0c4f6c51e0f514906c336f4fcc242c2327cd7a6c47d47b",
     "oracle-domination": "e5b596a65c6e17be6791f2b8c489cc3d11ec5f58b02af248edae7431bb25fe7c",
     "certifier-consistency": "ddfa6d8191bf30961335738c610a1d353a85b8b06d5026bf1c2c19655a814255",

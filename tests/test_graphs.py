@@ -158,6 +158,14 @@ def test_graph6_known_encoding():
     assert parse_graph6("C~").graph.edge_mask == complete(4).graph.edge_mask
 
 
+def test_graph6_refuses_wrong_length_and_padding():
+    assert parse_graph6("Bw").graph.edge_mask == complete(3).graph.edge_mask
+    # a character too many or too few, and nonzero bits after the C(3, 2) = 3 edge bits
+    for text in ("BwA", "Bw?", "Bx", "B", "C~~"):
+        with pytest.raises(ValueError):
+            parse_graph6(text)
+
+
 def test_load_pattern_dispatches_on_shape():
     el = load_pattern("4 3\n0 1\n1 2\n2 3\n")
     assert el.graph.m == 3 and el.graph.n == 4

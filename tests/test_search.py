@@ -14,11 +14,14 @@ from edgemaps import detect, search
 from edgemaps.bounds import EXTERNAL_CAPACITY
 from edgemaps.graphs import (
     SimpleGraph,
+    complete,
     edge_count,
     edge_id,
     edge_pair,
     enumerate_copies,
     make_pattern,
+    matching,
+    union,
 )
 from edgemaps.mapping import EdgeMapping, MappingClass
 from edgemaps.search import (
@@ -28,7 +31,6 @@ from edgemaps.search import (
     compute_parameter,
     exists_avoiding,
     shift_capacity,
-    z_via_coloring,
 )
 
 OV1 = MappingClass("overlap_le_1")
@@ -386,7 +388,7 @@ def test_symmetry_stops_at_n_8():
 
 
 def test_nonsense_options_refused():
-    for workers in (0, -3):
+    for workers in (0, -3, 2.5, 3.0, True):
         with pytest.raises(ValueError, match="workers"):
             SearchOptions(workers=workers)
     spec = AvoidanceSpec(4, OV1, FREE_2K2)
@@ -402,6 +404,10 @@ def test_nonsense_options_refused():
     endless = SearchOptions(budget=float("inf"))
     with pytest.raises(ValueError, match="finite"):
         compute_parameter("m", make_pattern("K1,3"), make_pattern("P4"), options=endless)
+    K3 = make_pattern("K3")
+    for budget in (-1, float("inf")):
+        with pytest.raises(ValueError, match="budget"):
+            compute_parameter("z", K3, K3, options=SearchOptions(budget=budget))
     # an empty class refuses the budget too, before it answers
     with pytest.raises(ValueError, match="budget"):
         exists_avoiding(AvoidanceSpec(3, DISJ, EXCL_P3), SearchOptions(budget=-1))
@@ -756,10 +762,32 @@ def test_lookahead_settles_exclusive_star_fixed_matching_on_k7():
     assert out.stats.nodes < 20000
 
 
-def test_triangle_coloring_threshold():
-    K3 = make_pattern("K3")
-    assert z_via_coloring(K3, K3, 5)
-    assert not z_via_coloring(K3, K3, 6)
+Z_PATTERNS = [make_pattern(s) for s in ("K2", "K1,2", "2K2", "K3", "P4", "K1,3", "C4")] + [
+    union(matching(1), complete(1))
+]
+
+
+def _good_coloring(G, H, n):
+    """Whether some red/blue coloring of K_n's edges has no red G and no
+    blue H, by trying all 2^C(n, 2) red edge sets."""
+    red_g = {sum(1 << e for e in eids) for eids, _ in _copies(G, n)}
+    blue_h = {sum(1 << e for e in eids) for eids, _ in _copies(H, n)}
+    every = (1 << edge_count(n)) - 1
+    return any(
+        all(c & red != c for c in red_g) and all(c & red for c in blue_h)
+        for red in range(every + 1)
+    )
+
+
+@pytest.mark.parametrize("G", Z_PATTERNS, ids=str)
+def test_z_agrees_with_every_coloring(G):
+    # z is decided as fixed G + shifted H over all mappings, and at n = 2
+    # by the coloring rule; either way a host is ruled out exactly when
+    # some coloring of it has no red G and no blue H
+    for H in Z_PATTERNS:
+        for n in range(2, 6):
+            rep = compute_parameter("z", G, H, n_max=n)
+            assert (rep.lower.value > n) == _good_coloring(G, H, n), (G, H, n)
 
 
 def test_shift_capacity_known_values():
@@ -812,10 +840,27 @@ def test_compute_parameter_star_exclusive():
     assert rep.lower.value == 6
 
 
-def test_compute_parameter_triangle_ramsey():
-    rep = compute_parameter("z", make_pattern("K3"), make_pattern("K3"))
-    assert rep.status == "tight"
-    assert rep.lower.value == 6
+def test_compute_parameter_z_classical_values():
+    # two-color Ramsey numbers (Chvatal & Harary, 1972; Radziszowski, DS1)
+    cases = [
+        ("K2", "K2", 2), ("K2", "K3", 3), ("K3", "K2", 3), ("K2", "P4", 4), ("P4", "P4", 5),
+        ("K3", "K3", 6), ("C4", "C4", 6), ("K1,3", "K1,3", 6), ("K3", "C4", 7), ("K1,3", "K3", 7),
+    ]
+    for G, H, value in cases:
+        rep = compute_parameter("z", make_pattern(G), make_pattern(H))
+        assert rep.status == "tight" and rep.lower.value == value, (G, H)
+    # z(K3, K4) = 9: hosts up to 8 are ruled out, and the scan stops there
+    rep = compute_parameter("z", make_pattern("K3"), make_pattern("K4"))
+    assert rep.status == "partial" and rep.lower.value == 9
+
+
+def test_z_budget_bounds_each_host():
+    # hosts 2..7 of z(C6, C6) have quick witnesses; host 8 runs out of time
+    C6 = make_pattern("C6")
+    start = time.perf_counter()
+    rep = compute_parameter("z", C6, C6, options=SearchOptions(budget=0.1))
+    assert time.perf_counter() - start < 0.35
+    assert rep.status == "partial" and rep.lower.value == 8
 
 
 def test_compute_parameter_free_pair_with_certifier():
