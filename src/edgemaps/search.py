@@ -8,18 +8,18 @@ one tree: exhaustion settles the forcing question at that n, a witness
 refutes it.
 
 Every relation is one kind of constraint, a set of copies to destroy, and
-enters the walk only through its kill rows (``_KILLS``): which images,
-given to an edge of a copy, make the copy fail the relation.  An image
-inside the copy destroys a free copy, one touching its vertex set an
-exclusive copy; an image other than the edge destroys a fixed copy, the
-edge itself a shifted copy, and one touching the edge a strong-shifted
-copy.  Copies are enforced in one way, lookahead narrowing, a forward
-check (Haralick & Elliott, 1980): a copy is pending from the moment its
-second-to-last edge is assigned, and its destroyers at once narrow the
-images its last edge may take.  A branch that leaves some edge no image
-dies there, under the rule ``lookahead``.  Every copy is thus destroyed by
-the time its last edge is assigned, and no rule needs to look for a
-completed one.  Three devices prune the tree further.  They are always
+enters the walk only through its kill rows, built in closed form by
+``_KILLS``: which images, given to an edge of a copy, make the copy fail
+the relation.  An image inside the copy destroys a free copy, one touching
+its vertex set an exclusive copy; an image other than the edge destroys a
+fixed copy, the edge itself a shifted copy, and one touching the edge a
+strong-shifted copy.  Copies are enforced in one way, lookahead
+narrowing, a forward check (Haralick & Elliott, 1980): a copy is pending
+from the moment its second-to-last edge is assigned, and its destroyers at
+once narrow the images its last edge may take.  A branch that leaves some
+edge no image dies there, under the rule ``lookahead``.  Every copy is thus
+destroyed by the time its last edge is assigned, and no rule needs to look
+for a completed one.  Three devices prune the tree further.  They are always
 on, and ``tests/test_search.py`` checks the verdicts and witnesses they
 lead to against brute-force enumeration of every mapping in the class:
 
@@ -62,8 +62,9 @@ signature keeps it earlier), so that subtree would have given a witness
 first.  On the objective walk the same holds of the first witness with
 the most moved edges, since signatures keep the moved count.
 
-The walk keeps its state in a few ints, read against tables built once
-per engine.  The copies of all avoided patterns are numbered in one
+The walk keeps its state in a few ints, read against tables that a
+process builds once per (relation, pattern, n) (``_copy_table``) and each
+engine composes.  The copies of all avoided patterns are numbered in one
 sequence, pattern by pattern in ``spec.avoid`` order, so a number names a
 copy of one relation, and a set of copies is a bitmask over those numbers:
 
@@ -116,7 +117,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import or_
 
 from . import constructions, detect
 from .bounds import (
@@ -134,11 +136,8 @@ from .graphs import (
     PatternGraph,
     SimpleGraph,
     edge_count,
-    edge_id,
-    edge_pair,
     edge_table,
     enumerate_copies,
-    mask_bits,
     pair_ids,
 )
 from .mapping import EdgeMapping, MappingClass, admissible_images
@@ -199,7 +198,7 @@ class SearchStats:
     nodes: int = 0
     prunes: dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
-    table_time: float = 0.0  # seconds spent building the engine's tables
+    table_time: float = 0.0  # seconds building the tables; a warm build only composes them
 
     def bump(self, rule: str) -> None:
         self.prunes[rule] = self.prunes.get(rule, 0) + 1
@@ -270,22 +269,85 @@ def _symmetry_masks(perms: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
     return tuple(fix), tuple(lower)
 
 
-# Per relation, the images that destroy a copy at one of its edges e, from
-# (engine, e, embedding, edge mask): free and exclusive copies by what the
-# image meets of the copy, the others by what it meets of e.
+@lru_cache(maxsize=16)
+def _stars(n: int) -> tuple[int, ...]:
+    """Per vertex of K_n, the edges at it, read off ``edge_table``."""
+    vmasks = edge_table(n)[1]
+    return tuple(sum(1 << e for e, vm in enumerate(vmasks) if vm >> v & 1) for v in range(n))
+
+
+def _touching(vertices, n: int) -> int:
+    """The edges of K_n at any of ``vertices``."""
+    return reduce(or_, map(_stars(n).__getitem__, vertices), 0)
+
+
+def _edge_rule(images):
+    """The kill forms of a relation that reads only an edge's own image: a
+    copy through e dies at e when e's image is in ``images(e, n)``."""
+
+    def hits(through, at, e, n):
+        s = images(e, n)
+        return [-(s >> x & 1) for x in range(edge_count(n))]
+
+    return hits, lambda ends, edges, embs, n: [images(f, n) for f in ends]
+
+
+# Per relation, its kill rule in closed form over one pattern's copies in
+# K_n.  By image x, the copies x destroys at an edge e of theirs:
+# kill[e][x] = through[e] & hits(through, at, e, n)[x], -1 being every copy.
+# By copy, from the copies' last edges, edge masks and embeddings, the
+# images that destroy it at its last edge: its column of that edge's row.
 _KILLS = {
-    "free": lambda eng, e, emb, emask: emask,
-    "exclusive": lambda eng, e, emb, emask: eng.vertex_edges(emb),
-    "fixed": lambda eng, e, emb, emask: eng.every_image ^ (1 << e),
-    "shifted": lambda eng, e, emb, emask: 1 << e,
-    "strong_shifted": lambda eng, e, emb, emask: eng.touch[e],
+    "free": (lambda through, at, e, n: through, lambda ends, edges, embs, n: edges),
+    "exclusive": (
+        lambda through, at, e, n: [at[u] | at[w] for u, w in edge_table(n)[0]],
+        lambda ends, edges, embs, n: [_touching(emb, n) for emb in embs],
+    ),
+    "fixed": _edge_rule(lambda e, n: (1 << edge_count(n)) - 1 ^ 1 << e),
+    "shifted": _edge_rule(lambda e, n: 1 << e),
+    "strong_shifted": _edge_rule(lambda e, n: _touching(edge_table(n)[0][e], n)),
 }
+
+
+@lru_cache(maxsize=64)
+def _copy_table(rel: str, P: SimpleGraph, n: int) -> tuple[tuple[int, ...], ...]:
+    """The copies of P in K_n as engines read them under ``rel``, numbered
+    from 0 in ``enumerate_copies`` order, built once per process and never
+    written to: per edge, the copies through it, those whose second-to-last
+    edge it is and the images its one-edge copies allow; per vertex, the
+    copies at it; per copy, its last edge and its destroyers there."""
+    m, ids, pairs = edge_count(n), pair_ids(n), P.pairs()
+    through, second, at = [0] * m, [0] * m, [0] * n
+    ends, edges, embs = [], [], []
+    for emb in enumerate_copies(P, SimpleGraph.complete(n)):
+        bit, emask = 1 << len(ends), 0
+        for a, b in pairs:
+            e = ids[emb[a] * n + emb[b]]
+            emask |= 1 << e
+            through[e] |= bit
+        for v in emb:
+            at[v] |= bit
+        ends.append(emask.bit_length() - 1)
+        rest = emask ^ 1 << ends[-1]
+        if rest:
+            second[rest.bit_length() - 1] |= bit
+        edges.append(emask)
+        embs.append(emb)
+    # equal destroyers share one int, so the cache holds each value once
+    shared: dict[int, int] = {}
+    destroyers = tuple(shared.setdefault(d, d) for d in _KILLS[rel][1](ends, edges, embs, n))
+    allowed = [(1 << m) - 1] * m
+    for f, dm in zip(ends, destroyers) if P.m == 1 else ():
+        allowed[f] &= dm  # a one-edge copy constrains its edge from the start
+    return (*map(tuple, (through, second, allowed, at, ends)), destroyers)
 
 
 class _Engine:
     """One depth-first walk.  Edges are assigned strictly in id order, so
     the recursion depth equals the id of the edge being assigned.  All
     avoided copies share one numbering, one set of tables and one mask.
+    Each engine composes lists of its own from every pattern's
+    ``_copy_table``, which a process builds once per (relation, pattern, n).
 
     ``deadline`` is a ``time.perf_counter()`` reading; the walk stops with
     TIMEOUT once it has passed.  ``root`` restricts edge 0 to that one
@@ -314,8 +376,8 @@ class _Engine:
         self.stop = stop
         self.hand_off = hand_off
         self.polled = deadline is not None or stop is not None or hand_off is not None
-        self.n = spec.n
-        m = self.m_edges = edge_count(spec.n)
+        n = self.n = spec.n
+        m = self.m_edges = edge_count(n)
         self.klass = spec.klass
         self.objective = objective
         self.root = root
@@ -324,27 +386,31 @@ class _Engine:
 
         self.assign = [-1] * m
         self.moved = 0  # edges assigned an image other than their own
-        self.every_image = (1 << m) - 1
-        # per vertex, the edges at it; per edge, the edges sharing a vertex
-        # with it
-        at = [sum(1 << edge_id(u, v) for u in range(spec.n) if u != v) for v in range(spec.n)]
-        self.at_vertex = at
-        self.touch = [at[u] | at[v] for u, v in map(edge_pair, range(m))]
 
         self.pools = self._build_pools()
-        self.pool_masks = [sum(1 << x for x in pool) for pool in self.pools]
         # per edge, the images its pending copies still allow; carried down
         # the walk, copied on write and restored after each subtree
-        self.allowed = list(self.pool_masks)
-        # the tables of all avoided copies; see _add_copies, _counting_tables
+        self.allowed = [(1 << m) - 1] * m
+        # the tables of all avoided copies: each pattern's _copy_table, its
+        # bits shifted past the copies numbered before it
         self.kill = [[0] * m for _ in range(m)]  # per edge and image, the copies it destroys
         self.second = [0] * m  # per edge, the copies whose second-to-last edge it is
-        self.destroyers: list[int] = []  # per copy, the images that destroy it at its last edge
-        self.ends: list[int] = []  # per copy, its last edge
+        self.ends = ()  # per copy, its last edge
+        self.destroyers = ()  # per copy, the images that destroy it at its last edge
         through = [0] * m  # per edge, the copies that contain it
         for rel, P in spec.avoid:
-            if P.k <= spec.n:
-                self._add_copies(rel, P, through)
+            if P.k > n:
+                continue
+            p_through, p_second, p_allowed, at, ends, destroyers = _copy_table(rel, P.graph, n)
+            off, hits = len(self.ends), _KILLS[rel][0]
+            for e, te in enumerate(p_through):
+                through[e] |= te << off
+                self.second[e] |= p_second[e] << off
+                self.allowed[e] &= p_allowed[e]
+                row = hits(p_through, at, e, n)
+                self.kill[e] = [k | (te & h) << off for k, h in zip(self.kill[e], row)]
+            self.ends += ends
+            self.destroyers += destroyers
         self._cut_pools()
         self.floor, self.maxdiff = self._counting_tables(len(self.ends), through, self.kill)
         self.destroyed = 0  # the bitmask of the destroyed copies
@@ -377,47 +443,9 @@ class _Engine:
             kept = {}
             for x in pool:
                 kept.setdefault((x != e, row[x]), x)
-            self.pools[e] = cut = list(kept.values())
-            self.pool_masks[e] = mask = sum(1 << x for x in cut)
-            self.allowed[e] &= mask
-
-    def vertex_edges(self, vertices) -> int:
-        """The edges touching any of ``vertices``."""
-        out = 0
-        for v in vertices:
-            out |= self.at_vertex[v]
-        return out
-
-    def _add_copies(self, rel: str, P: PatternGraph, through: list[int]) -> None:
-        """Number the copies of P in K_n after those already numbered, and
-        add them to the tables under relation ``rel``."""
-        kills = _KILLS[rel]
-        # per edge, the new copies grouped by the images that destroy them there
-        groups: list[dict[int, int]] = [{} for _ in range(self.m_edges)]
-        pairs = P.graph.pairs()
-        for emb in enumerate_copies(P, SimpleGraph.complete(self.n)):
-            emask = 0
-            for a, b in pairs:
-                emask |= 1 << edge_id(emb[a], emb[b])
-            bit = 1 << len(self.ends)
-            for e in mask_bits(emask):
-                through[e] |= bit
-                dm = kills(self, e, emb, emask)
-                groups[e][dm] = groups[e].get(dm, 0) | bit
-            # edges come in id order, so dm is the last edge's kill column
-            self.destroyers.append(dm)
-            f = emask.bit_length() - 1
-            self.ends.append(f)
-            rest = emask & ~(1 << f)
-            if rest:
-                self.second[rest.bit_length() - 1] |= bit
-            else:
-                # a one-edge copy constrains its edge from the start
-                self.allowed[f] &= dm
-        for row, group in zip(self.kill, groups):
-            for dm, copies in group.items():
-                for x in mask_bits(dm):
-                    row[x] |= copies
+            self.pools[e] = list(kept.values())
+        self.pool_masks = [sum(1 << x for x in pool) for pool in self.pools]
+        self.allowed = [a & p for a, p in zip(self.allowed, self.pool_masks)]
 
     def _counting_tables(self, total: int, through: list[int], kill: list[list[int]]):
         """``floor[e]``, the fewest copies that can be destroyed once edges
@@ -971,6 +999,7 @@ def compute_parameter(
 
     label = _parameter_label(name, G, H, d)
     klass, avoid = _avoidance_form(name, G, H, d)
+    _deadline(options.budget)  # refuse a nonsense budget even if no host is searched
 
     scan_cap = ENVELOPE[klass.kind]
     if name == "z" and options.budget is not None:

@@ -203,11 +203,15 @@ def _avoiders(n, avoid, maps):
 
 
 # the specs whose kill rows are read: each relation alone on one pattern,
-# and two relations at once, whose copies share one numbering
+# and two or three relations at once, whose copies share one numbering; the
+# last lists K1,2 twice, so its second table is read at a nonzero offset
 KILL_SPECS = {
     "K1,2": [((rel, "K1,2"),) for rel in detect.RELATIONS],
     "2K2": [((rel, "2K2"),) for rel in detect.RELATIONS],
     "fixed:K1,2+free:2K2": [(("fixed", "K1,2"), ("free", "2K2"))],
+    "fixed:K1,2+free:K1,2+exclusive:2K2": [
+        (("fixed", "K1,2"), ("free", "K1,2"), ("exclusive", "2K2"))
+    ],
 }
 
 
@@ -215,11 +219,11 @@ KILL_SPECS = {
 def test_kill_rows_read_every_relation(specs):
     # one kill rule per relation, and each one's kill rows destroy a copy
     # exactly where the reference says the edge breaks the relation; the
-    # copies are numbered pattern by pattern in avoid order
+    # copies are numbered pattern by pattern in avoid order, and a copy's
+    # destroyers are its column of its last edge's kill row
     assert set(search._KILLS) == set(detect.RELATIONS)
-    n = 4
-    m = edge_count(n)
-    for avoid in specs:
+    for n, avoid in itertools.product((4, 5), specs):
+        m = edge_count(n)
         avoid = tuple((rel, make_pattern(p)) for rel, p in avoid)
         numbered = []
         for rel, P in avoid:
@@ -235,7 +239,39 @@ def test_kill_rows_read_every_relation(specs):
             for e in range(m):
                 for x in range(m):
                     breaks = e in eids and not _edge_holds(rel, e, x, eids, verts)
-                    assert (engine.kill[e][x] >> c & 1) == breaks, (rel, eids, e, x)
+                    assert (engine.kill[e][x] >> c & 1) == breaks, (n, rel, eids, e, x)
+            f = engine.ends[c]
+            assert f == max(eids)
+            column = sum(1 << x for x in range(m) if engine.kill[f][x] >> c & 1)
+            assert engine.destroyers[c] == column, (n, rel, eids)
+
+
+def _tables(engine):
+    names = "kill second ends destroyers allowed pools pool_masks floor maxdiff"
+    return [getattr(engine, name) for name in names.split()]
+
+
+def test_copy_tables_are_not_shared_between_engines():
+    # spec B shares the free K1,2 table with spec A; B's engine reads it
+    # from the cache after A's walk, writes into A's lists leak nowhere,
+    # and B's tables equal those of a build from an empty cache
+    n = 5
+    P3, M2 = make_pattern("K1,2"), make_pattern("2K2")
+    spec_a = AvoidanceSpec(n, ALL, (("fixed", M2), ("free", P3)))
+    spec_b = AvoidanceSpec(n, ALL, (("free", P3), ("exclusive", M2)))
+    search._copy_table.cache_clear()
+    expect = _tables(search._Engine(spec_b))
+    search._copy_table.cache_clear()
+    a = search._Engine(spec_a)
+    a.run()
+    a.kill[0][1] = a.kill[3][3] = -1
+    a.allowed[2] = 0
+    b = search._Engine(spec_b)
+    assert _tables(b) == expect
+    b.kill[1][0] = -1
+    b.allowed[0] = 0
+    assert _tables(search._Engine(spec_b)) == expect
+    assert search._copy_table.cache_info().hits > 0
 
 
 @pytest.mark.parametrize("kind", MappingClass.KINDS)
@@ -408,6 +444,11 @@ def test_nonsense_options_refused():
     for budget in (-1, float("inf")):
         with pytest.raises(ValueError, match="budget"):
             compute_parameter("z", K3, K3, options=SearchOptions(budget=budget))
+    # a scan that searches no host refuses the budget too
+    with pytest.raises(ValueError, match="budget"):
+        compute_parameter("z", K3, K3, n_max=2, options=SearchOptions(budget=-1))
+    with pytest.raises(ValueError, match="budget"):
+        compute_parameter("w", make_pattern("K1,2"), n_max=3, options=SearchOptions(budget=-1))
     # an empty class refuses the budget too, before it answers
     with pytest.raises(ValueError, match="budget"):
         exists_avoiding(AvoidanceSpec(3, DISJ, EXCL_P3), SearchOptions(budget=-1))
