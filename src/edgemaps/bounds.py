@@ -6,7 +6,9 @@ arithmetic is exact (ints and Fractions; floats are rejected).  The only
 real-valued outputs are the asymptotic lower bounds, and those are flagged
 rather than certified.  ``CERTIFIERS`` at the end lists, per parameter and
 in precedence order, which certifier asserts "parameter <= n" on a pattern
-pair; the search's parameter brackets and the reproduce cross-check read it.
+pair; the reproduce cross-check and ``edgemaps bound certify`` read it, and
+``certify_at``, which the search's parameter brackets and that command ask
+which entry wins at a host, is the one reader of its precedence.
 """
 
 from __future__ import annotations
@@ -611,3 +613,21 @@ CERTIFIERS = (
     Certifier("m_star", None, "exclusive-star tally certifier", _exclusive_star),
     Certifier("m_star", None, "exclusive-matching count certifier", _exclusive_matching),
 )
+
+
+def certifiers_of(name: str, d: int) -> tuple[Certifier, ...]:
+    """The ``CERTIFIERS`` entries of parameter ``name`` (and of overlap
+    budget ``d``, for g), in precedence order."""
+    return tuple(c for c in CERTIFIERS if c.parameter == name and c.d in (None, d))
+
+
+def certify_at(
+    name: str, G: PatternGraph, H: PatternGraph | None, d: int, n: int
+) -> tuple[str, tuple[str, ...]] | None:
+    """The name and flags of the first of ``certifiers_of(name, d)`` that
+    asserts the parameter is at most n, or None when none does."""
+    for c in certifiers_of(name, d):
+        flags = c.fires(G, H, n)
+        if flags is not None:
+            return c.name, flags
+    return None

@@ -16,15 +16,9 @@ from fractions import Fraction
 
 from . import constructions, detect
 from .bounds import (
+    certifiers_of,
+    certify_at,
     ex_value,
-    exclusive_matching_certify,
-    exclusive_star_certify,
-    free_star_certify,
-    g_degree_check,
-    g_matching_certify,
-    g_strong_check,
-    g_strong_sound,
-    m_counting_certify,
     tree_star_exclusive_upper,
     w_bounds,
     w_clique_bounds,
@@ -199,40 +193,23 @@ def _cmd_bound(args) -> int:
             n=args.n, pattern=args.pattern, value=exg.value,
             source=exg.source, flags=list(exg.flags),
         )
-    elif op == "g-degree":
-        P = _pattern_arg(args.pattern)
-        record.update(pattern=args.pattern, n=args.n, certified=g_degree_check(P, args.n))
-    elif op == "g-matching":
-        record.update(t=args.t, n=args.n, certified=g_matching_certify(args.t, args.n))
-    elif op == "g-strong":
+    elif op == "certify":
+        G = _pattern_arg(args.g)
+        H = _pattern_arg(args.h) if args.h else None
+        if (H is None) != (args.parameter == "g"):
+            raise ValueError("g takes --g alone; m and m_star need --h as well")
         record.update(
-            k=args.k, m=args.m, n=args.n,
-            arithmetic=g_strong_check(args.k, args.m, args.n),
-            certified=g_strong_sound(args.k, args.m, args.n),
+            parameter=args.parameter, g=args.g, h=args.h,
+            d=args.d if H is None else None, n=args.n,
         )
-    elif op == "free-star":
-        exg = ex_value(args.n, _pattern_arg(args.pattern))
+        rows = []
+        for c in certifiers_of(args.parameter, args.d):
+            flags = c.fires(G, H, args.n)
+            rows.append({"certifier": c.name, "fires": flags is not None, "flags": list(flags or ())})
+        first = certify_at(args.parameter, G, H, args.d, args.n)
         record.update(
-            pattern=args.pattern, n=args.n, r=args.r, ex=exg.value,
-            flags=list(exg.flags), certified=free_star_certify(args.n, exg.value, args.r),
-        )
-    elif op == "m-counting":
-        exg = ex_value(args.n, _pattern_arg(args.pattern))
-        record.update(
-            pattern=args.pattern, h=args.h, n=args.n, ex=exg.value, flags=list(exg.flags),
-            certified=m_counting_certify(args.n, exg.value, _pattern_arg(args.h)),
-        )
-    elif op == "exclusive-star":
-        exg = ex_value(args.n, _pattern_arg(args.pattern))
-        record.update(
-            pattern=args.pattern, n=args.n, r=args.r, ex=exg.value, flags=list(exg.flags),
-            certified=exclusive_star_certify(args.n, exg.value, args.r),
-        )
-    elif op == "exclusive-matching":
-        exg = ex_value(args.n, _pattern_arg(args.pattern))
-        record.update(
-            pattern=args.pattern, n=args.n, t=args.t, ex=exg.value, flags=list(exg.flags),
-            certified=exclusive_matching_certify(args.n, exg.value, args.t),
+            certifiers=rows,
+            first=None if first is None else {"certifier": first[0], "flags": list(first[1])},
         )
     elif op == "w-star":
         record.update(r=args.r, upper=w_star_upper(args.r))
@@ -387,13 +364,10 @@ def _parser() -> argparse.ArgumentParser:
     intreq = {"type": int, "required": True}
     patreq = {"required": True}
     bound_op("ex", n=intreq, pattern=patreq)
-    bound_op("g-degree", pattern=patreq, n=intreq)
-    bound_op("g-matching", t=intreq, n=intreq)
-    bound_op("g-strong", k=intreq, m=intreq, n=intreq)
-    bound_op("free-star", pattern=patreq, n=intreq, r=intreq)
-    bound_op("m-counting", pattern=patreq, h=patreq, n=intreq)
-    bound_op("exclusive-star", pattern=patreq, n=intreq, r=intreq)
-    bound_op("exclusive-matching", pattern=patreq, n=intreq, t=intreq)
+    q = bound_op(
+        "certify", g=patreq, h={}, d={"type": int, "default": 1, "choices": (0, 1)}, n=intreq
+    )
+    q.add_argument("parameter", choices=("m", "m_star", "g"))
     bound_op("w-star", r=intreq)
     bound_op("w-clique", k=intreq)
     bound_op("w-general", k=intreq, m=intreq)

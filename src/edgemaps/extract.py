@@ -142,41 +142,28 @@ def independent_set_d1(D: FunctionalDigraph) -> list[int]:
         if edges == len(comp) - 1:
             out.extend(_larger_side(comp[0], adj))
         else:
-            out.extend(_unicyclic_class(comp, adj))
+            u, v = _find_cycle_edge(comp[0], {x: set(adj[x]) for x in comp})
+            out.extend(_larger_side(u, adj, (u, v)))
     return sorted(out)
 
 
-def _larger_side(root: int, adj) -> list[int]:
+def _larger_side(root: int, adj, cut: tuple[int, int] | None = None) -> list[int]:
+    """The larger side, side 0 on a tie, of the DFS 2-coloring from root.
+    ``cut`` = (root, v) is a cycle edge of a unicyclic component: the walk
+    leaves it out, and a seam it leaves inside one side moves root to a
+    third color, so the side returned is independent."""
     side = {root: 0}
     stack = [root]
     while stack:
         x = stack.pop()
         for y in adj[x]:
-            if y not in side:
+            if y not in side and cut not in ((x, y), (y, x)):
                 side[y] = side[x] ^ 1
                 stack.append(y)
+    if cut is not None and side[root] == side[cut[1]]:
+        side[root] = 2
     zero = [v for v, s in side.items() if s == 0]
     one = [v for v, s in side.items() if s == 1]
-    return zero if len(zero) >= len(one) else one
-
-
-def _unicyclic_class(comp: list[int], adj) -> list[int]:
-    # remove one cycle edge, 2-color the tree, patch the seam with a 3rd color
-    u, v = _find_cycle_edge(comp[0], {x: set(adj[x]) for x in comp})
-    side = {u: 0}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if (x, y) in ((u, v), (v, u)):
-                continue
-            if y not in side:
-                side[y] = side[x] ^ 1
-                stack.append(y)
-    if side[u] == side[v]:
-        side[u] = 2
-    zero = [x for x, s in side.items() if s == 0]
-    one = [x for x, s in side.items() if s == 1]
     return zero if len(zero) >= len(one) else one
 
 

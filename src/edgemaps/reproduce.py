@@ -229,10 +229,12 @@ def _run_star_two_exact(ctx: RunContext) -> list[ClaimResult]:
 def _run_triangle_ramsey(ctx: RunContext) -> list[ClaimResult]:
     t = complete(3)
     klass, avoid = _avoidance_form("z", t, t, 1)
+    opts = ctx.options()
     good5, good6 = (
-        exists_avoiding(AvoidanceSpec(n, klass, avoid)).verdict == "WITNESS" for n in (5, 6)
+        exists_avoiding(AvoidanceSpec(n, klass, avoid), opts).verdict == "WITNESS"
+        for n in (5, 6)
     )
-    rep = compute_parameter("z", t, t)
+    rep = compute_parameter("z", t, t, options=opts)
     lo = rep.lower.value if rep.lower else None
     hi = rep.upper.value if rep.upper else None
     return [

@@ -42,8 +42,9 @@ lead to against brute-force enumeration of every mapping in the class:
   group as a bitmask over the indices of those permutations, so narrowing
   it and asking whether some member sends an image lower are one AND each
   with a per-edge mask (``_symmetry_masks``).  Above n = 8 the walk uses
-  the identity alone, until the per-node cost of this filtering is
-  measured there;
+  the identity alone.  That cost was measured at n = 9 (BENCH_23.json,
+  ``symmetry_n9``): on two 20 s walks the group pruned 1-2% of the nodes
+  but walked 9-17% fewer nodes per second and took 60 ms to build cold;
 * counting: copies still needing a destroyer, of all relations at once,
   must not outnumber the destructions the remaining edges can perform.
   Every copy must be destroyed by the leaf, and an image of edge f
@@ -123,10 +124,11 @@ from operator import or_
 from . import constructions, detect
 from .bounds import (
     ASSUMED_TREE_DENSITY,
-    CERTIFIERS,
     Bound,
     BoundReport,
     _is_tree,
+    # perfbench/worker.py profiles the certifiers under this name
+    certify_at as _certify_at,
     tree_star_exclusive_upper,
     w_bounds,
     w_clique_bounds,
@@ -285,22 +287,29 @@ def _edge_rule(images):
     """The kill forms of a relation that reads only an edge's own image: a
     copy through e dies at e when e's image is in ``images(e, n)``."""
 
-    def hits(through, at, e, n):
-        s = images(e, n)
-        return [-(s >> x & 1) for x in range(edge_count(n))]
+    def hits(through, at, n):
+        m = edge_count(n)
+        for e in range(m):
+            s = images(e, n)
+            yield [-(s >> x & 1) for x in range(m)]
 
     return hits, lambda ends, edges, embs, n: [images(f, n) for f in ends]
 
 
 # Per relation, its kill rule in closed form over one pattern's copies in
 # K_n.  By image x, the copies x destroys at an edge e of theirs:
-# kill[e][x] = through[e] & hits(through, at, e, n)[x], -1 being every copy.
-# By copy, from the copies' last edges, edge masks and embeddings, the
-# images that destroy it at its last edge: its column of that edge's row.
+# kill[e][x] = through[e] & row[x], row being the e-th row that
+# hits(through, at, n) yields and -1 every copy; a free or exclusive copy
+# dies by a row that does not depend on e, so every edge shares one.  By
+# copy, from the copies' last edges, edge masks and embeddings, the images
+# that destroy it at its last edge: its column of that edge's row.
 _KILLS = {
-    "free": (lambda through, at, e, n: through, lambda ends, edges, embs, n: edges),
+    "free": (
+        lambda through, at, n: [through] * len(through),
+        lambda ends, edges, embs, n: edges,
+    ),
     "exclusive": (
-        lambda through, at, e, n: [at[u] | at[w] for u, w in edge_table(n)[0]],
+        lambda through, at, n: [[at[u] | at[w] for u, w in edge_table(n)[0]]] * len(through),
         lambda ends, edges, embs, n: [_touching(emb, n) for emb in embs],
     ),
     "fixed": _edge_rule(lambda e, n: (1 << edge_count(n)) - 1 ^ 1 << e),
@@ -402,12 +411,11 @@ class _Engine:
             if P.k > n:
                 continue
             p_through, p_second, p_allowed, at, ends, destroyers = _copy_table(rel, P.graph, n)
-            off, hits = len(self.ends), _KILLS[rel][0]
-            for e, te in enumerate(p_through):
+            off, rows = len(self.ends), _KILLS[rel][0](p_through, at, n)
+            for e, (te, row) in enumerate(zip(p_through, rows)):
                 through[e] |= te << off
                 self.second[e] |= p_second[e] << off
                 self.allowed[e] &= p_allowed[e]
-                row = hits(p_through, at, e, n)
                 self.kill[e] = [k | (te & h) << off for k, h in zip(self.kill[e], row)]
             self.ends += ends
             self.destroyers += destroyers
@@ -921,18 +929,6 @@ def _construction_thunks(name: str, G: PatternGraph, H: PatternGraph | None, d: 
                     lambda k=G.k, r=r: constructions.cycle_decomp_star_exclusive(k, r)
                 )
     return thunks
-
-
-def _certify_at(
-    name: str, G: PatternGraph, H: PatternGraph | None, d: int, n: int
-) -> tuple[str, tuple[str, ...]] | None:
-    """Which certifier, if any, asserts the parameter is at most n."""
-    for c in CERTIFIERS:
-        if c.parameter == name and c.d in (None, d):
-            flags = c.fires(G, H, n)
-            if flags is not None:
-                return c.name, flags
-    return None
 
 
 def _closed_form_uppers(

@@ -6,6 +6,7 @@ import warnings
 import pytest
 
 from edgemaps import cli, detect
+from edgemaps.bounds import ASSUMED_TREE_DENSITY, EXTERNAL_CAPACITY
 from edgemaps.graphs import make_pattern
 from edgemaps.mapping import EdgeMapping, MappingClass, format_mapping, parse_mapping, random_mapping
 from edgemaps.reproduce import ClaimResult, RunRecord
@@ -139,6 +140,99 @@ def test_bound_closed_forms(capsys):
     code, raw, _ = run_cli(capsys, "bound", "tree-star", "--k", "3", "--r", "2", "--json")
     assert code == 0
     assert json.loads(raw)["upper"] == 8
+
+
+def test_bound_report_shapes(capsys):
+    code, raw, _ = run_cli(capsys, "bound", "w-clique", "--k", "4", "--json")
+    assert code == 0
+    record = json.loads(raw)
+    assert record["k"] == 4
+    assert set(record["report"]) == {"parameter", "lower", "upper", "status"}
+    assert record["report"]["upper"]["value"] == 26
+    assert record["report"]["lower"]["flags"]
+    code, raw, _ = run_cli(capsys, "bound", "w-general", "--k", "4", "--m", "3", "--json")
+    assert code == 0
+    record = json.loads(raw)
+    assert (record["k"], record["m"]) == (4, 3)
+    assert record["report"]["parameter"] == "w(k=4,m=3)"
+    assert record["report"]["upper"] == {"value": 14, "provenance": "closed form", "flags": []}
+    code, raw, _ = run_cli(
+        capsys, "bound", "capacity", "--n", "4", "--pattern", "K1,2", "--exclusive", "--json"
+    )
+    assert code == 0
+    record = json.loads(raw)
+    assert set(record) == {
+        "op", "n", "pattern", "relation", "value", "exact", "flags", "witness",
+    }
+    assert record["relation"] == "exclusive" and record["exact"] is True
+    assert isinstance(record["value"], int) and len(record["witness"]) == 6
+
+
+# The rows of test_search.test_certify_at_first_fire: parameter and patterns,
+# the least host the certifier clears, and its flags there.
+CERTIFY_FIRST_FIRES = [
+    (("g", "--g", "K1,2", "--d", "0"), 4, "moved-clear counting certifier", []),
+    (("g", "--g", "K1,3"), 6, "degree-profile certifier", []),
+    (("g", "--g", "3K2"), 7, "matching-count certifier", []),
+    (("m", "--g", "K4-K2", "--h", "K1,2"), 7, "free-star tally certifier", []),
+    (("m", "--g", "K1,2", "--h", "2K2"), 5, "copy-counting certifier", []),
+    (("m_star", "--g", "P4", "--h", "K2"), 4, "exclusive-matching count certifier", []),
+    (("m_star", "--g", "K1,2", "--h", "K1,2"), 7, "exclusive-star tally certifier", []),
+    (("m", "--g", "K4", "--h", "2K2"), 10, "moved-support budget certifier",
+     [EXTERNAL_CAPACITY]),
+]
+
+
+@pytest.mark.parametrize("argv,n,certifier,flags", CERTIFY_FIRST_FIRES)
+def test_bound_certify_first_fire(argv, n, certifier, flags, capsys):
+    code, raw, _ = run_cli(capsys, "bound", "certify", *argv, "--n", str(n), "--json")
+    assert code == 0
+    record = json.loads(raw)
+    assert record["first"] == {"certifier": certifier, "flags": flags}
+    # first is the first listed entry that fires
+    fired = [row for row in record["certifiers"] if row["fires"]]
+    assert fired[0] == {"certifier": certifier, "fires": True, "flags": flags}
+    code, raw, _ = run_cli(capsys, "bound", "certify", *argv, "--n", str(n - 1), "--json")
+    assert code == 0
+    record = json.loads(raw)
+    assert record["first"] is None
+    assert not any(row["fires"] for row in record["certifiers"])
+
+
+def test_bound_certify_assumes_tree_density(capsys):
+    # no exact extremal count of P5 at n = 12; the registry's free-star tally
+    # fires on the tree density assumption and says so
+    argv = ("bound", "certify", "m", "--g", "P5", "--h", "K1,3", "--n", "12")
+    code, raw, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    record = json.loads(raw)
+    assert record["first"] == {
+        "certifier": "free-star tally certifier", "flags": [ASSUMED_TREE_DENSITY],
+    }
+    assert [row["certifier"] for row in record["certifiers"]] == [
+        "free-star tally certifier", "copy-counting certifier", "moved-support budget certifier",
+    ]
+    code, text, _ = run_cli(capsys, *argv)
+    assert code == 0
+    for key in ("op", "parameter", "g", "h", "d", "n"):
+        assert f"{key}: {record[key]}" in text.splitlines()
+    for row in record["certifiers"]:
+        block = "\n".join(f"  {key}: {value}" for key, value in row.items())
+        assert block in text
+    assert "first:\n  certifier: free-star tally certifier\n" in text
+    assert f"  flags: {record['first']['flags']}" in text
+
+
+def test_bound_certify_usage_errors(capsys):
+    code, _, err = run_cli(capsys, "bound", "certify", "m", "--g", "K3", "--n", "7")
+    assert code == cli.EXIT_USAGE and "--h" in err
+    code, _, err = run_cli(
+        capsys, "bound", "certify", "g", "--g", "K3", "--h", "K3", "--n", "7"
+    )
+    assert code == cli.EXIT_USAGE and "--g alone" in err
+    with pytest.raises(SystemExit):
+        cli._parser().parse_args(["bound", "g-degree", "--pattern", "K3", "--n", "7"])
+    capsys.readouterr()
 
 
 def test_compute_json_matches_text(capsys):

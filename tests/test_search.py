@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgemaps import detect, search
+from edgemaps import bounds, detect, search
 from edgemaps.bounds import EXTERNAL_CAPACITY
 from edgemaps.graphs import (
     SimpleGraph,
@@ -929,7 +929,6 @@ def test_compute_parameter_reports_gaps_honestly():
         ("m", "K1,2", "2K2", 1, 5, "copy-counting certifier", ()),
         ("m_star", "P4", "K2", 1, 4, "exclusive-matching count certifier", ()),
         ("m_star", "K1,2", "K1,2", 1, 7, "exclusive-star tally certifier", ()),
-        # n = 9 would need the slow n = 9 extremal oracle, so only n is checked
         (
             "m", "K4", "2K2", 1, 10, "moved-support budget certifier",
             (EXTERNAL_CAPACITY,),
@@ -940,9 +939,8 @@ def test_certify_at_first_fire(name, G, H, d, n, certifier, flags):
     # one case per certifier: the least host it clears, and silence below
     G = make_pattern(G)
     H = None if H is None else make_pattern(H)
-    assert search._certify_at(name, G, H, d, n) == (certifier, flags)
-    if certifier != "moved-support budget certifier":
-        assert search._certify_at(name, G, H, d, n - 1) is None
+    assert bounds.certify_at(name, G, H, d, n) == (certifier, flags)
+    assert bounds.certify_at(name, G, H, d, n - 1) is None
 
 
 def test_compute_parameter_flags_assumed_density():
