@@ -392,7 +392,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--g", required=True, help="first pattern")
     p.add_argument("--h", help="second pattern (m, m_star, z)")
     p.add_argument("--d", type=int, default=1, choices=(0, 1), help="overlap budget for g")
-    p.add_argument("--n-max", type=int, dest="n_max")
+    p.add_argument("--n-max", type=int, dest="n_max", help="largest host to search or certify")
     p.add_argument("--budget", type=float, default=60.0, help="seconds per host")
     p.add_argument("--workers", type=int, default=default_workers)
     p.add_argument("--json", action="store_true")

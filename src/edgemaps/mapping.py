@@ -118,17 +118,11 @@ class MappingClass:
     def is_empty(self, n: int) -> bool:
         """Whether no mapping of K_n satisfies the restriction.
 
-        For n <= 1 there are no edges, so the empty mapping satisfies anything.
-        overlap_le_1 needs some edge fully off e's endpoints or sharing one,
-        which first happens at n = 3; disjoint needs 4 vertices.
+        The class is a rule on each edge separately, so it is empty exactly
+        when some edge has no admissible image.  For n <= 1 there are no
+        edges, so the empty mapping satisfies anything.
         """
-        if n <= 1:
-            return False
-        if self.kind == "overlap_le_1":
-            return n < 3
-        if self.kind == "disjoint":
-            return n < 4
-        return False
+        return not all(admissible_images(self, n))
 
 
 @lru_cache(maxsize=64)

@@ -49,6 +49,7 @@ from .search import (
     AvoidanceSpec,
     SearchOptions,
     _avoidance_form,
+    _deadline,
     _parameter_label,
     compute_parameter,
     exists_avoiding,
@@ -122,6 +123,10 @@ class RunContext:
     seed: int = DEFAULT_SEED
     budget: float | None = None
     workers: int = 1
+
+    def __post_init__(self):
+        # refused as every search refuses them, also by entries that run none
+        _deadline(self.options().budget)
 
     def options(self) -> SearchOptions:
         return SearchOptions(budget=self.budget, workers=self.workers)

@@ -36,15 +36,18 @@ lead to against brute-force enumeration of every mapping in the class:
   not change;
 * prefix-stabilizer symmetry: candidate images of the branching edge are
   reduced to orbit minima under vertex permutations that stabilize the
-  partial assignment.  The group starts as the stabilizer of edge 0, built
-  directly (``_edge_perms``), and each assigned edge narrows it to the
-  permutations that also fix that edge and its image.  The walk holds the
-  group as a bitmask over the indices of those permutations, so narrowing
-  it and asking whether some member sends an image lower are one AND each
-  with a per-edge mask (``_symmetry_masks``).  Above n = 8 the walk uses
-  the identity alone.  That cost was measured at n = 9 (BENCH_23.json,
+  partial assignment.  The group starts as the stabilizer of edge 0, and
+  each assigned edge narrows it to the permutations that also fix that
+  edge and its image.  The walk holds the group as a bitmask over the
+  indices of those permutations, so narrowing it and asking whether some
+  member sends an image lower are one AND each with a per-edge mask;
+  ``_symmetry`` builds the group and the masks straight from which
+  permutations send each vertex where.  Above n = 8 the walk uses the
+  identity alone.  That cost was measured at n = 9 (BENCH_23.json,
   ``symmetry_n9``): on two 20 s walks the group pruned 1-2% of the nodes
-  but walked 9-17% fewer nodes per second and took 60 ms to build cold;
+  but walked 9-17% fewer nodes per second.  ``_symmetry`` would build it
+  there in about 20-25 ms cold, against 60 ms for the permutation tuples
+  it replaced;
 * counting: copies still needing a destroyer, of all relations at once,
   must not outnumber the destructions the remaining edges can perform.
   Every copy must be destroyed by the leaf, and an image of edge f
@@ -242,33 +245,36 @@ class _Timeout(Exception):
 
 
 @lru_cache(maxsize=4)
-def _edge_perms(n: int) -> tuple[tuple[int, ...], ...]:
-    """The stabilizer of edge 0 = {0, 1}: the 2·(n − 2)! vertex
-    permutations that map {0, 1} to itself, in lexicographic order, as
-    permutations of edge ids.  The walk's depth 0 fixes edge 0, so it needs
-    no other permutation.  Below n = 2 it is the one empty permutation."""
-    if n < 2:
-        return ((),)
-    ids = pair_ids(n)
-    rows = [ids[u * n : (u + 1) * n] for u in range(n)]
-    pairs = edge_table(n)[0]
+def _symmetry(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The walk's symmetry group at depth 0 and the masks that narrow it.
+
+    The group is the stabilizer of edge 0 = {0, 1}: the 2·(n − 2)! vertex
+    permutations ``h + rest`` that map {0, 1} to itself, numbered in
+    lexicographic order, held as the bitmask of all their numbers.  The
+    walk's depth 0 fixes edge 0, so it needs no other permutation.  Per edge
+    e, ``fix[e]`` holds the permutations that send e to itself and
+    ``lower[e]`` those that send it to a lower id, so a group narrows to the
+    permutations fixing e with one AND, and some permutation in it sends e
+    lower when it meets ``lower[e]``.  Below n = 2 and above n = 8 the group
+    is the identity alone, so no image is dropped by ``symmetry`` there.
+    """
+    m = edge_count(n)
+    if not 2 <= n <= 8:
+        return 1, (1,) * m, (0,) * m
+    # at[v][w]: the permutations that send vertex v to w
+    at = [[0] * n for _ in range(n)]
     stab = (h + rest for h in ((0, 1), (1, 0)) for rest in permutations(range(2, n)))
-    return tuple(tuple(rows[s[u]][s[v]] for u, v in pairs) for s in stab)
-
-
-@lru_cache(maxsize=4)
-def _symmetry_masks(perms: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per edge e, ``fix[e]``, the bitmask of the j with perms[j][e] = e, and
-    ``lower[e]``, that of the j with perms[j][e] < e.  A group held as a
-    bitmask over ``perms`` narrows to the permutations fixing e with one
-    AND, and some permutation in it sends e lower when it meets
-    ``lower[e]``."""
+    for j, s in enumerate(stab):
+        for v, w in enumerate(s):
+            at[v][w] |= 1 << j
+    pairs = edge_table(n)[0]
     fix, lower = [], []
-    for e, images in enumerate(zip(*perms)):
-        # bit j of the int is the character at position -1 - j
-        fix.append(int("".join("1" if y == e else "0" for y in reversed(images)), 2))
-        lower.append(int("".join("1" if y < e else "0" for y in reversed(images)), 2))
-    return tuple(fix), tuple(lower)
+    for e, (u, v) in enumerate(pairs):
+        # the permutations that send e onto each edge up to e itself
+        onto = [at[u][a] & at[v][b] | at[u][b] & at[v][a] for a, b in pairs[: e + 1]]
+        fix.append(onto.pop())
+        lower.append(reduce(or_, onto, 0))
+    return (1 << 2 * math.factorial(n - 2)) - 1, tuple(fix), tuple(lower)
 
 
 @lru_cache(maxsize=16)
@@ -422,11 +428,7 @@ class _Engine:
         self._cut_pools()
         self.floor, self.maxdiff = self._counting_tables(len(self.ends), through, self.kill)
         self.destroyed = 0  # the bitmask of the destroyed copies
-        # the symmetry group at depth 0, as a bitmask over the indices of
-        # _initial_group's permutations, and the masks that narrow it
-        perms = tuple(self._initial_group())
-        self.group = (1 << len(perms)) - 1
-        self.fix, self.lower = _symmetry_masks(perms)
+        self.group, self.fix, self.lower = _symmetry(n)
         self.stats.table_time = time.perf_counter() - start
 
     # -- construction-time tables ------------------------------------------
@@ -608,15 +610,6 @@ class _Engine:
         later = self.roots[k:]
         del self.roots[k:]
         return [(x, self._dropped(self.root_stab, x)) for x in later]
-
-    def _initial_group(self):
-        """The symmetry group at depth 0, as a list of edge-id
-        permutations: the stabilizer of edge 0 up to n = 8, and above that
-        the identity alone, so no image is dropped by ``symmetry`` there.
-        The walk holds a group as a bitmask over this list's indices."""
-        if self.n <= 8:
-            return list(_edge_perms(self.n))
-        return [tuple(range(self.m_edges))]
 
     def run(self) -> SearchOutcome:
         start = time.perf_counter()
@@ -977,6 +970,9 @@ def compute_parameter(
     every instance decided here.  Search exactness is preferred even when a
     certifier would close the same value.  Each host's search runs under
     ``options``, 60 s by default; ``SearchOptions()`` lifts the budget.
+    ``n_max``, when given, lowers the host scan's cap to it and is the last
+    host the certifier scan tries (64 otherwise); the closed-form upper
+    bounds depend on no host and are read whatever ``n_max`` is.
 
     Every parameter is one avoidance form (``_avoidance_form``) decided by
     ``exists_avoiding``.  z(G, H), the two-color Ramsey number, is fixed G +

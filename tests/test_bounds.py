@@ -79,6 +79,11 @@ def test_ex_value_closed_forms_beyond_oracle():
     assert ex_value(12, make_pattern("2K2")).value == matching_turan(12, 2)
     assert ex_value(12, make_pattern("K1,3")).value == star_turan(12, 3)
     assert ex_value(12, make_pattern("C5")).value == 36  # bipartite max
+    # K4-K2 is K_{t+2} less a t-clique's edges with t = 2, half-square from 6t
+    near = ex_value(12, make_pattern("K4-K2"))
+    assert (near.value, near.source) == (36, "half-square closed form (host large enough)")
+    with pytest.raises(OracleLimitError):
+        ex_value(11, make_pattern("K4-K2"))
 
 
 def test_ex_value_tree_density_is_opt_in():

@@ -371,6 +371,15 @@ def test_reproduce_exit_codes(monkeypatch, capsys):
     assert code == cli.EXIT_FAIL
 
 
+@pytest.mark.parametrize("flag,value", [("--workers", "0"), ("--budget", "-3"), ("--budget", "nan")])
+def test_reproduce_refuses_nonsense_options(flag, value, capsys):
+    # tree-triangle runs no search, so only the run context can refuse them
+    code, out, err = run_cli(capsys, "reproduce", "tree-triangle", flag, value)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and flag[2:] in err
+
+
 def test_threads_env_sets_default_workers(monkeypatch):
     monkeypatch.setenv("EDGEMAP_THREADS", "3")
     args = cli._parser().parse_args(["compute", "g", "--g", "2K2"])

@@ -159,6 +159,12 @@ def test_class_emptiness():
     assert not MappingClass("disjoint").is_empty(4)
     assert MappingClass("overlap_le_1").is_empty(2)
     assert not MappingClass("all").is_empty(2)
+    # every kind on hosts 0..7: overlap_le_1 is empty only at n = 2, whose
+    # one edge has no image but itself, and disjoint at n = 2 and 3
+    empty = {("overlap_le_1", 2), ("disjoint", 2), ("disjoint", 3)}
+    for kind in MappingClass.KINDS:
+        for n in range(8):
+            assert MappingClass(kind).is_empty(n) == ((kind, n) in empty), (kind, n)
 
 
 def test_value_ok_matches_overlap():

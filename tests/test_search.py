@@ -102,6 +102,12 @@ def _no_counting(self, total, through, kill):
     return [0] * len(floor), 0
 
 
+def _no_symmetry(n):
+    """The identity's group and masks, which switch the symmetry rule off."""
+    m = edge_count(n)
+    return 1, (1,) * m, (0,) * m
+
+
 @pytest.mark.parametrize("sym,count", itertools.product((False, True), repeat=2))
 def test_devices_never_change_the_answer(monkeypatch, sym, count):
     # the two pruning devices are always on; a True here switches one off
@@ -113,9 +119,7 @@ def test_devices_never_change_the_answer(monkeypatch, sym, count):
     excl_ref = exists_avoiding(excl_spec)
     engine = search._Engine
     if sym:
-        monkeypatch.setattr(
-            engine, "_initial_group", lambda self: [tuple(range(self.m_edges))]
-        )
+        monkeypatch.setattr(search, "_symmetry", _no_symmetry)
     if count:
         monkeypatch.setattr(engine, "_counting_tables", _no_counting)
     out4 = exists_avoiding(AvoidanceSpec(4, OV1, FREE_2K2))
@@ -379,48 +383,59 @@ def test_shift_capacity_matches_brute_force(pattern, exclusive):
     assert rep.witness.images == first
 
 
+def _edge_perms(n):
+    """The reference stabilizer of edge 0 = {0, 1}: the 2·(n − 2)! vertex
+    permutations that map {0, 1} to itself, in lexicographic order, as
+    permutations of edge ids; below n = 2 the one empty permutation."""
+    if n < 2:
+        return ((),)
+    rows = [[edge_id(u, v) if u != v else -1 for v in range(n)] for u in range(n)]
+    pairs = [edge_pair(e) for e in range(edge_count(n))]
+    stab = (h + rest for h in ((0, 1), (1, 0)) for rest in itertools.permutations(range(2, n)))
+    return tuple(tuple(rows[s[u]][s[v]] for u, v in pairs) for s in stab)
+
+
+def _symmetry_masks(perms):
+    """The reference group and masks over ``perms``: every index, then per
+    edge e the indices j with perms[j][e] == e and with perms[j][e] < e."""
+    m = len(perms[0])
+    fix = tuple(sum(1 << j for j, p in enumerate(perms) if p[e] == e) for e in range(m))
+    lower = tuple(sum(1 << j for j, p in enumerate(perms) if p[e] < e) for e in range(m))
+    return (1 << len(perms)) - 1, fix, lower
+
+
 def test_edge_perms_follow_the_definition():
-    # the stabilizer of edge 0: every vertex permutation that maps edge 0
-    # to itself, as a permutation of edge ids
+    # the reference stabilizer of edge 0: every vertex permutation that maps
+    # edge 0 to itself, as a permutation of edge ids
     for n in range(1, 8):
         pairs = [edge_pair(e) for e in range(edge_count(n))]
         every = (
             tuple(edge_id(s[u], s[v]) for u, v in pairs) for s in itertools.permutations(range(n))
         )
         expect = sorted(p for p in every if not p or p[0] == 0)
-        assert sorted(search._edge_perms(n)) == expect
+        assert sorted(_edge_perms(n)) == expect
         if n >= 2:
-            assert len(search._edge_perms(n)) == 2 * math.factorial(n - 2)
+            assert len(_edge_perms(n)) == 2 * math.factorial(n - 2)
 
 
 def test_symmetry_masks_follow_the_definition():
-    # bit j of fix[e] and lower[e] reads _edge_perms(n)[j][e] == e and < e;
-    # above n = 8 the group is the identity alone, bit 0
-    avoid = (("free", make_pattern("K3")),)
-    for n in range(2, 10):
-        engine = search._Engine(AvoidanceSpec(n, ALL, avoid))
+    # the group and masks equal the reference's bit for bit up to n = 8;
+    # above it the group is the identity alone, bit 0
+    for n in range(0, 9):
+        assert search._symmetry(n) == _symmetry_masks(_edge_perms(n))
+    for n in (9, 10):
         m = edge_count(n)
-        assert len(engine.fix) == len(engine.lower) == m
-        if n <= 8:
-            perms = search._edge_perms(n)
-            assert engine.group == (1 << len(perms)) - 1
-            for e in range(m):
-                assert engine.fix[e] == sum(1 << j for j, p in enumerate(perms) if p[e] == e)
-                assert engine.lower[e] == sum(1 << j for j, p in enumerate(perms) if p[e] < e)
-        else:
-            assert engine.group == 1
-            assert engine.fix == (1,) * m and engine.lower == (0,) * m
+        assert search._symmetry(n) == (1, (1,) * m, (0,) * m)
 
 
 def test_symmetry_stops_at_n_8():
     # above n = 8 the walk has no symmetry group; builds the engines only
     avoid = (("free", make_pattern("K3")),)
     for n in range(2, 10):
-        group = search._Engine(AvoidanceSpec(n, ALL, avoid))._initial_group()
-        if n <= 8:
-            assert group == list(search._edge_perms(n))
-        else:
-            assert group == [tuple(range(edge_count(n)))]
+        engine = search._Engine(AvoidanceSpec(n, ALL, avoid))
+        assert (engine.group, engine.fix, engine.lower) == search._symmetry(n)
+        order = 2 * math.factorial(n - 2) if n <= 8 else 1
+        assert engine.group == (1 << order) - 1
 
 
 def test_nonsense_options_refused():
@@ -612,9 +627,7 @@ def test_parallel_pool_is_sized_to_the_roots(monkeypatch):
     # with symmetry off every image of edge 0 is a root: this walk ticks in
     # the second of its 8 root branches and hands the other 6 off, to at
     # most workers - 1 processes, since this one walks a branch too
-    monkeypatch.setattr(
-        search._Engine, "_initial_group", lambda self: [tuple(range(self.m_edges))]
-    )
+    monkeypatch.setattr(search, "_symmetry", _no_symmetry)
     spec = AvoidanceSpec(6, ALL, (("fixed", make_pattern("K1,2")), ("free", make_pattern("2K2"))))
     assert len(_roots(spec)) == 8
     serial = exists_avoiding(spec)
@@ -633,9 +646,7 @@ def test_each_branch_is_claimed_once(monkeypatch):
     # lower, with a branch walked twice
     claims = []
     sizes = _recording_pool(monkeypatch, claims)
-    monkeypatch.setattr(
-        search._Engine, "_initial_group", lambda self: [tuple(range(self.m_edges))]
-    )
+    monkeypatch.setattr(search, "_symmetry", _no_symmetry)
     spec = AvoidanceSpec(6, ALL, (("fixed", make_pattern("K1,2")), ("free", make_pattern("2K2"))))
     serial = exists_avoiding(spec)
     out = exists_avoiding(spec, SearchOptions(workers=4))
@@ -941,6 +952,54 @@ def test_certify_at_first_fire(name, G, H, d, n, certifier, flags):
     H = None if H is None else make_pattern(H)
     assert bounds.certify_at(name, G, H, d, n) == (certifier, flags)
     assert bounds.certify_at(name, G, H, d, n - 1) is None
+
+
+DENSITY = (bounds.ASSUMED_TREE_DENSITY,)
+
+
+@pytest.mark.parametrize(
+    "name,G,H,lower,upper",
+    [
+        (
+            "m", "K3", "K1,3",
+            (11, "construction: chromatic_blocks(chi=3,r=3) on 10 vertices", ()),
+            (11, "free-star tally certifier", ()),
+        ),
+        (
+            "g", "K1,4", None,
+            (8, "construction: euler_partition(n=7,r=4) on 7 vertices", ()),
+            (9, "degree-profile certifier", ()),
+        ),
+        (
+            "m", "P4", "K1,5",
+            (10, "construction: frobenius_tree_lower(k=4,r=5,variant=3) on 9 vertices", ()),
+            (12, "free-star tally certifier", DENSITY),
+        ),
+        (
+            "m", "P5", "K1,4",
+            (10, "construction: frobenius_tree_lower(k=5,r=4,variant=4) on 9 vertices", ()),
+            (11, "free-star tally certifier", DENSITY),
+        ),
+        (
+            "m_star", "P5", "K1,3",
+            (9, "construction: cycle_decomp_star_exclusive(k=5,r=3) on 8 vertices", ()),
+            (15, "exclusive-star tally certifier", DENSITY),
+        ),
+        # closed forms; 69 lies past the registry scan's host cap of 64
+        ("w", "K1,3", None, None, (12, "exclusive-star closed form", ())),
+        ("w", "K4", None, None, (26, "closed form", ())),
+        ("w", "K6", None, None, (121, "closed form", ())),
+        ("m_star", "P4", "K1,14", None, (69, "tree-star closed form", DENSITY)),
+    ],
+)
+def test_compute_parameter_constructions_and_closed_forms(name, G, H, lower, upper):
+    # a construction witness, re-checked, beats the floor the search sets;
+    # the closed forms' lower ends come from a budgeted scan and are not pinned
+    H = None if H is None else make_pattern(H)
+    rep = compute_parameter(name, make_pattern(G), H, options=SearchOptions(budget=2.0))
+    if lower is not None:
+        assert (rep.lower.value, rep.lower.provenance, rep.lower.flags) == lower
+    assert (rep.upper.value, rep.upper.provenance, rep.upper.flags) == upper
 
 
 def test_compute_parameter_flags_assumed_density():
