@@ -22,6 +22,7 @@ MENU = [
     ("w", "2K2", None, 1),
     ("m", "K3", "K1,2", 1),
     ("m", "P4", "K3", 1),
+    ("m", "K1,3", "K3", 1),
     ("m_star", "K1,2", "K1,3", 1),
     ("z", "K3", "K3", 1),
 ]

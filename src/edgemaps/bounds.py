@@ -317,15 +317,19 @@ def g_matching_certify(t: int, n: int) -> bool:
     return copies > comb(n, 2) * per_edge
 
 
-def g_strong_check(k: int, m: int, n: int) -> bool:
-    """Arithmetic truth of 4m(k-3) <= n(n-1)(n-2) for a k-vertex, m-edge
-    pattern on an n-vertex host.
+def g_strong_sound(k: int, m: int, n: int) -> bool:
+    """True guarantees every mapping moving each edge clear of itself leaves
+    a free copy of any k-vertex, m-edge pattern on n vertices.
 
-    CAUTION: this threshold alone does not certify that strong-shifted
-    mappings leave a free copy when n is close to k.  On four vertices the
-    pairing of each edge with its complement admits no free path or
-    matching, yet the arithmetic passes.  Use g_strong_sound to gate
-    parameter claims.
+    For k = 3 the guarantee is structural: every two edges of a 3-vertex
+    pattern share an endpoint, and each image avoids both endpoints of its
+    edge, so no image lands inside a copy.  For k >= 4 a certificate count
+    over (copy, dying edge, touched vertex) triples needs 2m(k-2) < n-2,
+    which implies the density inequality 4m(k-3) <= n(n-1)(n-2).
+
+    CAUTION: that density inequality alone does not certify anything when n
+    is close to k.  On four vertices the pairing of each edge with its
+    complement admits no free path or matching, yet the inequality holds.
     """
     if k < 3:
         raise ValueError("need k >= 3")
@@ -335,24 +339,7 @@ def g_strong_check(k: int, m: int, n: int) -> bool:
         raise ValueError("mappings clearing every edge off itself need 4 vertices")
     if n < k:
         raise ValueError("pattern does not fit in the host")
-    return 4 * m * (k - 3) <= n * (n - 1) * (n - 2)
-
-
-def g_strong_sound(k: int, m: int, n: int) -> bool:
-    """Certified variant of g_strong_check: True guarantees every mapping
-    moving each edge clear of itself leaves a free copy of any k-vertex,
-    m-edge pattern on n vertices.
-
-    For k = 3 the guarantee is structural: every two edges of a 3-vertex
-    pattern share an endpoint, and each image avoids both endpoints of its
-    edge, so no image lands inside a copy.  For k >= 4 a certificate count
-    over (copy, dying edge, touched vertex) triples needs 2m(k-2) < n-2.
-    """
-    if not g_strong_check(k, m, n):
-        return False
-    if k == 3:
-        return True
-    return 2 * m * (k - 2) < n - 2
+    return k == 3 or 2 * m * (k - 2) < n - 2
 
 
 # ---------------------------------------------------------------------------

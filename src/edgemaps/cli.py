@@ -9,6 +9,7 @@ EDGEMAP_THREADS, the default worker count for searches.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -103,22 +104,23 @@ def _emit(record: dict, as_json: bool) -> None:
 
 
 _BUILDERS = {
-    "modular_shift": (("n",), constructions.modular_shift),
-    "fixed_clique_partition": (("r", "k"), constructions.fixed_clique_partition),
-    "star_shift": (("k",), constructions.star_shift),
-    "tripartite_hall": ((), constructions.tripartite_hall),
-    "frobenius_tree_lower": (("k", "r", "variant"), constructions.frobenius_tree_lower),
-    "cycle_decomp_star_exclusive": (("k", "r"), constructions.cycle_decomp_star_exclusive),
-    "chromatic_blocks": (("chi", "r"), constructions.chromatic_blocks),
-    "k4_involution": ((), constructions.k4_involution),
-    "matching_3k2": ((), constructions.matching_3k2),
-    "pentagon_involution": ((), constructions.pentagon_involution),
-    "z7_difference": ((), constructions.z7_difference),
+    "modular_shift": constructions.modular_shift,
+    "fixed_clique_partition": constructions.fixed_clique_partition,
+    "star_shift": constructions.star_shift,
+    "tripartite_hall": constructions.tripartite_hall,
+    "frobenius_tree_lower": constructions.frobenius_tree_lower,
+    "cycle_decomp_star_exclusive": constructions.cycle_decomp_star_exclusive,
+    "chromatic_blocks": constructions.chromatic_blocks,
+    "k4_involution": constructions.k4_involution,
+    "matching_3k2": constructions.matching_3k2,
+    "pentagon_involution": constructions.pentagon_involution,
+    "z7_difference": constructions.z7_difference,
 }
 
 
 def _cmd_construct(args) -> int:
-    params, builder = _BUILDERS[args.name]
+    builder = _BUILDERS[args.name]
+    params = list(inspect.signature(builder).parameters)
     if len(args.params) != len(params):
         names = " ".join(params) if params else "(no parameters)"
         print(f"error: {args.name} takes {names}", file=sys.stderr)

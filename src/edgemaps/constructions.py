@@ -8,13 +8,19 @@ Cyclic witnesses come from one rule, ``circulant``: a mapping that
 commutes with i -> i + 1 (mod n) is fixed by the images of one edge per
 difference, as in the K4, pentagon and Z7 builders.
 
+Most other witnesses fix a union of disjoint cliques and move every other
+edge by one rule: ``_cliques`` lays the cliques out on consecutive runs of
+vertices and ``_fixing`` builds the mapping that fixes a graph's edges and
+moves the rest.  ``chromatic_blocks`` and ``frobenius_tree_lower`` are
+``euler_partition`` calls on such layouts.
+
 Helper layer: Euler circuits (Hierholzer), even-graph cycle decomposition,
 bipartite matching (Kuhn's augmenting paths), and nonnegative two-coin
 representations N = x*a + y*b.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 from . import detect, graphs
@@ -158,6 +164,25 @@ def bipartite_matching(left: int, right: int, edges: list[tuple[int, int]]) -> d
     return {u: v for v, u in match_r.items()}
 
 
+def _cliques(sizes, drop=()) -> SimpleGraph:
+    """Disjoint cliques on consecutive runs of vertices, of the given sizes,
+    less the edges whose ids are in ``drop``."""
+    edges = set()
+    start = 0
+    for size in sizes:
+        edges.update(edge_id(u, v) for u, v in combinations(range(start, start + size), 2))
+        start += size
+    return SimpleGraph(start, frozenset(edges.difference(drop)))
+
+
+def _fixing(H1: SimpleGraph, moved) -> EdgeMapping:
+    """The mapping of K_n, n = H1.n, that fixes every edge of H1 and sends
+    each other edge e to ``moved(e)``."""
+    return EdgeMapping(
+        H1.n, tuple(e if e in H1.edges else moved(e) for e in range(edge_count(H1.n)))
+    )
+
+
 # ---------------------------------------------------------------------------
 # generators
 
@@ -172,18 +197,12 @@ def modular_shift(n: int) -> ConstructionResult:
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    images = {}
-    for x1 in range(1, n + 1):
-        for y1 in range(x1 + 1, n + 1):
-            if (x1, y1) == (1, 2):
-                images[(x1, y1)] = (2, 3)
-            else:
-                z = (x1 % (y1 - 1)) + 1
-                images[(x1, y1)] = (z, y1)
-    assoc = [
-        ((x1 - 1, y1 - 1), (a - 1, b - 1)) for (x1, y1), (a, b) in images.items()
-    ]
-    f = EdgeMapping.from_pairs(n, assoc)
+
+    def moved(e: int) -> int:
+        x, y = edge_pair(e)  # {x + 1, y + 1} on vertices 1..n
+        return edge_id(1, 2) if y == 1 else edge_id((x + 1) % y, y)
+
+    f = _fixing(SimpleGraph.empty(n), moved)
     claims = [("fixed", matching(1)), ("exclusive", matching(1))]
     return _emit(f, claims, f"modular_shift(n={n})")
 
@@ -193,39 +212,25 @@ def fixed_clique_partition(r: int, k: int) -> ConstructionResult:
 
     No connected k-vertex pattern fits in a fixed component, and a shifted
     K_r would need r vertices in distinct parts with all cross images, which
-    the part count r-1 forbids.
+    the part count r-1 forbids.  A cross edge {u, v}, u < v, maps to {u, w}
+    for the next w after v, cyclically, outside u's part.
     """
     if r < 2 or k < 2:
         raise ValueError("need r >= 2 and k >= 2")
-    parts = r - 1
     size = k - 1
-    n = parts * size
+    n = (r - 1) * size
     if n == 2:
         raise ValueError("two vertices admit no shifted edge; (r,k)=(3,2) is void")
-    part_of = [v // size for v in range(n)]
-    assoc = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part_of[u] == part_of[v]:
-                assoc.append(((u, v), (u, v)))
-                continue
-            img = _next_cross(u, v, part_of, n) or _next_cross(v, u, part_of, n)
-            if img is None:
-                raise ValueError(f"no shifted image available for ({u}, {v})")
-            assoc.append(((u, v), img))
-    f = EdgeMapping.from_pairs(n, assoc)
+
+    def moved(e: int) -> int:
+        u, v = edge_pair(e)
+        w = next(w % n for w in range(v + 1, v + n) if w % n // size != u // size)
+        return edge_id(u, w)
+
+    f = _fixing(_cliques([size] * (r - 1)), moved)
     claims = [("fixed", T) for T in all_trees(k) if T.k <= n]
     claims += [("shifted", graphs.complete(r)), ("free", graphs.complete(r))]
     return _emit(f, claims, f"fixed_clique_partition(r={r},k={k})")
-
-
-def _next_cross(u: int, v: int, part_of, n: int) -> tuple[int, int] | None:
-    """Next cross edge sharing u, cycling v upward past u's part and v itself."""
-    for step in range(1, n):
-        w = (v + step) % n
-        if w != u and w != v and part_of[w] != part_of[u]:
-            return (u, w)
-    return None
 
 
 def star_shift(k: int) -> ConstructionResult:
@@ -236,16 +241,7 @@ def star_shift(k: int) -> ConstructionResult:
     """
     if k < 3:
         raise ValueError("need k >= 3")
-    x = 0
-    assoc = []
-    for u in range(k):
-        for v in range(u + 1, k):
-            if u != x:
-                assoc.append(((u, v), (u, v)))
-            else:
-                w = v % (k - 1) + 1
-                assoc.append(((x, v), (x, w)))
-    f = EdgeMapping.from_pairs(k, assoc)
+    f = _fixing(_cliques([1, k - 1]), lambda e: edge_id(0, edge_pair(e)[1] % (k - 1) + 1))
     claims = [("free", matching(2))]
     claims += [("fixed", T) for T in all_trees(k)]
     return _emit(f, claims, f"star_shift(k={k})")
@@ -258,21 +254,13 @@ def tripartite_hall() -> ConstructionResult:
     incidence graph, so a perfect matching pairs each edge e with a triangle
     through e; e then maps to the smaller-id other edge of its triangle.
     """
-    n = 9
-    parts = [(0, 1, 2), (3, 4, 5), (6, 7, 8)]
-    part_of = [v // 3 for v in range(n)]
-    cross_edges = sorted(
-        edge_id(u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if part_of[u] != part_of[v]
-    )
-    triangles = sorted(
-        (a, b, c) for a in parts[0] for b in parts[1] for c in parts[2]
-    )
+    H1 = _cliques([3, 3, 3])
+    cross_edges = sorted(H1.complement().edges)
     tri_edges = [
         frozenset((edge_id(a, b), edge_id(a, c), edge_id(b, c)))
-        for a, b, c in triangles
+        for a in range(3)
+        for b in range(3, 6)
+        for c in range(6, 9)
     ]
     pairs = [
         (i, j)
@@ -283,16 +271,7 @@ def tripartite_hall() -> ConstructionResult:
     match = bipartite_matching(len(cross_edges), len(tri_edges), pairs)
     if len(match) != len(cross_edges):
         raise RuntimeError("perfect matching between crossing edges and triangles failed")
-    assoc = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            e = edge_id(u, v)
-            if part_of[u] == part_of[v]:
-                assoc.append(((u, v), (u, v)))
-            else:
-                others = sorted(tri_edges[match[cross_edges.index(e)]] - {e})
-                assoc.append(((u, v), edge_pair(others[0])))
-    f = EdgeMapping.from_pairs(n, assoc)
+    f = _fixing(H1, lambda e: min(tri_edges[match[cross_edges.index(e)]] - {e}))
     claims = [
         ("fixed", star(3)),
         ("fixed", graphs.path(4)),
@@ -322,9 +301,7 @@ def euler_partition(
         raise ValueError("H1 and H2 must partition the complete graph's edges")
     if H2.m and max(H2.degrees) > 2 * r - 2:
         raise ValueError(f"max degree of H2 is {max(H2.degrees)} > 2r-2 = {2 * r - 2}")
-    images = {e: e for e in H1.edges}
-    images.update(_euler_successors(H2))
-    f = EdgeMapping(n, tuple(images[e] for e in range(edge_count(n))))
+    f = _fixing(H1, _euler_successors(H2).__getitem__)
     claims = [("free", star(r))]
     claims += [("fixed", P) for P in fixed_claims]
     return _emit(f, claims, f"euler_partition(n={n},r={r})")
@@ -369,12 +346,11 @@ def frobenius_tree_lower(k: int, r: int, variant: int) -> ConstructionResult:
     """
     if k < 3 or r < 2:
         raise ValueError("need k >= 3 and r >= 2")
+    drop = ()
     if variant == 1:
         if (2 * r - 2) % (k - 1):
             raise ValueError(f"k-1 = {k - 1} does not divide 2r-2 = {2 * r - 2}")
-        t = 1 + (2 * r - 2) // (k - 1)
-        pieces = [_clique_pairs(i * (k - 1), k - 1) for i in range(t)]
-        n = t * (k - 1)
+        sizes = [k - 1] * (1 + (2 * r - 2) // (k - 1))
     elif variant == 3:
         if k < 4:
             raise ValueError("variant 3 needs k >= 4 so the small parts have vertices")
@@ -382,12 +358,7 @@ def frobenius_tree_lower(k: int, r: int, variant: int) -> ConstructionResult:
         if rep is None:
             raise ValueError(f"2r-2 = {2 * r - 2} is not a combination of {k - 1} and {k - 3}")
         x, y = rep
-        pieces = [_clique_pairs(i * (k - 1), k - 1) for i in range(x)]
-        base = x * (k - 1)
-        pieces += [
-            _clique_pairs(base + j * (k - 3), k - 3) for j in range(y + 1)
-        ]
-        n = x * (k - 1) + (y + 1) * (k - 3)
+        sizes = [k - 1] * x + [k - 3] * (y + 1)
     elif variant == 4:
         if k % 2 == 0:
             raise ValueError("variant 4 needs odd k so the big parts have a one-factor")
@@ -395,37 +366,15 @@ def frobenius_tree_lower(k: int, r: int, variant: int) -> ConstructionResult:
         if rep is None:
             raise ValueError(f"2r-2 = {2 * r - 2} is not a combination of {k - 1} and {k - 2}")
         x, y = rep
-        pieces = [
-            _clique_pairs(i * (k - 1), k - 1, drop_factor=True) for i in range(x)
-        ]
-        base = x * (k - 1)
-        pieces += [
-            _clique_pairs(base + j * (k - 2), k - 2) for j in range(y + 1)
-        ]
-        n = x * (k - 1) + (y + 1) * (k - 2)
+        sizes = [k - 1] * x + [k - 2] * (y + 1)
+        # the big parts come first and have even size, so the pairs
+        # {2i, 2i+1} below x(k-1) form a one-factor of each of them
+        drop = [edge_id(v, v + 1) for v in range(0, x * (k - 1), 2)]
     else:
         raise ValueError(f"unknown variant {variant}, expected 1, 3, or 4")
-    h1_pairs = [p for piece in pieces for p in piece]
-    H1 = SimpleGraph.from_pairs(n, h1_pairs)
-    H2 = H1.complement()
-    result = euler_partition(H1, H2, r, fixed_claims=tuple(all_trees(k)))
-    return ConstructionResult(
-        result.mapping,
-        result.claims,
-        f"frobenius_tree_lower(k={k},r={r},variant={variant})",
-    )
-
-
-def _clique_pairs(offset: int, size: int, drop_factor: bool = False) -> list[tuple[int, int]]:
-    pairs = [
-        (offset + a, offset + b) for a, b in combinations(range(size), 2)
-    ]
-    if drop_factor:
-        if size % 2:
-            raise ValueError("one-factor removal needs an even clique")
-        dropped = {(offset + 2 * i, offset + 2 * i + 1) for i in range(size // 2)}
-        pairs = [p for p in pairs if p not in dropped]
-    return pairs
+    H1 = _cliques(sizes, drop)
+    result = euler_partition(H1, H1.complement(), r, fixed_claims=tuple(all_trees(k)))
+    return replace(result, provenance=f"frobenius_tree_lower(k={k},r={r},variant={variant})")
 
 
 def cycle_decomp_star_exclusive(k: int, r: int) -> ConstructionResult:
@@ -440,15 +389,11 @@ def cycle_decomp_star_exclusive(k: int, r: int) -> ConstructionResult:
         raise ValueError("need odd k >= 3")
     if (2 * r - 2) % (k - 1):
         raise ValueError(f"k-1 = {k - 1} does not divide 2r-2 = {2 * r - 2}")
+    if r < 1:
+        raise ValueError("need r >= 1")
     s = 1 + (2 * r - 2) // (k - 1)
     n = s * (k - 1)
-    part_of = [v // (k - 1) for v in range(n)]
     images: dict[int, int] = {}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if part_of[u] == part_of[v]:
-                e = edge_id(u, v)
-                images[e] = e
     for i in range(s):
         for j in range(i + 1, s):
             block_pairs = [
@@ -464,7 +409,7 @@ def cycle_decomp_star_exclusive(k: int, r: int) -> ConstructionResult:
                 L = len(cyc_edges)
                 for t, e in enumerate(cyc_edges):
                     images[e] = cyc_edges[(t + 2) % L]
-    f = EdgeMapping(n, tuple(images[e] for e in range(edge_count(n))))
+    f = _fixing(_cliques([k - 1] * s), images.__getitem__)
     claims = [("exclusive", star(r))]
     claims += [("fixed", T) for T in all_trees(k) if T.k <= n]
     return _emit(f, claims, f"cycle_decomp_star_exclusive(k={k},r={r})")
@@ -479,24 +424,9 @@ def chromatic_blocks(chi: int, r: int) -> ConstructionResult:
     """
     if chi < 3 or r < 2:
         raise ValueError("need chi >= 3 and r >= 2")
-    b = 2 * r - 1
-    n = (chi - 1) * b
-    images: dict[int, int] = {}
-    for i in range(chi - 1):
-        block_pairs = [
-            (u, v)
-            for u, v in combinations(range(i * b, (i + 1) * b), 2)
-        ]
-        block = SimpleGraph.from_pairs(n, block_pairs)
-        images.update(_euler_successors(block))
-    for u in range(n):
-        for v in range(u + 1, n):
-            if u // b != v // b:
-                e = edge_id(u, v)
-                images[e] = e
-    f = EdgeMapping(n, tuple(images[e] for e in range(edge_count(n))))
-    claims = [("free", star(r))]
-    return _emit(f, claims, f"chromatic_blocks(chi={chi},r={r})")
+    blocks = _cliques([2 * r - 1] * (chi - 1))
+    result = euler_partition(blocks.complement(), blocks, r)
+    return replace(result, provenance=f"chromatic_blocks(chi={chi},r={r})")
 
 
 def circulant(n: int, reps: dict[int, tuple[int, int]]) -> EdgeMapping:

@@ -921,6 +921,10 @@ def _construction_thunks(name: str, G: PatternGraph, H: PatternGraph | None, d: 
                 thunks.append(
                     lambda k=G.k, r=r: constructions.cycle_decomp_star_exclusive(k, r)
                 )
+        if name == "m":
+            # its fixed graph is 3K3, so it witnesses m(G, H) > 9 whenever G
+            # is not a subgraph of 3K3 and the mapping holds no free H
+            thunks.append(constructions.tripartite_hall)
     return thunks
 
 

@@ -12,7 +12,6 @@ from edgemaps.bounds import (
     free_star_certify,
     g_degree_check,
     g_matching_certify,
-    g_strong_check,
     g_strong_sound,
     k4_supersat_lb,
     m_counting_certify,
@@ -150,13 +149,13 @@ def test_g_matching_certify_threshold():
 
 
 def test_g_strong_soundness_gate():
-    # a 3-vertex pattern is sound whenever the arithmetic passes
-    assert g_strong_sound(3, 2, 6) == g_strong_check(3, 2, 6)
+    # a 3-vertex pattern is sound on every host it fits
+    assert g_strong_sound(3, 2, 6)
     # larger cliques need headroom between density and host size
     assert g_strong_sound(4, 2, 16)  # 2m(k-2) = 8 < 14
     assert not g_strong_sound(4, 4, 10)  # 2m(k-2) = 16 >= n-2
     with pytest.raises(ValueError):
-        g_strong_check(4, 2, 3)
+        g_strong_sound(4, 2, 3)
 
 
 def test_free_star_certify_known_case():

@@ -1,7 +1,9 @@
 import gc
+import inspect
 import json
 import random
 import warnings
+from itertools import product
 
 import pytest
 
@@ -42,6 +44,17 @@ def test_construct_wrong_arity(capsys):
     code, _, err = run_cli(capsys, "construct", "star_shift")
     assert code == cli.EXIT_USAGE
     assert "takes" in err
+
+
+def test_construct_ends_in_a_build_or_a_usage_error(capsys):
+    # every builder on every argument tuple in -1..4: exit 0 or 2, never a
+    # traceback, including an r < 1 whose part count comes out negative
+    for name, builder in cli._BUILDERS.items():
+        arity = len(inspect.signature(builder).parameters)
+        for params in product(range(-1, 5), repeat=arity):
+            code, _, _ = run_cli(capsys, "construct", name, *map(str, params))
+            assert code in (cli.EXIT_OK, cli.EXIT_USAGE), (name, params)
+    assert run_cli(capsys, "construct", "cycle_decomp_star_exclusive", "3", "-1")[0] == cli.EXIT_USAGE
 
 
 def test_verify_pass_and_fail_exit_codes(tmp_path, capsys):

@@ -1,5 +1,10 @@
+import hashlib
+import inspect
+from itertools import product
+
 import pytest
 
+from edgemaps import constructions
 from edgemaps.constructions import (
     ConstructionResult,
     bipartite_matching,
@@ -101,6 +106,38 @@ def test_builders_return_verified_results(builder):
     assert isinstance(res, ConstructionResult)
     assert res.claims
     assert res.provenance
+
+
+# one sha256 per builder over its builds on every argument tuple in 0..6:
+# the arguments, the mapping's images, the claims and the provenance, so a
+# moved image, claim or refusal shows here
+BUILDER_DIGESTS = {
+    "chromatic_blocks": "79f93376a202d80448d2ab288df78e73b564d087e50b5e7b96c90398d8305400",
+    "cycle_decomp_star_exclusive": "09aa938e7b928e519ddcc46ba9594cff90d1f45e1ccef3c5bc263010ccb3c6d5",
+    "fixed_clique_partition": "68cda03d6da2e13b0ddc891536e136c68d8070dd2fb9bc7aee6b234571f35fff",
+    "frobenius_tree_lower": "b2ac7f19e87c2d3b7cb9d185779ece6be7e1c55cc989a2d0e27fe0da0a6a0fa0",
+    "k4_involution": "4e50584d7534a4e0807554dcb4cfd6db32b9ad4653aff9796737cbe317344cd6",
+    "matching_3k2": "4f05b60015c3592d8a7f14e25be98dc3502658a6936e6eadd47592df578901b6",
+    "modular_shift": "2aed1ab5350b93f89313e99036dbaffdd8361978f372622af029f0dbcc12ec17",
+    "pentagon_involution": "0b537d78e2ae65d69501182665fb4064b7be04cc445d8792fb4e5f4f66182b86",
+    "star_shift": "7a3af22d9536d9dca9fb37b8e9d5ba4991c948e16d177b91422705ea5109bc5e",
+    "tripartite_hall": "0d96ae22fcdcea195cf42563a0d80534acabd1d640ae575a8318403233449e89",
+    "z7_difference": "9eb2c8db53986e7db3d1abcdfcc8dabc8563ff0334e129725b762f0d1ac34230",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDER_DIGESTS))
+def test_builders_keep_their_mappings(name):
+    builder = getattr(constructions, name)
+    digest = hashlib.sha256()
+    for args in product(range(7), repeat=len(inspect.signature(builder).parameters)):
+        try:
+            res = builder(*args)
+        except ValueError:
+            continue
+        claims = [(rel, str(P)) for rel, P in res.claims]
+        digest.update(repr((args, res.mapping.images, claims, res.provenance)).encode())
+    assert digest.hexdigest() == BUILDER_DIGESTS[name]
 
 
 def _rotate(n: int, e: int) -> int:

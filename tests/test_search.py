@@ -990,6 +990,17 @@ DENSITY = (bounds.ASSUMED_TREE_DENSITY,)
         ("w", "K4", None, None, (26, "closed form", ())),
         ("w", "K6", None, None, (121, "closed form", ())),
         ("m_star", "P4", "K1,14", None, (69, "tree-star closed form", DENSITY)),
+        # three fixed triangles on K_9 and no free K3 close these two
+        (
+            "m", "K1,3", "K3",
+            (10, "construction: tripartite_hall() on 9 vertices", ()),
+            (10, "copy-counting certifier", ()),
+        ),
+        (
+            "m", "P4", "K3",
+            (10, "construction: tripartite_hall() on 9 vertices", ()),
+            (10, "copy-counting certifier", DENSITY),
+        ),
     ],
 )
 def test_compute_parameter_constructions_and_closed_forms(name, G, H, lower, upper):
