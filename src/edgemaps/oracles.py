@@ -48,6 +48,8 @@ def _host(n: int, mask: int) -> SimpleGraph:
 
 def ex_bruteforce(n: int, G: PatternGraph) -> int:
     """Max edges of an n-vertex graph with no copy of G, by exhaustive search."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     if n > EX_LIMIT:
         raise OracleLimitError(f"ex_bruteforce capped at n={EX_LIMIT}, got {n}")
     if G.m == 0:
@@ -77,6 +79,8 @@ def supersat_min(n: int, m: int, H: PatternGraph) -> int:
 @lru_cache(maxsize=128)
 def supersat_table(n: int, H: PatternGraph) -> tuple[int, ...]:
     """supersat_min for every edge count 0..C(n,2) at once."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     if n > FULL_CATALOGUE_LIMIT:
         raise OracleLimitError(
             f"supersaturation needs the full catalogue, capped at n={FULL_CATALOGUE_LIMIT}"
@@ -96,6 +100,8 @@ def pair_cover_max(n: int, H: PatternGraph) -> int:
     the disjoint ones.  Every pair in an orbit lies in equally many copies,
     so counting the copies through {01, 02} and through {01, 23} suffices.
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     if n > PAIR_COVER_LIMIT:
         raise OracleLimitError(f"pair_cover_max capped at n={PAIR_COVER_LIMIT}, got {n}")
     if H.m < 2:

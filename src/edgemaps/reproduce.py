@@ -10,7 +10,6 @@ hash identically; that digest is the reproducibility check.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 import time
@@ -108,6 +107,10 @@ class RunRecord:
         }
 
     def digest(self) -> str:
+        """The sha256 of the stable payload.  ``hashlib`` loads OpenSSL, so
+        it is imported here, on first use, rather than with the package."""
+        import hashlib
+
         blob = json.dumps(self.outputs(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -116,9 +116,7 @@ counts match the serial walk's whenever no branch times out.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import permutations
 from functools import lru_cache, reduce
@@ -151,6 +149,11 @@ from .mapping import EdgeMapping, MappingClass, admissible_images
 # moved-clear class has the smallest pools and stretches one vertex further.
 ENVELOPE = {"all": 6, "overlap_le_1": 6, "disjoint": 7, "fixed_or_strong": 6}
 
+# Largest host accepted at all, budget or not.  The walk recurses once per
+# edge, and K_40's 780 edges leave room below Python's default recursion
+# limit of 1000 for the frames of the callers (the CLI, a test runner).
+MAX_HOST = 40
+
 # Flag on results whose reading of the support capacity is our own; the
 # quantity is pinned only through how proofs consume it.
 INFERRED_CAPACITY = "support-maximum reading of the capacity"
@@ -172,6 +175,8 @@ class AvoidanceSpec:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("need at least one vertex")
+        if self.n > MAX_HOST:
+            raise ValueError(f"n={self.n} exceeds the host cap of {MAX_HOST}")
         object.__setattr__(self, "avoid", tuple(self.avoid))
         for rel, P in self.avoid:
             if rel not in detect.RELATIONS:
@@ -614,6 +619,10 @@ class _Engine:
     def run(self) -> SearchOutcome:
         start = time.perf_counter()
         try:
+            # a walk under 1024 nodes never ticks, so a table build that
+            # used up the budget is caught here
+            if self.deadline is not None and start > self.deadline:
+                raise _Timeout
             self._dfs(0, self.group)
             verdict = "EXHAUSTED" if self.witness is None else "WITNESS"
         except _Timeout:
@@ -716,12 +725,15 @@ def _parallel(spec: AvoidanceSpec, workers: int, deadline: float | None) -> Sear
     task creation: Mohr, Kranz & Halstead, IEEE TPDS 2(3), 1991).  So at
     most ``workers`` processes walk at once, and none sits idle while a
     branch is left unclaimed.  A walk that ends before that tick starts no
-    process.  A branch with a witness stops every later one (one
-    ``multiprocessing.Event`` each).  Results are read in walk order up to
-    the first witness, and a root image that the symmetry rule drops counts
-    there as one ``symmetry`` prune: every branch before the witness ran to
-    its end or to the deadline, since only an earlier witness stops a
-    branch, so the stats are the serial walk's unless a branch timed out.
+    process, and loads neither ``multiprocessing`` nor
+    ``concurrent.futures``: ``hand_off`` imports them when it makes the
+    pool, so importing the package leaves them out.  A branch with a
+    witness stops every later one (one ``multiprocessing.Event`` each).
+    Results are read in walk order up to the first witness, and a root
+    image that the symmetry rule drops counts there as one ``symmetry``
+    prune: every branch before the witness ran to its end or to the
+    deadline, since only an earlier witness stops a branch, so the stats
+    are the serial walk's unless a branch timed out.
     The pool is shut down, and any branch still running stopped, before
     this returns or raises.
     """
@@ -738,6 +750,9 @@ def _parallel(spec: AvoidanceSpec, workers: int, deadline: float | None) -> Sear
         live.extend(x for x, dropped in roots if not dropped)
         if not live:
             return
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         stops.extend(multiprocessing.Event() for _ in live)
         next_root = multiprocessing.Value("i", 0)
         size = min(workers - 1, len(live))

@@ -267,6 +267,13 @@ def test_oracle_subcommand(capsys):
     assert "--m" in err
 
 
+def test_oracle_refuses_a_negative_host(capsys):
+    for kind, extra in (("ex", ()), ("supersat", ("--m", "0")), ("paircover", ())):
+        code, _, err = run_cli(capsys, "oracle", kind, "--n", "-1", "--pattern", "K3", *extra)
+        assert code == cli.EXIT_USAGE
+        assert "need n >= 0" in err
+
+
 def test_cli_error_paths(tmp_path, capsys):
     code, _, err = run_cli(capsys, "bound", "ex", "--n", "6", "--pattern", "QQquébec")
     assert code == cli.EXIT_USAGE
@@ -344,6 +351,15 @@ def test_search_exhausted_timeout_and_usage_exits(capsys):
     )
     assert code == cli.EXIT_USAGE
     assert "finite" in err
+
+
+def test_search_refuses_a_host_above_the_cap(capsys):
+    # refused before any table is built, so a budget does not let it through
+    code, _, err = run_cli(
+        capsys, "search", "--n", "60", "--klass", "all", "--avoid", "free:K3", "--budget", "0.2"
+    )
+    assert code == cli.EXIT_USAGE
+    assert "host cap of 40" in err
 
 
 def test_reproduce_list_and_single_run(capsys):

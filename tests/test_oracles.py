@@ -92,3 +92,22 @@ def test_oracles_refuse_large_hosts():
         pair_cover_max(10, make_pattern("K4"))
     with pytest.raises(OracleLimitError):
         supersat_min(10, 20, make_pattern("K3"))
+
+
+def test_ex_refuses_a_negative_host():
+    # edge_count(-1) is 1, so a negative host once read as a real one
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            ex_bruteforce(n, make_pattern("K3"))
+
+
+def test_supersat_refuses_a_negative_host():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        supersat_table(-1, make_pattern("K3"))
+    with pytest.raises(ValueError, match="need n >= 0"):
+        supersat_min(-2, 0, make_pattern("K3"))
+
+
+def test_pair_cover_refuses_a_negative_host():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        pair_cover_max(-1, make_pattern("K3"))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 import multiprocessing
@@ -64,6 +65,33 @@ def test_envelope_guard():
     # a budget opens the gate; any fixed-point-free mapping settles it instantly
     out = exists_avoiding(AvoidanceSpec(n, ALL, avoid_fixed_edge), SearchOptions(budget=5.0))
     assert out.verdict == "WITNESS"
+
+
+def test_host_cap_refuses_what_the_walk_cannot_recurse_through():
+    # the walk recurses once per edge: K_45's 990 edges would overrun the
+    # recursion limit mid-walk, so the spec itself refuses it, budget or not
+    free_k3 = (("free", make_pattern("K3")),)
+    with pytest.raises(ValueError, match="n=45 exceeds the host cap of 40"):
+        AvoidanceSpec(45, ALL, free_k3)
+    # K_40, the cap, still walks its 780 edges under the test runner's frames
+    out = exists_avoiding(AvoidanceSpec(search.MAX_HOST, ALL, free_k3), SearchOptions(budget=30))
+    assert out.verdict == "WITNESS"
+    assert out.stats.nodes == 780
+
+
+def test_budget_covers_the_table_build():
+    # free K3 on K_20 answers in 190 nodes, before the walk's first tick,
+    # so only the check at the start of the walk sees a build from a cold
+    # cache (tens of ms) overrun a 1 ms budget
+    spec = AvoidanceSpec(20, ALL, (("free", make_pattern("K3")),))
+    search._copy_table.cache_clear()
+    out = exists_avoiding(spec, SearchOptions(budget=0.001))
+    assert out.stats.table_time > 0.001
+    assert out.verdict == "TIMEOUT"
+    assert out.stats.nodes == 0
+    out = exists_avoiding(spec, SearchOptions(budget=30))
+    assert out.verdict == "WITNESS"
+    assert out.stats.nodes == 190
 
 
 def test_matching_threshold_scan():
@@ -527,7 +555,7 @@ def _recording_pool(monkeypatch, claims=None) -> list[int]:
     """Let ``_parallel`` start real pools, and list each one's size and, in
     ``claims``, its shared index of the next unclaimed branch."""
     sizes = []
-    real = search.ProcessPoolExecutor
+    real = concurrent.futures.ProcessPoolExecutor
 
     def pool(max_workers, initializer, initargs):
         sizes.append(max_workers)
@@ -535,7 +563,7 @@ def _recording_pool(monkeypatch, claims=None) -> list[int]:
             claims.append(initargs[1])
         return real(max_workers=max_workers, initializer=initializer, initargs=initargs)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     return sizes
 
 
@@ -562,7 +590,7 @@ def _deferred_pool(monkeypatch) -> tuple[list[int], list[dict]]:
         def shutdown(self, wait=True, cancel_futures=False):
             pass
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", Deferred)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Deferred)
     monkeypatch.setattr(search, "_SHARED", search._SHARED)
     return sizes, results
 
@@ -604,7 +632,7 @@ def test_a_small_walk_stays_in_process(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a pool was started")
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     serial = exists_avoiding(MSTAR_P4_K12)
     out = exists_avoiding(MSTAR_P4_K12, SearchOptions(workers=2))
     assert out.verdict == "WITNESS"
