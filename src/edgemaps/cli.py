@@ -2,9 +2,13 @@
 
 Every subcommand renders one record: a plain dict of inputs and results.
 ``--json`` emits it as JSON; the default text form prints the same keys and
-values line by line, so the two modes never disagree on content.  All
-configuration arrives through flags; the only environment variable read is
-EDGEMAP_THREADS, the default worker count for searches.
+values line by line, so the two modes never disagree on content.  The one
+exception is ``reproduce``, whose text form is a summary: per run its
+status, wall time and the first 16 characters of its digest, then each
+claim's status and name, with the detail of each claim that did not pass;
+``--json`` gives the whole records.  All configuration arrives through
+flags; the only environment variable read is EDGEMAP_THREADS, the default
+worker count for searches.
 """
 from __future__ import annotations
 
@@ -30,6 +34,7 @@ from .mapping import EdgeMapping, MappingClass, format_mapping, parse_mapping
 from .oracles import ex_bruteforce, pair_cover_max, supersat_min
 from .reproduce import MANIFEST, RunContext, run_all, run_manifest
 from .search import (
+    PARAMETERS,
     AvoidanceSpec,
     compute_parameter,
     exists_avoiding,
@@ -198,7 +203,7 @@ def _cmd_bound(args) -> int:
     elif op == "certify":
         G = _pattern_arg(args.g)
         H = _pattern_arg(args.h) if args.h else None
-        if (H is None) != (args.parameter == "g"):
+        if (H is None) != (len(PARAMETERS[args.parameter][1]) == 1):
             raise ValueError("g takes --g alone; m and m_star need --h as well")
         record.update(
             parameter=args.parameter, g=args.g, h=args.h,
@@ -390,7 +395,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("compute", help="bracket a forcing threshold")
-    p.add_argument("parameter", choices=("m", "m_star", "g", "w", "z"))
+    p.add_argument("parameter", choices=PARAMETERS)
     p.add_argument("--g", required=True, help="first pattern")
     p.add_argument("--h", help="second pattern (m, m_star, z)")
     p.add_argument("--d", type=int, default=1, choices=(0, 1), help="overlap budget for g")

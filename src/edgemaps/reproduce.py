@@ -20,6 +20,7 @@ from math import comb
 from . import constructions, detect, oracles
 from .bounds import (
     CERTIFIERS,
+    BoundReport,
     ex_value,
     exclusive_star_certify,
     free_star_certify,
@@ -45,6 +46,7 @@ from .graphs import (
 )
 from .mapping import MappingClass, random_mapping
 from .search import (
+    PARAMETERS,
     AvoidanceSpec,
     SearchOptions,
     _avoidance_form,
@@ -143,6 +145,29 @@ def _claim_skip(claim: str, reason: str, data: dict | None = None) -> ClaimResul
     return ClaimResult(claim, "SKIPPED", reason, data or {})
 
 
+def _search_claim(claim: str, verdict: str, want: str, detail: str, data: dict) -> ClaimResult:
+    """A claim that one search ends in ``want``: SKIPPED when its budget ran
+    out, since a TIMEOUT says nothing either way."""
+    if verdict == "TIMEOUT":
+        return _claim_skip(claim, "search budget exceeded")
+    return _claim_pass(claim, verdict == want, detail, data)
+
+
+def _bracket_claim(
+    ctx: RunContext, claim: str, rep: BoundReport, value: int, detail: str | None = None, **data
+) -> ClaimResult:
+    """A claim that ``rep`` brackets exactly ``value``: SKIPPED when a budget
+    left the bracket open."""
+    lo = rep.lower.value if rep.lower else None
+    hi = rep.upper.value if rep.upper else None
+    if rep.status != "tight" and ctx.budget is not None:
+        return _claim_skip(
+            claim, "search budget exhausted before the scan closed", {"lower": lo, "upper": hi}
+        )
+    detail = f"bracket [{lo}, {hi}]" if detail is None else detail
+    return _claim_pass(claim, lo == hi == value, detail, {"lower": lo, "upper": hi, **data})
+
+
 # ---------------------------------------------------------------------------
 # manifest runners
 
@@ -158,24 +183,12 @@ def _run_threshold_matchings(ctx: RunContext) -> list[ClaimResult]:
     out = []
     for name, G, d, want, label in cases:
         rep = compute_parameter(name, G, d=d, options=ctx.options())
-        lo = rep.lower.value if rep.lower else None
-        hi = rep.upper.value if rep.upper else None
-        if rep.status != "tight" and ctx.budget is not None:
-            out.append(
-                _claim_skip(label, "search budget exhausted before the scan closed",
-                            {"lower": lo, "upper": hi})
-            )
-            continue
-        ok = lo == hi == want
-        out.append(
-            _claim_pass(
-                label,
-                ok,
-                f"lower {lo} ({rep.lower.provenance}), upper {hi} "
-                f"({rep.upper.provenance if rep.upper else 'none'})",
-                {"lower": lo, "upper": hi, "want": want},
-            )
+        lo, up = rep.lower, rep.upper
+        detail = (
+            f"lower {lo.value} ({lo.provenance}), upper {up.value if up else None} "
+            f"({up.provenance if up else 'none'})"
         )
+        out.append(_bracket_claim(ctx, label, rep, want, detail, want=want))
     return out
 
 
@@ -196,17 +209,15 @@ def _run_star_two_exact(ctx: RunContext) -> list[ClaimResult]:
     # 60 copies, 15 edges, each image meets four copies: the counting rule
     # makes each edge claim a fresh block of four, an exact cover
     res = exists_avoiding(AvoidanceSpec(6, MappingClass("disjoint"), excl_p3), ctx.options())
-    if res.verdict == "TIMEOUT":
-        out.append(_claim_skip("exact cover exhausts n=6", "search budget exceeded"))
-    else:
-        out.append(
-            _claim_pass(
-                "exact cover exhausts n=6",
-                res.verdict == "EXHAUSTED",
-                "every moved-clear mapping on 6 vertices has an exclusive K1,2",
-                {"verdict": res.verdict},
-            )
+    out.append(
+        _search_claim(
+            "exact cover exhausts n=6",
+            res.verdict,
+            "EXHAUSTED",
+            "every moved-clear mapping on 6 vertices has an exclusive K1,2",
+            {"verdict": res.verdict},
         )
+    )
 
     seven = constructions.z7_difference()
     excl_2k2 = (("exclusive", matching(2)),)
@@ -221,16 +232,7 @@ def _run_star_two_exact(ctx: RunContext) -> list[ClaimResult]:
     )
 
     rep = compute_parameter("w", star(2), options=ctx.options())
-    lo = rep.lower.value if rep.lower else None
-    hi = rep.upper.value if rep.upper else None
-    out.append(
-        _claim_pass(
-            "w(K1,2) = 6",
-            lo == hi == 6,
-            f"bracket [{lo}, {hi}]",
-            {"lower": lo, "upper": hi},
-        )
-    )
+    out.append(_bracket_claim(ctx, "w(K1,2) = 6", rep, 6))
     return out
 
 
@@ -238,29 +240,24 @@ def _run_triangle_ramsey(ctx: RunContext) -> list[ClaimResult]:
     t = complete(3)
     klass, avoid = _avoidance_form("z", t, t, 1)
     opts = ctx.options()
-    good5, good6 = (
-        exists_avoiding(AvoidanceSpec(n, klass, avoid), opts).verdict == "WITNESS"
-        for n in (5, 6)
-    )
+    v5, v6 = (exists_avoiding(AvoidanceSpec(n, klass, avoid), opts).verdict for n in (5, 6))
     rep = compute_parameter("z", t, t, options=opts)
-    lo = rep.lower.value if rep.lower else None
-    hi = rep.upper.value if rep.upper else None
     return [
-        _claim_pass(
+        _search_claim(
             "5 vertices admit a coloring with no red or blue triangle",
-            good5,
+            v5,
+            "WITNESS",
             "pentagon-complement split",
-            {"n": 5, "admits": good5},
+            {"n": 5, "admits": v5 == "WITNESS"},
         ),
-        _claim_pass(
+        _search_claim(
             "6 vertices force a monochromatic triangle",
-            not good6,
+            v6,
+            "EXHAUSTED",
             "exhaustive avoidance search: fixed K3 + shifted K3",
-            {"n": 6, "admits": good6},
+            {"n": 6, "admits": v6 == "WITNESS"},
         ),
-        _claim_pass(
-            "z(K3, K3) = 6", lo == hi == 6, f"bracket [{lo}, {hi}]", {"lower": lo, "upper": hi}
-        ),
+        _bracket_claim(ctx, "z(K3, K3) = 6", rep, 6),
     ]
 
 
@@ -417,7 +414,7 @@ def certifier_assertions(n_cap: int = 5):
     for n in range(3, n_cap + 1):
         fits = [P for P in catalogue if P.k <= n]
         for c in CERTIFIERS:
-            for H in [None] if c.parameter == "g" else fits:
+            for H in fits if len(PARAMETERS[c.parameter][1]) == 2 else [None]:
                 for G in fits:
                     if c.fires(G, H, n) is None:
                         continue
@@ -432,13 +429,11 @@ def _run_certifier_consistency(ctx: RunContext) -> list[ClaimResult]:
     opts = ctx.options()
     for label, spec in certifier_assertions(5):
         res = exists_avoiding(spec, opts)
-        if res.verdict == "TIMEOUT":
-            out.append(_claim_skip(label, "search budget exceeded"))
-            continue
         out.append(
-            _claim_pass(
+            _search_claim(
                 label,
-                res.verdict == "EXHAUSTED",
+                res.verdict,
+                "EXHAUSTED",
                 "search agrees the avoidance is impossible"
                 if res.verdict == "EXHAUSTED"
                 else "search found a counterexample mapping",

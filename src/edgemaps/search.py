@@ -119,7 +119,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from itertools import permutations
-from functools import lru_cache, reduce
+from functools import cache, lru_cache, reduce
 from operator import or_
 
 from . import constructions, detect
@@ -249,7 +249,7 @@ class _Timeout(Exception):
     pass
 
 
-@lru_cache(maxsize=4)
+@cache
 def _symmetry(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The walk's symmetry group at depth 0 and the masks that narrow it.
 
@@ -847,100 +847,83 @@ def shift_capacity(
 # parameter assembly
 
 
-_PARAMETERS = ("m", "m_star", "g", "w", "z")
+# Each parameter as one avoidance form: its mapping class, one per overlap
+# budget d where d chooses it, and the relation each pattern is avoided in,
+# G's and then, for a parameter of two patterns, H's.  z reads a mapping as
+# a two-coloring: fixed edges red, moved edges blue.
+PARAMETERS = {
+    "m": ("all", ("fixed", "free")),
+    "m_star": ("fixed_or_strong", ("fixed", "exclusive")),
+    "g": ({0: "disjoint", 1: "overlap_le_1"}, ("free",)),
+    "w": ("disjoint", ("exclusive",)),
+    "z": ("all", ("fixed", "shifted")),
+}
 
 
 def _avoidance_form(
     name: str, G: PatternGraph, H: PatternGraph | None, d: int
 ) -> tuple[MappingClass, tuple[tuple[str, PatternGraph], ...]]:
-    if name == "m":
-        return MappingClass("all"), (("fixed", G), ("free", H))
-    if name == "m_star":
-        return MappingClass("fixed_or_strong"), (("fixed", G), ("exclusive", H))
-    if name == "g":
-        if d not in (0, 1):
-            raise ValueError("g takes overlap budget d of 0 or 1")
-        kind = "overlap_le_1" if d == 1 else "disjoint"
-        return MappingClass(kind), (("free", G),)
-    if name == "w":
-        return MappingClass("disjoint"), (("exclusive", G),)
-    if name == "z":
-        # a coloring read as a mapping: fixed edges red, moved edges blue
-        return MappingClass("all"), (("fixed", G), ("shifted", H))
-    raise ValueError(f"unknown parameter {name!r}")
+    """The mapping class and (relation, pattern) pairs of ``name`` on G and
+    H, read from ``PARAMETERS``.  Refuses an unknown name, then a pattern
+    too few or too many, then a d that chooses no class."""
+    if name not in PARAMETERS:
+        raise ValueError(f"unknown parameter {name!r}, expected one of {tuple(PARAMETERS)}")
+    kind, relations = PARAMETERS[name]
+    if len(relations) == 2 and H is None:
+        raise ValueError(f"parameter {name} needs a second pattern")
+    if len(relations) == 1 and H is not None:
+        raise ValueError(f"parameter {name} takes a single pattern")
+    if isinstance(kind, dict):
+        if d not in kind:
+            raise ValueError(f"{name} takes overlap budget d of 0 or 1")
+        kind = kind[d]
+    return MappingClass(kind), tuple(zip(relations, (G, H)))
 
 
 def _parameter_label(name: str, G: PatternGraph, H: PatternGraph | None, d: int) -> str:
-    if name == "g":
-        return f"g({G}, d={d})"
-    if name == "w":
-        return f"w({G})"
-    return f"{name}({G}, {H})"
+    args = [str(G)] if H is None else [str(G), str(H)]
+    if isinstance(PARAMETERS[name][0], dict):
+        args.append(f"d={d}")
+    return f"{name}({', '.join(args)})"
 
 
-def _valid_witness(
-    mapping: EdgeMapping, klass: MappingClass, avoid: tuple[tuple[str, PatternGraph], ...]
-) -> bool:
-    if mapping.n < 1 or not klass.admits(mapping):
-        return False
-    return detect.find_any(mapping, avoid) is None
-
-
-def _construction_thunks(name: str, G: PatternGraph, H: PatternGraph | None, d: int):
-    """Witness builders plausibly applicable to the parameter instance.
-    Each is built and re-checked by the caller; failures just drop out."""
-    thunks = []
+def _builders(name: str, G: PatternGraph, H: PatternGraph | None):
+    """Witness builders plausibly applicable to the parameter instance, as
+    (builder, args) pairs.  The caller builds and re-checks each witness;
+    failures just drop out."""
     if name == "g":
         t = G.as_matching()
         if t == 2:
-            thunks.append(constructions.k4_involution)
+            yield constructions.k4_involution, ()
         if t == 3:
-            thunks.append(constructions.matching_3k2)
+            yield constructions.matching_3k2, ()
         r = G.as_star()
         if r is not None and r >= 2:
-            nn = 2 * r - 1
-            thunks.append(
-                lambda nn=nn, r=r: constructions.euler_partition(
-                    SimpleGraph.empty(nn), SimpleGraph.complete(nn), r
-                )
-            )
+            n = 2 * r - 1
+            yield constructions.euler_partition, (SimpleGraph.empty(n), SimpleGraph.complete(n), r)
     elif name == "w":
         if G.as_star() == 2:
-            thunks.append(constructions.pentagon_involution)
+            yield constructions.pentagon_involution, ()
         if G.as_matching() == 2:
-            thunks.append(constructions.z7_difference)
-    elif name in ("m", "m_star") and H is not None:
+            yield constructions.z7_difference, ()
+    elif name in ("m", "m_star"):
         r = H.as_star()
         tree = _is_tree(G)
         if name == "m" and H.as_matching() == 2 and tree:
-            thunks.append(lambda k=G.k: constructions.star_shift(k))
+            yield constructions.star_shift, (G.k,)
         if r is not None and r >= 2:
             if G.chi >= 3:
-                thunks.append(
-                    lambda chi=G.chi, r=r: constructions.chromatic_blocks(chi, r)
-                )
+                yield constructions.chromatic_blocks, (G.chi, r)
             if tree and name == "m":
                 for variant in (1, 3, 4):
-                    thunks.append(
-                        lambda k=G.k, r=r, v=variant: constructions.frobenius_tree_lower(
-                            k, r, v
-                        )
-                    )
-            if (
-                tree
-                and name == "m_star"
-                and G.k >= 3
-                and G.k % 2 == 1
-                and (2 * r - 2) % (G.k - 1) == 0
-            ):
-                thunks.append(
-                    lambda k=G.k, r=r: constructions.cycle_decomp_star_exclusive(k, r)
-                )
+                    yield constructions.frobenius_tree_lower, (G.k, r, variant)
+            odd = G.k >= 3 and G.k % 2 == 1
+            if tree and name == "m_star" and odd and (2 * r - 2) % (G.k - 1) == 0:
+                yield constructions.cycle_decomp_star_exclusive, (G.k, r)
         if name == "m":
             # its fixed graph is 3K3, so it witnesses m(G, H) > 9 whenever G
             # is not a subgraph of 3K3 and the mapping holds no free H
-            thunks.append(constructions.tripartite_hall)
-    return thunks
+            yield constructions.tripartite_hall, ()
 
 
 def _closed_form_uppers(
@@ -960,7 +943,7 @@ def _closed_form_uppers(
             rep = w_bounds(G.k, G.m)
             if rep.upper is not None:
                 out.append(rep.upper)
-    elif name == "m_star" and H is not None:
+    elif name == "m_star":
         r = H.as_star()
         if r is not None and r >= 2 and _is_tree(G):
             flags = () if G.as_star() is not None else (ASSUMED_TREE_DENSITY,)
@@ -993,23 +976,19 @@ def compute_parameter(
     host the certifier scan tries (64 otherwise); the closed-form upper
     bounds depend on no host and are read whatever ``n_max`` is.
 
-    Every parameter is one avoidance form (``_avoidance_form``) decided by
-    ``exists_avoiding``.  z(G, H), the two-color Ramsey number, is fixed G +
-    shifted H over all mappings: read the fixed edges as red and the moved
-    ones as blue.  Two things set z apart.  At n = 2 the lone edge of K_2
-    cannot move, so it follows the coloring rule instead: K_2 has a good
-    coloring unless G and H are both K_2.  Under a budget z scans to host 8,
-    past the ``all`` envelope of 6; with none it stops at the envelope.
+    Every parameter is one avoidance form, its ``PARAMETERS`` row, decided
+    by ``exists_avoiding``.  ``_builders`` yields the witness builders that
+    may apply as (builder, args) pairs; a witness counts once the class
+    admits it and ``detect`` finds no avoided copy in it.  z(G, H), the
+    two-color Ramsey number, is fixed G + shifted H over all mappings: read
+    the fixed edges as red and the moved ones as blue.  Two things set z
+    apart.  At n = 2 the lone edge of K_2 cannot move, so it follows the
+    coloring rule instead: K_2 has a good coloring unless G and H are both
+    K_2.  Under a budget z scans to host 8, past the ``all`` envelope of 6;
+    with none it stops at the envelope.
     """
-    if name not in _PARAMETERS:
-        raise ValueError(f"unknown parameter {name!r}, expected one of {_PARAMETERS}")
-    if name in ("m", "m_star", "z") and H is None:
-        raise ValueError(f"parameter {name} needs a second pattern")
-    if name in ("g", "w") and H is not None:
-        raise ValueError(f"parameter {name} takes a single pattern")
-
-    label = _parameter_label(name, G, H, d)
     klass, avoid = _avoidance_form(name, G, H, d)
+    label = _parameter_label(name, G, H, d)
     _deadline(options.budget)  # refuse a nonsense budget even if no host is searched
 
     scan_cap = ENVELOPE[klass.kind]
@@ -1045,14 +1024,14 @@ def compute_parameter(
         return BoundReport(label, lower=b, upper=b)
 
     lower = Bound(max(2, floor + 1), "exhaustive avoidance search below")
-    for thunk in _construction_thunks(name, G, H, d):
+    for builder, args in _builders(name, G, H):
         try:
-            res = thunk()
+            res = builder(*args)
         except (ValueError, RuntimeError):
             continue
-        wn = res.mapping.n
-        if wn + 1 > lower.value and _valid_witness(res.mapping, klass, avoid):
-            lower = Bound(wn + 1, f"construction: {res.provenance} on {wn} vertices")
+        mp = res.mapping
+        if mp.n + 1 > lower.value and klass.admits(mp) and detect.find_any(mp, avoid) is None:
+            lower = Bound(mp.n + 1, f"construction: {res.provenance} on {mp.n} vertices")
 
     upper: Bound | None = None
     cert_cap = n_max if n_max is not None else 64

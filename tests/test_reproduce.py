@@ -100,3 +100,19 @@ def test_certifier_assertions_catalogue():
     # every assertion is a genuine exhaustion, spot-check the first few
     for label, spec in pairs[:4]:
         assert exists_avoiding(spec).verdict == "EXHAUSTED", label
+
+
+def test_a_spent_budget_skips_every_claim_that_rests_on_a_search():
+    # no table build fits in a microsecond, so every search ends in TIMEOUT
+    ctx = RunContext(budget=1e-6)
+    rec = run_manifest("triangle-ramsey", ctx)
+    assert [c.status for c in rec.claims] == ["SKIPPED"] * 3
+    rec = run_manifest("two-star-exclusive", ctx)
+    status = {c.claim.split(":")[0]: c.status for c in rec.claims}
+    assert status == {
+        "pentagon witness": "PASS",
+        "exact cover exhausts n=6": "SKIPPED",
+        "difference construction": "PASS",
+        "w(K1,2) = 6": "SKIPPED",
+    }
+    assert rec.status == "SKIPPED"

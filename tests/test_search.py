@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from edgemaps import bounds, detect, search
+from edgemaps import bounds, constructions, detect, search
 from edgemaps.bounds import EXTERNAL_CAPACITY
 from edgemaps.graphs import (
     SimpleGraph,
@@ -1052,3 +1052,152 @@ def test_compute_parameter_flags_assumed_density():
 def test_compute_parameter_rejects_unknown_name():
     with pytest.raises(ValueError):
         compute_parameter("q", make_pattern("K3"))
+
+
+def _brief(arg):
+    """A builder argument as the dispatch pins read it: an int, or a graph's
+    (vertex count, edge count)."""
+    return arg if isinstance(arg, int) else (arg.n, len(arg.edges))
+
+
+def _record_builders(monkeypatch) -> list:
+    """Wrap every builder of ``constructions`` (the public functions that
+    return a ConstructionResult) so that each call, nested ones included,
+    logs (name, brief arguments, keyword names) and then runs."""
+    calls = []
+
+    def logged(name, fn):
+        def call(*args, **kwargs):
+            calls.append((name, tuple(map(_brief, args)), tuple(sorted(kwargs))))
+            return fn(*args, **kwargs)
+
+        return call
+
+    for name, fn in list(vars(constructions).items()):
+        returns = getattr(fn, "__annotations__", {}).get("return")
+        if not name.startswith("_") and returns == "ConstructionResult":
+            monkeypatch.setattr(constructions, name, logged(name, fn))
+    return calls
+
+
+def _side(bound):
+    """A (value, provenance[, flags]) pin as ``Bound.as_dict`` writes it."""
+    if bound is None:
+        return None
+    value, provenance, *flags = bound
+    return {"value": value, "provenance": provenance, "flags": list(*flags)}
+
+
+# One instance per branch of the builder dispatch: the builders tried, in
+# order, and the whole report.  A builder whose witness falls outside the
+# class or holds a copy (g(K1,3, d=0), m_star(K4, K1,2)) leaves the floor.
+@pytest.mark.parametrize(
+    "name,G,H,d,calls,report",
+    [
+        (
+            "g", "2K2", None, 1, [("k4_involution", (), ())],
+            ("g(2K2, d=1)", (5, "construction: k4_involution on 4 vertices"), None, "partial"),
+        ),
+        (
+            "g", "3K2", None, 1, [("matching_3k2", (), ())],
+            ("g(3K2, d=1)", (7, "construction: matching_3k2 on 6 vertices"), None, "partial"),
+        ),
+        (
+            "g", "K1,3", None, 0, [("euler_partition", ((5, 0), (5, 10), 3), ())],
+            ("g(K1,3, d=0)", (4, "exhaustive avoidance search below"), None, "partial"),
+        ),
+        (
+            "w", "K1,2", None, 1, [("pentagon_involution", (), ())],
+            (
+                "w(K1,2)", (6, "construction: pentagon_involution on 5 vertices"),
+                (7, "exclusive-star closed form"), "gap",
+            ),
+        ),
+        (
+            "w", "2K2", None, 1, [("z7_difference", (), ())],
+            (
+                "w(2K2)", (8, "construction: z7_difference on 7 vertices"),
+                (10, "closed form"), "gap",
+            ),
+        ),
+        (
+            "m", "P4", "2K2", 1, [("star_shift", (4,), ()), ("tripartite_hall", (), ())],
+            ("m(P4, 2K2)", (5, "construction: star_shift(k=4) on 4 vertices"), None, "partial"),
+        ),
+        (
+            "m", "K3", "K1,3", 1,
+            [
+                ("chromatic_blocks", (3, 3), ()),
+                ("euler_partition", ((10, 25), (10, 20), 3), ()),
+                ("tripartite_hall", (), ()),
+            ],
+            (
+                "m(K3, K1,3)", (11, "construction: chromatic_blocks(chi=3,r=3) on 10 vertices"),
+                None, "partial",
+            ),
+        ),
+        (
+            "m", "P4", "K1,5", 1,
+            [
+                ("frobenius_tree_lower", (4, 5, 1), ()),
+                ("frobenius_tree_lower", (4, 5, 3), ()),
+                ("euler_partition", ((9, 0), (9, 36), 5), ("fixed_claims",)),
+                ("frobenius_tree_lower", (4, 5, 4), ()),
+                ("tripartite_hall", (), ()),
+            ],
+            (
+                "m(P4, K1,5)",
+                (10, "construction: frobenius_tree_lower(k=4,r=5,variant=3) on 9 vertices"),
+                None, "partial",
+            ),
+        ),
+        (
+            "m_star", "P5", "K1,3", 1, [("cycle_decomp_star_exclusive", (5, 3), ())],
+            (
+                "m_star(P5, K1,3)",
+                (9, "construction: cycle_decomp_star_exclusive(k=5,r=3) on 8 vertices"),
+                (15, "tree-star closed form", DENSITY), "gap",
+            ),
+        ),
+        (
+            "m_star", "K4", "K1,2", 1,
+            [("chromatic_blocks", (4, 2), ()), ("euler_partition", ((9, 27), (9, 9), 2), ())],
+            ("m_star(K4, K1,2)", (4, "exhaustive avoidance search below"), None, "partial"),
+        ),
+        (
+            "z", "K3", "K3", 1, [],
+            ("z(K3, K3)", (4, "exhaustive avoidance search below"), None, "partial"),
+        ),
+    ],
+)
+def test_compute_parameter_tries_these_builders(monkeypatch, name, G, H, d, calls, report):
+    tried = _record_builders(monkeypatch)
+    H = None if H is None else make_pattern(H)
+    rep = compute_parameter(
+        name, make_pattern(G), H, d=d, n_max=3, options=SearchOptions(budget=1.0)
+    )
+    assert tried == calls
+    label, lower, upper, status = report
+    assert rep.as_dict() == {
+        "parameter": label, "lower": _side(lower), "upper": _side(upper), "status": status
+    }
+
+
+@pytest.mark.parametrize(
+    "name,H,d,message",
+    [
+        ("q", None, 1, "unknown parameter 'q', expected one of ('m', 'm_star', 'g', 'w', 'z')"),
+        ("q", "K3", 7, "unknown parameter 'q', expected one of ('m', 'm_star', 'g', 'w', 'z')"),
+        ("m", None, 1, "parameter m needs a second pattern"),
+        ("z", None, 1, "parameter z needs a second pattern"),
+        ("w", "K3", 1, "parameter w takes a single pattern"),
+        ("g", "K3", 2, "parameter g takes a single pattern"),
+        ("g", None, 2, "g takes overlap budget d of 0 or 1"),
+    ],
+)
+def test_compute_parameter_refusal_messages(name, H, d, message):
+    # the name first, then the pattern count, then g's overlap budget
+    H = None if H is None else make_pattern(H)
+    with pytest.raises(ValueError) as err:
+        compute_parameter(name, make_pattern("K3"), H, d=d)
+    assert str(err.value) == message
