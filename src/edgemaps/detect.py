@@ -6,16 +6,16 @@ Fixed / shifted / strong-shifted copies are copies whose every edge e has
 |e ∩ f(e)| equal to 2 / at most 1 / exactly 0.
 
 Absence results from the ``find_*`` functions are exhaustive, so a ``None``
-return is a proof over all copies.  Every finder walks the copy plan of
-``graphs`` (see ``enumerate_copies``), which reaches each copy once.  The
-fixed and shifted finders build the adjacency masks of the edges in their
-relation in one pass over the images and walk those masks; the free and
-exclusive ones check the relation on each edge as it closes.  All of them
-read edge endpoints from the per-n ``edge_table``; the free and exclusive
-ones read edge ids from the per-n ``pair_ids``, the slot-pair table the
-canonical codes also read.  Star patterns take their own
-path for free and exclusive copies: per center, one exact maximum
-independent set of the conflict graph among the eligible leaves.
+return is a proof over all copies.  Every finder but the star path walks the
+copy plan of ``graphs`` (see ``enumerate_copies``), which reaches each copy
+once, with its candidates cut to the rows of one of the relation graphs
+that ``EdgeMapping.relation_graphs`` caches per mapping: fixed, moved, or
+moved clear, the last two also holding every edge of a free and an
+exclusive copy.  The free and exclusive walks then check the relation on
+each edge as it closes, reading edge ids from the per-n ``pair_ids``.  Free
+and exclusive stars take their own path: per center, one exact maximum
+independent set of the conflict graph among the eligible leaves, a row of
+the same graphs.
 
 ``FINDERS`` is the one table from relation name to finder, and
 ``RELATIONS`` lists its keys; every other module looks relations up there.
@@ -29,8 +29,6 @@ from .graphs import (
     SimpleGraph,
     _copy_plan,
     adjacency_components,
-    adjacency_masks,
-    copies_in_masks,
     edge_id,
     edge_table,
     edge_vertex_mask,
@@ -56,55 +54,29 @@ class Certificate:
 
 
 def fixed_graph(mapping: EdgeMapping) -> SimpleGraph:
-    """Subgraph of edges with f(e) = e."""
-    return SimpleGraph(
-        mapping.n, frozenset(e for e, img in enumerate(mapping.images) if img == e)
-    )
-
-
-def _relation_adj(mapping: EdgeMapping, kind: str) -> list[int]:
-    """Adjacency masks of the edges e with f(e) = e (``fixed``), f(e) != e
-    (``shifted``) or f(e) disjoint from e (``strong_shifted``)."""
-    vmask = edge_table(mapping.n)[1]
-    images = mapping.images
-    if kind == "fixed":
-        keep = [e for e, img in enumerate(images) if img == e]
-    elif kind == "shifted":
-        keep = [e for e, img in enumerate(images) if img != e]
-    else:
-        keep = [e for e, img in enumerate(images) if not vmask[e] & vmask[img]]
-    return adjacency_masks(mapping.n, keep)
-
-
-def _relation_copy(mapping: EdgeMapping, P: PatternGraph, kind: str) -> Certificate | None:
-    """The first copy of P along the copy-plan walk of the relation's edges."""
-    for emb in copies_in_masks(P.graph, mapping.n, _relation_adj(mapping, kind)):
-        return Certificate(kind, P, emb)
-    return None
+    """Subgraph of edges with f(e) = e, read from row v's bits below v."""
+    n, fixed = mapping.n, mapping.relation_graphs[0]
+    ids = pair_ids(n)
+    below = (ids[v * n + u] for v in range(n) for u in mask_bits(fixed >> v * n & (1 << v) - 1))
+    return SimpleGraph(n, frozenset(below))
 
 
 def find_fixed(mapping: EdgeMapping, P: PatternGraph) -> Certificate | None:
-    return _relation_copy(mapping, P, "fixed")
+    return _first_copy(mapping, P, "fixed")
 
 
 def find_shifted(
     mapping: EdgeMapping, P: PatternGraph, strong: bool = False
 ) -> Certificate | None:
-    return _relation_copy(mapping, P, "strong_shifted" if strong else "shifted")
+    return _first_copy(mapping, P, "strong_shifted" if strong else "shifted")
 
 
 def find_free(mapping: EdgeMapping, P: PatternGraph) -> Certificate | None:
-    r = P.as_star()
-    if r is not None:
-        return _star_copy(mapping, P, r, exclusive=False)
-    return _copy_walk(mapping, P, exclusive=False)
+    return _first_copy(mapping, P, "free")
 
 
 def find_exclusive(mapping: EdgeMapping, P: PatternGraph) -> Certificate | None:
-    r = P.as_star()
-    if r is not None:
-        return _star_copy(mapping, P, r, exclusive=True)
-    return _copy_walk(mapping, P, exclusive=True)
+    return _first_copy(mapping, P, "exclusive")
 
 
 FINDERS = {
@@ -139,32 +111,44 @@ def _star_embedding(P: PatternGraph, center: int, leaves: tuple[int, ...]) -> tu
     return tuple(emb)
 
 
-def _copy_walk(mapping: EdgeMapping, P: PatternGraph, exclusive: bool) -> Certificate | None:
-    """First free (or exclusive) copy of P along the ``_copy_plan`` walk.
+# per relation, the graph of ``EdgeMapping.relation_graphs`` holding every edge of its copies
+_GRAPH = {"fixed": 0, "shifted": 1, "strong_shifted": 2, "free": 1, "exclusive": 2}
+
+
+def _first_copy(mapping: EdgeMapping, P: PatternGraph, kind: str) -> Certificate | None:
+    """First copy of P in relation ``kind`` along the ``_copy_plan`` walk, or None.
 
     Each copy is reached once, at its lex-least embedding, so the certificate
-    is the lex-least valid embedding.  A free copy carries two edge masks (its
-    edges, their images); an exclusive copy two vertex masks (its vertices,
-    the endpoints of its images).  A placement is dropped as soon as an edge
-    it closes breaks the relation.
+    is the lex-least valid embedding.  The candidates at each level are the
+    rows of the relation's graph at the placed neighbours.  A free copy also
+    carries two edge masks (its edges, their images), an exclusive copy two
+    vertex masks (its vertices, the endpoints of its images), and a
+    placement is dropped as soon as an edge it closes breaks the relation.
     """
     n = mapping.n
     pg = P.graph
     if pg.n > n:
         return None
+    graph = mapping.relation_graphs[_GRAPH[kind]]
+    free, exclusive = kind == "free", kind == "exclusive"
+    if free or exclusive:
+        r = P.as_star()
+        if r is not None:
+            return _star_copy(mapping, P, r, graph, exclusive)
     order, back, above = _copy_plan(pg)
     images = mapping.images
     vmask = edge_table(n)[1]
     ids = pair_ids(n)
+    checks = back if free or exclusive else ((),) * len(order)
     last = len(order) - 1
     full = (1 << n) - 1
     emb = [0] * len(order)
     assign = [0] * pg.n
 
     def extend(i: int, used: int, copy: int, hit: int) -> bool:
-        cand = full & ~used
-        if exclusive:
-            cand &= ~hit
+        cand = full & ~(used | hit) if exclusive else full & ~used
+        for j in back[i]:
+            cand &= graph >> emb[j] * n
         for j in above[i]:
             cand &= -2 << emb[j]
         while cand:
@@ -174,7 +158,7 @@ def _copy_walk(mapping: EdgeMapping, P: PatternGraph, exclusive: bool) -> Certif
             emb[i] = hv
             here, c, h = used | low, copy, hit
             row = hv * n
-            for j in back[i]:
+            for j in checks[i]:
                 e = ids[row + emb[j]]
                 img = images[e]
                 if exclusive:
@@ -193,41 +177,44 @@ def _copy_walk(mapping: EdgeMapping, P: PatternGraph, exclusive: bool) -> Certif
                     return True
         return False
 
-    if pg.n and not extend(0, 0, 0, 0):
-        return None
-    return Certificate("exclusive" if exclusive else "free", P, tuple(assign))
+    if not pg.n:
+        return Certificate(kind, P, ())
+    # level 0 places order[0] on a vertex of degree at least its own; it
+    # closes no edge and has no earlier vertex to lie above
+    deg = pg.degrees[order[0]]
+    for hv in range(n):
+        if (graph >> hv * n & full).bit_count() >= deg:
+            emb[0] = assign[order[0]] = hv
+            if not last or extend(1, 1 << hv, 0, 0):
+                return Certificate(kind, P, tuple(assign))
+    return None
 
 
 def _star_copy(
-    mapping: EdgeMapping, P: PatternGraph, r: int, exclusive: bool
+    mapping: EdgeMapping, P: PatternGraph, r: int, graph: int, exclusive: bool
 ) -> Certificate | None:
     """A free (or exclusive) K1,r at the first center that holds one.
 
-    At center c, a leaf l is eligible when the edge cl alone is free
-    (moved) or exclusive (image clear of c and l); two eligible leaves
-    conflict when the image of one star edge is the other star edge (free)
-    or touches the other leaf (exclusive).  A largest conflict-free leaf set
-    is an exact maximum independent set of that conflict graph.
+    At center c, the eligible leaves l, those whose edge cl alone is free
+    (moved) or exclusive (moved clear), are row c of ``graph``.  Two of
+    them conflict when the image of one star edge is the other star edge
+    (free) or touches the other leaf (exclusive).  A largest conflict-free
+    leaf set is an exact maximum independent set of that conflict graph.
     """
     n = mapping.n
     images = mapping.images
     vmask = edge_table(n)[1]
     ids = pair_ids(n)
+    full = (1 << n) - 1
     for c in range(n):
+        eligible = graph >> c * n & full
+        if eligible.bit_count() < r:
+            continue
         ends = {}
         for l in range(n):
-            if l == c:
-                continue
-            e = ids[c * n + l]
-            img = images[e]
-            iv = vmask[img]
-            if exclusive:
-                if iv & (1 << c | 1 << l) == 0:
-                    ends[l] = iv
-            elif img != e:
-                ends[l] = iv & ~(1 << c) if iv >> c & 1 else 0
-        if len(ends) < r:
-            continue
+            if eligible >> l & 1:
+                iv = vmask[images[ids[c * n + l]]]
+                ends[l] = iv if exclusive else (iv & ~(1 << c) if iv >> c & 1 else 0)
         adj = {l: set() for l in ends}
         for l, iv in ends.items():
             for t in mask_bits(iv):

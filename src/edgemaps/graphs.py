@@ -6,7 +6,7 @@ under growing n, so an edge keeps its id in every host that contains it.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -269,8 +269,9 @@ def complete(r: int) -> PatternGraph:
     return pattern(SimpleGraph.complete(r), f"K{r}")
 
 
+@lru_cache(maxsize=64)
 def star(r: int) -> PatternGraph:
-    """K_{1,r}: center 0, leaves 1..r."""
+    """K_{1,r}: center 0, leaves 1..r; built once per r."""
     if r < 1:
         raise ValueError("star: r >= 1 required")
     return pattern(
@@ -522,22 +523,17 @@ def enumerate_copies(P: PatternGraph | SimpleGraph, host: SimpleGraph):
     that order.  The map sends pattern vertex i to embedding[i].
     """
     pg = P.graph if isinstance(P, PatternGraph) else P
-    return copies_in_masks(pg, host.n, host.adj)
-
-
-def copies_in_masks(P: SimpleGraph, n: int, adj: Sequence[int]):
-    """``enumerate_copies`` of P in the graph on 0..n-1 whose neighbours of
-    vertex v are the bits of ``adj[v]``; no ``SimpleGraph`` is built."""
-    if P.n > n:
+    n, adj = host.n, host.adj
+    if pg.n > n:
         return
-    if not P.n:
+    if not pg.n:
         yield ()
         return
-    order, back, above = _copy_plan(P)
+    order, back, above = _copy_plan(pg)
     last = len(order) - 1
     free = (1 << n) - 1
     emb = [0] * len(order)
-    assign = [0] * P.n
+    assign = [0] * pg.n
 
     def extend(i: int, used: int):
         cand = free & ~used

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .graphs import checked_edge_id, edge_count, edge_pair, edges_overlap
+from .graphs import checked_edge_id, edge_count, edge_pair, edge_table, edges_overlap
 
 
 class ContractError(RuntimeError):
@@ -26,7 +26,14 @@ class ContractError(RuntimeError):
 
 @dataclass(frozen=True)
 class EdgeMapping:
-    """A total map from the edges of K_n to the edges of K_n."""
+    """A total map from the edges of K_n to the edges of K_n.
+
+    ``relation_graphs`` caches three graphs on 0..n-1, built in one pass
+    over ``images``: the fixed edges (f(e) = e), the moved ones (f(e) != e)
+    and the moved-clear ones (f(e) shares no endpoint with e), in that
+    order.  Each graph is packed into one int whose bits v*n .. v*n+n-1 hold
+    row v, the neighbours of vertex v: ``graph >> v * n & (1 << n) - 1``.
+    """
 
     n: int
     images: tuple[int, ...]
@@ -63,17 +70,25 @@ class EdgeMapping:
         return self.images[e]
 
     @cached_property
-    def profile(self) -> "ShiftProfile":
-        fixed = shifted = strong = 0
+    def relation_graphs(self) -> tuple[int, int, int]:
+        n = self.n
+        pairs, vmask = edge_table(n)
+        fixed = moved = clear = 0
         for e, img in enumerate(self.images):
-            ov = edges_overlap(e, img)
-            if ov == 2:
-                fixed += 1
+            u, v = pairs[e]
+            bits = 1 << u * n + v | 1 << v * n + u
+            if img == e:
+                fixed |= bits
             else:
-                shifted += 1
-                if ov == 0:
-                    strong += 1
-        return ShiftProfile(fixed=fixed, shifted=shifted, strong_shifted=strong)
+                moved |= bits
+                if not vmask[e] & vmask[img]:
+                    clear |= bits
+        return fixed, moved, clear
+
+    @cached_property
+    def profile(self) -> "ShiftProfile":
+        fixed, moved, clear = (g.bit_count() // 2 for g in self.relation_graphs)
+        return ShiftProfile(fixed=fixed, shifted=moved, strong_shifted=clear)
 
 
 @dataclass(frozen=True)

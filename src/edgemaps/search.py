@@ -887,10 +887,12 @@ def _parameter_label(name: str, G: PatternGraph, H: PatternGraph | None, d: int)
     return f"{name}({', '.join(args)})"
 
 
-def _builders(name: str, G: PatternGraph, H: PatternGraph | None):
+def _builders(name: str, G: PatternGraph, H: PatternGraph | None, klass: MappingClass):
     """Witness builders plausibly applicable to the parameter instance, as
     (builder, args) pairs.  The caller builds and re-checks each witness;
     failures just drop out."""
+    # euler_partition and chromatic_blocks move each edge onto an edge it touches
+    shares = klass.kind in ("all", "overlap_le_1")
     if name == "g":
         t = G.as_matching()
         if t == 2:
@@ -898,7 +900,7 @@ def _builders(name: str, G: PatternGraph, H: PatternGraph | None):
         if t == 3:
             yield constructions.matching_3k2, ()
         r = G.as_star()
-        if r is not None and r >= 2:
+        if r is not None and r >= 2 and shares:
             n = 2 * r - 1
             yield constructions.euler_partition, (SimpleGraph.empty(n), SimpleGraph.complete(n), r)
     elif name == "w":
@@ -912,7 +914,7 @@ def _builders(name: str, G: PatternGraph, H: PatternGraph | None):
         if name == "m" and H.as_matching() == 2 and tree:
             yield constructions.star_shift, (G.k,)
         if r is not None and r >= 2:
-            if G.chi >= 3:
+            if G.chi >= 3 and shares:
                 yield constructions.chromatic_blocks, (G.chi, r)
             if tree and name == "m":
                 for variant in (1, 3, 4):
@@ -1024,7 +1026,7 @@ def compute_parameter(
         return BoundReport(label, lower=b, upper=b)
 
     lower = Bound(max(2, floor + 1), "exhaustive avoidance search below")
-    for builder, args in _builders(name, G, H):
+    for builder, args in _builders(name, G, H, klass):
         try:
             res = builder(*args)
         except (ValueError, RuntimeError):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations
 
@@ -124,6 +125,11 @@ def class_mappings(draw):
     return EdgeMapping(n, tuple(images))
 
 
+def _meets(f, P, relation, emb):
+    """Whether the copy of P at ``emb`` meets the relation's definition."""
+    return validate(f, Certificate(relation, P, emb))
+
+
 @given(class_mappings())
 @settings(max_examples=120, deadline=None)
 def test_fixed_and_shifted_certificates_are_the_first_copy(f):
@@ -133,6 +139,44 @@ def test_fixed_and_shifted_certificates_are_the_first_copy(f):
             emb = next(enumerate_copies(P, host), None)
             want = None if emb is None else Certificate(kind, P, emb)
             assert FINDERS[kind](f, P) == want, (kind, str(P), f.images)
+    # a free or exclusive certificate of a non-star pattern is the first
+    # copy in K_n, along the same walk, that meets the definition
+    host = SimpleGraph.complete(f.n)
+    for kind in ("free", "exclusive"):
+        for P in CERT_PATTERNS:
+            if P.as_star() is not None:
+                continue
+            emb = next((e for e in enumerate_copies(P, host) if _meets(f, P, kind, e)), None)
+            want = None if emb is None else Certificate(kind, P, emb)
+            assert FINDERS[kind](f, P) == want, (kind, str(P), f.images)
+
+
+# every finder's certificate on seeded mappings of each class at n = 4..11,
+# the second of each pair with about 30% of its edges then fixed where the
+# class allows it; the patterns add two stars and a 5K2, which has more
+# vertices than the hosts up to n = 9
+DIGEST_PATTERNS = CERT_PATTERNS + [make_pattern(s) for s in ("K1,2", "K1,4")]
+CERTIFICATE_DIGEST = "44ca9dfb9c615e9ea2f946066d6271a9a526e6d5be61dbd0f8a2e00618051d0a"
+
+
+def test_certificates_keep_their_digest():
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    for kind in MappingClass.KINDS:
+        cls = MappingClass(kind)
+        for n in range(4, 12):
+            for rate in (0.0, 0.3):
+                images = list(random_mapping(n, rng, cls).images)
+                for e in range(len(images)):
+                    if cls.value_ok(e, e) and rng.random() < rate:
+                        images[e] = e
+                f = EdgeMapping(n, tuple(images))
+                for P in DIGEST_PATTERNS:
+                    for rel, find in FINDERS.items():
+                        cert = find(f, P)
+                        emb = None if cert is None else (cert.kind, cert.embedding)
+                        digest.update(repr((kind, n, rate, str(P), rel, emb)).encode())
+    assert digest.hexdigest() == CERTIFICATE_DIGEST
 
 
 def test_identity_mapping_relations():

@@ -71,6 +71,21 @@ def test_profile_counts_sum(f):
     assert p.strong_shifted <= p.shifted
 
 
+@given(mappings())
+@settings(max_examples=100, deadline=None)
+def test_relation_graphs_hold_each_edge_in_its_rows(f):
+    # bit v*n + u of a graph is set exactly when edge uv lies in its relation
+    n = f.n
+    want = [0, 0, 0]
+    for e, img in enumerate(f.images):
+        u, v = edge_pair(e)
+        ov = edges_overlap(e, img)
+        for g, holds in enumerate((ov == 2, ov < 2, ov == 0)):
+            if holds:
+                want[g] |= 1 << u * n + v | 1 << v * n + u
+    assert f.relation_graphs == tuple(want)
+
+
 @given(mappings(n_min=3))
 @settings(max_examples=100, deadline=None)
 def test_format_parse_round_trip(f):
