@@ -15,9 +15,14 @@ compiles the package from source.
 The summary holds, per workload and end-to-end metric, each side's median
 and quartiles (inclusive method), how many pairs the change wins, the
 change/parent ratio of the medians and every pair's values; per workload,
-whether the exact counters agree in every pair; and, with ``--claim``,
-whether the change wins at least nine pairs in ten and its median differs
-from the parent's by more than the parent's interquartile range.
+whether the exact counters agree in every pair; with ``--claim``, whether
+the change wins at least nine pairs in ten and its median differs from the
+parent's by more than the parent's interquartile range; and a guard on
+every other (workload, metric) pair: ``ok`` when the change's median is
+within the metric's ``bound`` in BENCHMARK.json (a fraction of the parent's
+median), ``worse`` when it is not, and ``unresolved`` when the parent's
+interquartile range is wider than the bound, unless every change run beats
+every parent run.
 """
 from __future__ import annotations
 
@@ -105,6 +110,30 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def guard(m: dict, bound: float, lower: bool) -> dict:
+    """Whether the change's median stays within ``bound`` of the parent's."""
+    parent, change = m["parent"]["median"], m["change"]["median"]
+    slack = bound * parent
+    iqr = m["parent"]["q3"] - m["parent"]["q1"]
+    runs = list(zip(*m["per_pair"]))
+    if lower:
+        beats_all, within = max(runs[1]) < min(runs[0]), change <= parent + slack
+    else:
+        beats_all, within = min(runs[1]) > max(runs[0]), change >= parent - slack
+    if iqr > slack and not beats_all:
+        verdict = "unresolved"
+    else:
+        verdict = "ok" if within else "worse"
+    return {
+        "bound": bound,
+        "parent_median": parent,
+        "change_median": change,
+        "allowed_change": round(slack, 4),
+        "parent_iqr": round(iqr, 4),
+        "verdict": verdict,
+    }
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -182,6 +211,12 @@ def main() -> int:
             "met": m["change_wins"] >= math.ceil(0.9 * pairs)
             and (gain if lower else -gain) > parent_iqr,
         }
+    summary["guards"] = {
+        f"{workload}:{m['name']}": guard(end_to_end[workload][m["name"]], m["bound"], m["better"] == "lower")
+        for workload in workloads
+        for m in metrics
+        if f"{workload}:{m['name']}" != args.claim
+    }
     summary["end_to_end"] = end_to_end
     summary["exact"] = exact
     text = json.dumps(summary, indent=1) + "\n"

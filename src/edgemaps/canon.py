@@ -31,13 +31,19 @@ not depend on how it is found.  A graph whose classes are all single
 vertices or pairwise twins skips the search: every order of a twin class
 is an automorphism, so all its arrangements have one code.
 
-The refinement ranks each round's keys to small integers.  Ranking is
-order-preserving, so the class order and the early stop are those of
-refining on the nested keys themselves.
+The refinement is colour refinement on class bitmasks (Berkholz, Bonsma
+and Grohe, "Tight bounds on the complexity of colour refinement", 2013).
+The classes start as the degree classes; each round splits every class by
+the vector of how many neighbours a member has in each class and orders
+the parts by the negated vector, and the rounds stop after one that splits
+nothing or after ``_WL_ROUNDS``.  This is the order of keying each vertex
+by (its class, its neighbours' classes sorted): the members of one class
+share a degree, and for sorted lists of one length the first class whose
+count differs decides both orders, the larger count first.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from itertools import chain
 
 from .graphs import adjacency_masks, edge_count, edge_table, mask_bits, pair_ids
@@ -45,26 +51,32 @@ from .graphs import adjacency_masks, edge_count, edge_table, mask_bits, pair_ids
 _WL_ROUNDS = 3
 
 
-def _wl_classes(n: int, adj: list[int]) -> list[list[int]]:
-    """Vertex classes of the iterated neighborhood invariant, in invariant order.
-
-    Each round keys a vertex by (its key, its neighbours' keys sorted) and
-    replaces the keys by their ranks, which keeps their order.
-    """
-    nbrs = [mask_bits(a) for a in adj]
-    keys = [len(nb) for nb in nbrs]
-    count = len(set(keys))
-    for _ in range(_WL_ROUNDS):
-        sigs = [(keys[v], tuple(sorted([keys[u] for u in nb]))) for v, nb in enumerate(nbrs)]
-        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
-        keys = [rank[sig] for sig in sigs]
-        if len(rank) == count:
-            break
-        count = len(rank)
-    groups: list[list[int]] = [[] for _ in range(count)]
+def _wl_classes(n: int, adj: list[int]) -> list[int]:
+    """Vertex classes of the iterated neighbourhood invariant, as bitmasks in
+    invariant order (see the module docstring)."""
+    by_degree: dict[int, int] = {}
     for v in range(n):
-        groups[keys[v]].append(v)
-    return groups
+        d = adj[v].bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    cells = [by_degree[d] for d in sorted(by_degree)]
+    for _ in range(_WL_ROUNDS):
+        split: list[int] = []
+        for cell in cells:
+            if cell & (cell - 1) == 0:
+                split.append(cell)
+                continue
+            parts: dict[tuple[int, ...], int] = {}
+            for v in mask_bits(cell):
+                a = adj[v]
+                key = tuple([(a & c).bit_count() for c in cells])
+                parts[key] = parts.get(key, 0) | 1 << v
+            # members share a degree, and equal-length sorted lists of neighbour
+            # classes order as the negated count vectors: descending vectors
+            split += [parts[key] for key in sorted(parts, reverse=True)]
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
 
 
 def canonical_code(n: int, mask: int) -> int:
@@ -74,7 +86,11 @@ def canonical_code(n: int, mask: int) -> int:
     its block of slots, found by individualisation and refinement (see the
     module docstring).
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     full = (1 << edge_count(n)) - 1
+    if not 0 <= mask <= full:
+        raise ValueError(f"mask {mask} outside 0..2^C({n},2) - 1")
     if mask == 0 or mask == full:
         return mask
     eids = mask_bits(mask)
@@ -82,9 +98,9 @@ def canonical_code(n: int, mask: int) -> int:
     pairs, ids = edge_table(n)[0], pair_ids(n)
     edges = [pairs[e] for e in eids]
     classes = _wl_classes(n, adj)
-    if all(len(c) == 1 or _twins(adj, c) for c in classes):
+    if all(c & (c - 1) == 0 or _twins(adj, c) for c in classes):
         slot = [0] * n
-        for s, v in enumerate(chain.from_iterable(classes)):
+        for s, v in enumerate(chain.from_iterable(map(mask_bits, classes))):
             slot[v] = s
         return sum(1 << ids[slot[u] * n + slot[v]] for u, v in edges)
     best = full + 1
@@ -125,22 +141,20 @@ def canonical_code(n: int, mask: int) -> int:
                 nb, rest = adj[v], ~(adj[v] | 1 << v)
                 place([part for c in cells for part in (c & nb, c & rest) if part], s - 1, code)
 
-    place([sum(1 << v for v in c) for c in classes], n - 1, 0)
+    place(classes, n - 1, 0)
     return best
 
 
-def _twins(adj: list[int], cls: list[int]) -> bool:
-    """Whether the members of ``cls`` are pairwise twins.
+def _twins(adj: list[int], cls: int) -> bool:
+    """Whether the members of the class mask ``cls`` are pairwise twins.
 
     Twins have the same neighbours outside the class and either no edges or
     all edges among themselves, so every permutation of the class is an
     automorphism and leaves the minimum code unchanged.
     """
-    inside = 0
-    for v in cls:
-        inside |= 1 << v
-    out = adj[cls[0]] & ~inside
-    return all(adj[v] == out for v in cls) or all(adj[v] | 1 << v == out | inside for v in cls)
+    members = mask_bits(cls)
+    out = adj[members[0]] & ~cls
+    return all(adj[v] == out for v in members) or all(adj[v] | 1 << v == out | cls for v in members)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +171,17 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
     deduplicated by ``canonical_code``.  This still reaches every class C:
     take a largest-key edge c of C; C - c lies in level m, so its
     representative plus the image of c is a copy of C whose new edge has
-    the largest key.
+    the largest key.  A non-edge whose endpoints' larger degree plus one is
+    below the parent's maximum degree is skipped without building the
+    child: its new edge cannot have the largest key.
 
     ``keep`` filters graphs and must be closed under edge deletion (every
     kept graph minus any edge is kept); generation then stops at the first
     empty level.  Without ``keep`` and ``max_edges`` only the levels up to
     C(n,2)/2 are grown, and level m is the complements of level C(n,2) - m.
     """
+    if n < 0:
+        raise ValueError("need n >= 0")
     total = edge_count(n)
     halves = keep is None and max_edges is None
     if halves:
@@ -180,8 +198,9 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
         for g in levels[m]:
             adj = adjacency_masks(n, mask_bits(g))
             deg = [a.bit_count() for a in adj]
+            most = max(deg)
             for e, (u, v) in enumerate(pairs):
-                if g >> e & 1:
+                if g >> e & 1 or max(deg[u], deg[v]) + 1 < most:
                     continue
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
@@ -228,7 +247,7 @@ def _has_largest_key(adj: list[int], deg: list[int], u: int, v: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=8)
+@cache
 def graphs_by_edge_count(n: int) -> tuple[tuple[int, ...], ...]:
     """All graphs on n vertices up to isomorphism, grouped by edge count."""
     if n > 8:

@@ -4,6 +4,7 @@ from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from edgemaps.canon import (
@@ -66,7 +67,7 @@ def _slot_blocks(n: int, mask: int) -> list[range]:
     """For each vertex, the slots of its invariant class in the class order."""
     blocks = [range(0)] * n
     start = 0
-    for cls in _wl_classes(n, adjacency_masks(n, mask_bits(mask))):
+    for cls in map(mask_bits, _wl_classes(n, adjacency_masks(n, mask_bits(mask)))):
         for v in cls:
             blocks[v] = range(start, start + len(cls))
         start += len(cls)
@@ -153,6 +154,48 @@ def test_canonical_code_on_twin_classes_n7_n8():
                 hi = np.array([b.stop for b in blocks])
                 rows = perms[((perms >= lo) & (perms < hi)).all(axis=1)]
                 assert canonical_code(n, g) == _codes_min(rows, g, n), (n, g)
+
+
+def _reference_wl_classes(n: int, adj: list[int]) -> list[list[int]]:
+    """The reference invariant classes, in invariant order: up to three
+    rounds keying each vertex by (its key, its neighbours' keys sorted),
+    starting from the degrees and ranking the keys after each round; the
+    rounds stop early when one splits no class."""
+    nbrs = [mask_bits(a) for a in adj]
+    keys = [len(nb) for nb in nbrs]
+    count = len(set(keys))
+    for _ in range(3):
+        sigs = [(keys[v], tuple(sorted([keys[u] for u in nb]))) for v, nb in enumerate(nbrs)]
+        rank = {sig: r for r, sig in enumerate(sorted(set(sigs)))}
+        keys = [rank[sig] for sig in sigs]
+        if len(rank) == count:
+            break
+        count = len(rank)
+    groups: list[list[int]] = [[] for _ in range(count)]
+    for v in range(n):
+        groups[keys[v]].append(v)
+    return groups
+
+
+def _random_masks(n: int, count: int, seed: int):
+    """Seeded random graphs on n vertices, sparse to dense."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice((0.15, 0.3, 0.5, 0.7))
+        yield sum(1 << e for e in range(edge_count(n)) if rng.random() < p)
+
+
+def test_wl_classes_match_reference():
+    cases = [(n, g) for n in range(8) for level in graphs_by_edge_count(n) for g in level]
+    cases += [(n, g) for n in range(8, 13) for g in _random_masks(n, 200, n)]
+    cases += [(n, g) for n in (7, 8) for g in _twin_heavy(n)]
+    cases += [(8, g) for g in _uniform_n8()]
+    cases += [(10, _spoked_pentagons(2)), (10, _spoked_pentagons(1))]
+    cases += [(12, make_pattern("4K3").graph.edge_mask), (12, cycle(12).graph.edge_mask)]
+    for n, g in cases:
+        adj = adjacency_masks(n, mask_bits(g))
+        classes = [mask_bits(c) for c in _wl_classes(n, adj)]
+        assert classes == _reference_wl_classes(n, adj), (n, g)
 
 
 def _spoked_pentagons(step: int) -> int:
@@ -288,3 +331,35 @@ def test_generate_max_edges_cutoff():
     levels = generate_by_edge_count(4, max_edges=3)
     assert len(levels) == 4
     assert tuple(len(lv) for lv in levels) == N4_LEVELS[:4]
+
+
+def test_generated_levels_pinned():
+    # the representatives themselves and their order, not only their codes
+    tri = make_pattern("K3")
+    runs = [generate_by_edge_count(n) for n in range(8)]
+    runs.append(generate_by_edge_count(8, max_edges=10))
+    runs.append(generate_by_edge_count(7, keep=lambda m: not contains_copy(tri, _graph(7, m))))
+    parts = ["|".join(",".join(map(str, level)) for level in levels) for levels in runs]
+    assert _sha(parts) == "ec6c6413660c39260ef5772d35785237e084b77f04da9fd0692eac0eb03e0763"
+
+
+def test_canonical_code_refuses_negative_n():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        canonical_code(-1, 0)
+
+
+def test_canonical_code_refuses_masks_out_of_range():
+    # -1 used to loop forever in mask_bits, 8 to end in an IndexError
+    for n, mask in ((3, -1), (3, 8), (4, 1 << 6), (0, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            canonical_code(n, mask)
+
+
+def test_graphs_by_edge_count_refuses_negative_n():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        graphs_by_edge_count(-1)
+
+
+def test_generate_by_edge_count_refuses_negative_n():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        generate_by_edge_count(-2)
