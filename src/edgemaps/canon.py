@@ -40,6 +40,13 @@ nothing or after ``_WL_ROUNDS``.  This is the order of keying each vertex
 by (its class, its neighbours' classes sorted): the members of one class
 share a degree, and for sorted lists of one length the first class whose
 count differs decides both orders, the larger count first.
+
+The catalogue grows level m + 1 from level m one edge at a time and keeps
+a child whose new edge has the largest key and whose code is new.  It
+tries one non-edge per orbit of the parent's twin swaps (McKay,
+"Isomorph-free exhaustive generation", 1998): swapping two twins is an
+automorphism of the parent, so the children it relates are isomorphic and
+all but the first would be dropped as duplicates of it.
 """
 from __future__ import annotations
 
@@ -175,6 +182,17 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
     below the parent's maximum degree is skipped without building the
     child: its new edge cannot have the largest key.
 
+    Each parent is also grown once per orbit of its twin swaps (McKay,
+    "Isomorph-free exhaustive generation", 1998): of the non-edges uv with
+    the same pair of twin classes (``_twin_classes``) only the first is
+    tried.  Swapping two twins is an automorphism of the parent, so it
+    maps one such child onto another, and the degree pre-check and the
+    largest-key test, both invariant under it, accept all of them or none.
+    A skipped child would thus have been refused as the sibling tried was,
+    or dropped as a duplicate of it: the levels, their order and ``seen``
+    are unchanged.
+    A parent without twins skips this bookkeeping.
+
     ``keep`` filters graphs and must be closed under edge deletion (every
     kept graph minus any edge is kept); generation then stops at the first
     empty level.  Without ``keep`` and ``max_edges`` only the levels up to
@@ -199,9 +217,16 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
             adj = adjacency_masks(n, mask_bits(g))
             deg = [a.bit_count() for a in adj]
             most = max(deg)
+            twin = _twin_classes(adj)
+            tried: set[int] = set()
             for e, (u, v) in enumerate(pairs):
                 if g >> e & 1 or max(deg[u], deg[v]) + 1 < most:
                     continue
+                if twin is not None:
+                    orbit = 1 << twin[u] | 1 << twin[v]
+                    if orbit in tried:
+                        continue
+                    tried.add(orbit)
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
                 deg[u] += 1
@@ -227,6 +252,25 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
         full = (1 << total) - 1
         levels += [sorted(full ^ g for g in levels[total - m]) for m in range(top + 1, total + 1)]
     return levels
+
+
+def _twin_classes(adj: list[int]) -> list[int] | None:
+    """The least member of each vertex's twin class, or None when no vertex
+    has a twin; u and v are twins when N(u) - v = N(v) - u.
+
+    Twins have equal open neighbourhoods (apart) or equal closed ones
+    (adjacent).  No vertex has both kinds: a true twin u and a false twin w
+    of v would make w adjacent to u, hence to v.  N(u) never equals N[w]: it
+    would hold w, so u would be w's neighbour and its own.  One dict keyed
+    by both kinds thus finds the least member of every class.
+    """
+    least: dict[int, int] = {}
+    for v, a in enumerate(adj):
+        least.setdefault(a, v)
+        least.setdefault(a | 1 << v, v)
+    if len(least) == 2 * len(adj):
+        return None
+    return [min(least[a], least[a | 1 << v]) for v, a in enumerate(adj)]
 
 
 def _has_largest_key(adj: list[int], deg: list[int], u: int, v: int) -> bool:

@@ -43,6 +43,9 @@ def edge_pair(eid: int) -> tuple[int, int]:
 
 
 def edge_count(n: int) -> int:
+    """C(n, 2); ``edge_table`` refuses n < 0 through it."""
+    if n < 0:
+        raise ValueError(f"negative vertex count {n}: need n >= 0")
     return n * (n - 1) // 2
 
 
@@ -64,6 +67,8 @@ def edge_table(n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
 def pair_ids(n: int) -> tuple[int, ...]:
     """``edge_id(a, b)`` at index ``a * n + b`` for vertices a != b of K_n,
     and -1 at ``a * n + a``."""
+    if n < 0:
+        raise ValueError(f"negative vertex count {n}: need n >= 0")
     return tuple(edge_id(a, b) if a != b else -1 for a in range(n) for b in range(n))
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgemaps import canon
 from edgemaps.canon import (
+    _twin_classes,
     _wl_classes,
     canonical_code,
     generate_by_edge_count,
@@ -341,6 +343,50 @@ def test_generated_levels_pinned():
     runs.append(generate_by_edge_count(7, keep=lambda m: not contains_copy(tri, _graph(7, m))))
     parts = ["|".join(",".join(map(str, level)) for level in levels) for levels in runs]
     assert _sha(parts) == "ec6c6413660c39260ef5772d35785237e084b77f04da9fd0692eac0eb03e0763"
+
+
+def _reference_twin_classes(n: int, adj: list[int]) -> list[int]:
+    """The least twin of each vertex, from the definition N(u) - v = N(v) - u."""
+    return [min(u for u in range(n) if adj[u] & ~(1 << v) == adj[v] & ~(1 << u)) for v in range(n)]
+
+
+def test_twin_classes_give_isomorphic_siblings():
+    # the generator tries one non-edge per pair of twin classes; every other
+    # non-edge of that pair must give a child with the same code
+    cases = [(n, g) for n in range(7) for level in graphs_by_edge_count(n) for g in level]
+    cases += [(n, g) for n in range(7, 10) for g in _random_masks(n, 200, 100 + n)]
+    cases += [(n, g) for n in (7, 8) for g in _twin_heavy(n)]
+    pairs = edge_table(9)[0]  # colex edge ids do not depend on n
+    for n, g in cases:
+        adj = adjacency_masks(n, mask_bits(g))
+        twin = _twin_classes(adj) or list(range(n))
+        assert twin == _reference_twin_classes(n, adj), (n, g)
+        orbits: dict[int, list[int]] = {}
+        for e in range(edge_count(n)):
+            if not g >> e & 1:
+                u, v = pairs[e]
+                orbits.setdefault(1 << twin[u] | 1 << twin[v], []).append(g | 1 << e)
+        for children in orbits.values():
+            codes = {canonical_code(n, child) for child in children}
+            assert len(codes) == 1, (n, g, children)
+
+
+def test_twin_skip_call_counts_pinned(monkeypatch):
+    # the levels are the same without the skip; only the number of codes shows it
+    calls = 0
+    code = canon.canonical_code
+
+    def counting(n: int, mask: int) -> int:
+        nonlocal calls
+        calls += 1
+        return code(n, mask)
+
+    monkeypatch.setattr(canon, "canonical_code", counting)
+    generate_by_edge_count(7)
+    assert calls == 794
+    calls = 0
+    generate_by_edge_count(8, max_edges=10)
+    assert calls == 2370
 
 
 def test_canonical_code_refuses_negative_n():

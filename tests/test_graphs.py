@@ -20,6 +20,7 @@ from edgemaps.graphs import (
     edge_count,
     edge_id,
     edge_pair,
+    edge_table,
     edges_overlap,
     enumerate_copies,
     from_edge_list,
@@ -61,6 +62,23 @@ def test_pair_ids_table():
         for a in range(n):
             assert ids[a * n + a] == -1
             assert all(ids[a * n + b] == edge_id(a, b) for b in range(n) if b != a)
+
+
+def test_edge_count_refuses_negative_n():
+    # edge_count(-1) used to be 1
+    with pytest.raises(ValueError, match="need n >= 0"):
+        edge_count(-1)
+
+
+def test_edge_table_refuses_negative_n():
+    # edge_table(-1) used to return K2's table
+    with pytest.raises(ValueError, match="need n >= 0"):
+        edge_table(-1)
+
+
+def test_pair_ids_refuses_negative_n():
+    with pytest.raises(ValueError, match="need n >= 0"):
+        pair_ids(-2)
 
 
 @given(st.integers(min_value=0, max_value=edge_count(40) - 1))
