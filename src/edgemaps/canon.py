@@ -47,6 +47,13 @@ tries one non-edge per orbit of the parent's twin swaps (McKay,
 "Isomorph-free exhaustive generation", 1998): swapping two twins is an
 automorphism of the parent, so the children it relates are isomorphic and
 all but the first would be dropped as duplicates of it.
+
+A child's code is computed only when it is needed to tell the child from
+an earlier one.  Each level keys its classes by a cheap invariant, each
+vertex's neighbour degrees and triangles, sorted over the vertices, which
+isomorphic graphs share.  A child with a new invariant is a new class
+without a code; only a collision costs codes, the child's and, the first
+time, that of the class it collided with.
 """
 from __future__ import annotations
 
@@ -174,8 +181,8 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
     The masks are representatives, not canonical codes.  Level m + 1 grows
     from level m by adding one edge to each representative.  A child is kept
     only when its new edge has the largest key (max degree, min degree,
-    common neighbours) among the child's edges, and kept children are
-    deduplicated by ``canonical_code``.  This still reaches every class C:
+    common neighbours) among the child's edges and it is isomorphic to no
+    earlier child of its level.  This still reaches every class C:
     take a largest-key edge c of C; C - c lies in level m, so its
     representative plus the image of c is a copy of C whose new edge has
     the largest key.  A non-edge whose endpoints' larger degree plus one is
@@ -189,9 +196,22 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
     maps one such child onto another, and the degree pre-check and the
     largest-key test, both invariant under it, accept all of them or none.
     A skipped child would thus have been refused as the sibling tried was,
-    or dropped as a duplicate of it: the levels, their order and ``seen``
-    are unchanged.
+    or dropped as a duplicate of it: the levels and their order are
+    unchanged.
     A parent without twins skips this bookkeeping.
+
+    A child's ``canonical_code`` is computed only when a cheaper invariant
+    cannot tell it from an earlier child (McKay's cheap-invariant-first
+    rule).  Each level keys its new classes by ``_invariant``.  A child
+    whose invariant is new to the level is a new class and gets no code;
+    on a collision the child gets its code, and so does the first class
+    with that invariant if it has none yet, and the child is dropped when
+    its code is among that invariant's codes.  The output is the same as
+    when every child gets a code: isomorphic graphs have equal invariants,
+    so a child isomorphic to an earlier class always meets it in one
+    bucket, where equal codes drop it; and a child whose invariant is new
+    is isomorphic to no earlier class.  So ``keep`` sees the same children
+    in the same order, and the levels are bit-identical.
 
     ``keep`` filters graphs and must be closed under edge deletion (every
     kept graph minus any edge is kept); generation then stops at the first
@@ -200,6 +220,8 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
     """
     if n < 0:
         raise ValueError("need n >= 0")
+    if max_edges is not None and max_edges < 0:
+        raise ValueError(f"need max_edges >= 0, got {max_edges}")
     total = edge_count(n)
     halves = keep is None and max_edges is None
     if halves:
@@ -212,7 +234,8 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
     levels: list[list[int]] = [[0]]
     for m in range(top):
         nxt: list[int] = []
-        seen: set[int] = set()
+        first: dict[tuple, int] = {}  # invariant -> the level's first class with it
+        codes: dict[tuple, set[int]] = {}  # invariant -> its classes' codes, once two collide
         for g in levels[m]:
             adj = adjacency_masks(n, mask_bits(g))
             deg = [a.bit_count() for a in adj]
@@ -231,18 +254,24 @@ def generate_by_edge_count(n: int, keep=None, max_edges: int | None = None) -> l
                 adj[v] ^= 1 << u
                 deg[u] += 1
                 deg[v] += 1
-                largest = _has_largest_key(adj, deg, u, v)
+                inv = _invariant(adj, deg) if _has_largest_key(adj, deg, u, v) else None
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
                 deg[u] -= 1
                 deg[v] -= 1
-                if not largest:
+                if inv is None:
                     continue
                 child = g | 1 << e
-                code = canonical_code(n, child)
-                if code in seen:
-                    continue
-                seen.add(code)
+                if inv not in first:
+                    first[inv] = child
+                else:
+                    known = codes.get(inv)
+                    if known is None:
+                        known = codes[inv] = {canonical_code(n, first[inv])}
+                    code = canonical_code(n, child)
+                    if code in known:
+                        continue
+                    known.add(code)
                 if keep is None or keep(child):
                     nxt.append(child)
         if not nxt:
@@ -271,6 +300,32 @@ def _twin_classes(adj: list[int]) -> list[int] | None:
     if len(least) == 2 * len(adj):
         return None
     return [min(least[a], least[a | 1 << v]) for v, a in enumerate(adj)]
+
+
+def _invariant(adj: list[int], deg: list[int]) -> tuple[int, ...]:
+    """An isomorphism invariant: over the vertices, sorted, each vertex's
+    multiset of neighbour degrees (which holds its degree) and twice its
+    triangles, packed in one int.
+
+    With k = n.bit_length() a count below n fits in k bits, so the multiset
+    is the sum of 2^(k d) over the neighbours' degrees d, and twice the
+    triangles, below n^2, fits in the low 2k bits.
+    """
+    k = len(adj).bit_length()
+    weight = [1 << k * d for d in deg]
+    keys = []
+    for a in adj:
+        degrees = twice_triangles = 0
+        rest = a
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            degrees += weight[u]
+            twice_triangles += (adj[u] & a).bit_count()
+            rest ^= low
+        keys.append(degrees << 2 * k | twice_triangles)
+    keys.sort()
+    return tuple(keys)
 
 
 def _has_largest_key(adj: list[int], deg: list[int], u: int, v: int) -> bool:

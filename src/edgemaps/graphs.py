@@ -131,10 +131,13 @@ class SimpleGraph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("negative vertex count")
-        for eid in self.edges:
-            _, v = edge_pair(eid)
-            if v >= self.n:
-                raise ValueError(f"edge {edge_pair(eid)} out of range for n={self.n}")
+        # colex ids: the edges of K_n are exactly the ids 0 .. C(n, 2) - 1
+        if self.edges:
+            low, high = min(self.edges), max(self.edges)
+            if low < 0:
+                raise ValueError(f"bad edge id {low}")
+            if high >= edge_count(self.n):
+                raise ValueError(f"edge {edge_pair(high)} out of range for n={self.n}")
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "SimpleGraph":

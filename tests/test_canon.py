@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from edgemaps import canon
 from edgemaps.canon import (
+    _invariant,
     _twin_classes,
     _wl_classes,
     canonical_code,
@@ -372,7 +373,8 @@ def test_twin_classes_give_isomorphic_siblings():
 
 
 def test_twin_skip_call_counts_pinned(monkeypatch):
-    # the levels are the same without the skip; only the number of codes shows it
+    # the levels are the same without the twin skip or the invariant that
+    # spares codes; only the number of codes shows them
     calls = 0
     code = canon.canonical_code
 
@@ -383,10 +385,45 @@ def test_twin_skip_call_counts_pinned(monkeypatch):
 
     monkeypatch.setattr(canon, "canonical_code", counting)
     generate_by_edge_count(7)
-    assert calls == 794
+    assert calls == 442
     calls = 0
     generate_by_edge_count(8, max_edges=10)
-    assert calls == 2370
+    assert calls == 1397
+
+
+def test_invariant_only_spares_codes(monkeypatch):
+    # with a constant invariant every child collides and gets its code: the
+    # levels, their order and the keep path must not change
+    tri = make_pattern("K3")
+
+    def runs():
+        out = [generate_by_edge_count(n) for n in range(8)]
+        out.append(generate_by_edge_count(8, max_edges=10))
+        out.append(generate_by_edge_count(7, keep=lambda m: not contains_copy(tri, _graph(7, m))))
+        return out
+
+    real = runs()
+    monkeypatch.setattr(canon, "_invariant", lambda adj, deg: ())
+    assert runs() == real
+
+
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(min_value=0, max_value=(1 << edge_count(n)) - 1),
+            st.permutations(range(n)),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_invariant_is_relabeling_invariant(args):
+    n, mask, perm = args
+    values = []
+    for g in (mask, _apply_perm(n, mask, perm)):
+        adj = adjacency_masks(n, mask_bits(g))
+        values.append(_invariant(adj, [a.bit_count() for a in adj]))
+    assert values[0] == values[1]
 
 
 def test_canonical_code_refuses_negative_n():
@@ -409,3 +446,10 @@ def test_graphs_by_edge_count_refuses_negative_n():
 def test_generate_by_edge_count_refuses_negative_n():
     with pytest.raises(ValueError, match="need n >= 0"):
         generate_by_edge_count(-2)
+
+
+def test_generate_by_edge_count_refuses_negative_max_edges():
+    # max_edges=-1 used to return [[0]]
+    with pytest.raises(ValueError, match="need max_edges >= 0"):
+        generate_by_edge_count(4, max_edges=-1)
+    assert generate_by_edge_count(4, max_edges=0) == [[0]]

@@ -81,6 +81,19 @@ def test_pair_ids_refuses_negative_n():
         pair_ids(-2)
 
 
+def test_simple_graph_checks_edge_ids_against_n():
+    # colex ids: K_5's edges are 0 .. 9, the last of them (3, 4)
+    top = SimpleGraph(5, frozenset({0, 9}))
+    assert top.pairs() == [(0, 1), (3, 4)]
+    with pytest.raises(ValueError, match="bad edge id -1"):
+        SimpleGraph(5, frozenset({-1, 3}))
+    with pytest.raises(ValueError, match=r"edge \(0, 5\) out of range for n=5"):
+        SimpleGraph(5, frozenset({2, 10}))
+    with pytest.raises(ValueError, match="out of range for n=0"):
+        SimpleGraph(0, frozenset({0}))
+    assert SimpleGraph(0, frozenset()).m == 0
+
+
 @given(st.integers(min_value=0, max_value=edge_count(40) - 1))
 def test_edge_id_round_trip(eid):
     u, v = edge_pair(eid)
