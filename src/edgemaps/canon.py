@@ -21,15 +21,20 @@ isomorphism, II", 2014), filling the slots from n - 1 down:
   splits each cell into v's neighbours, then the rest;
 * so only the vertices with the least row are branched on, each with its
   refined partition, and a branch is cut once its rows exceed the best
-  code's.  A candidate that is a twin of an earlier one is skipped:
-  swapping the two is an automorphism that keeps the partition;
+  code's.  Of the candidates in one twin class (``_twin_classes``) only
+  the first is tried: swapping two twins is an automorphism that keeps
+  the partition;
 * once every cell is a single vertex, the rest of the code is fixed and is
   summed from the slot-pair table ``graphs.pair_ids``.
 
 The search thus returns the minimum over every arrangement, so codes do
-not depend on how it is found.  A graph whose classes are all single
-vertices or pairwise twins skips the search: every order of a twin class
-is an automorphism, so all its arrangements have one code.
+not depend on how it is found.  Every twin class lies inside one class,
+since swapping two twins is an automorphism and the refinement commutes
+with automorphisms.  So when there are as many twin classes as classes,
+every order of each class is an automorphism and all arrangements have
+one code: the search is skipped, the classes split into single vertices
+in class order.  Twin classes are only sought when a class has two or
+more vertices.
 
 The refinement is colour refinement on class bitmasks (Berkholz, Bonsma
 and Grohe, "Tight bounds on the complexity of colour refinement", 2013).
@@ -63,6 +68,8 @@ from itertools import chain
 from .graphs import adjacency_masks, edge_count, edge_table, mask_bits, pair_ids
 
 _WL_ROUNDS = 3
+# Largest n whose full catalogue ``graphs_by_edge_count`` builds.
+FULL_CATALOGUE_LIMIT = 8
 
 
 def _wl_classes(n: int, adj: list[int]) -> list[int]:
@@ -112,11 +119,12 @@ def canonical_code(n: int, mask: int) -> int:
     pairs, ids = edge_table(n)[0], pair_ids(n)
     edges = [pairs[e] for e in eids]
     classes = _wl_classes(n, adj)
-    if all(c & (c - 1) == 0 or _twins(adj, c) for c in classes):
-        slot = [0] * n
-        for s, v in enumerate(chain.from_iterable(map(mask_bits, classes))):
-            slot[v] = s
-        return sum(1 << ids[slot[u] * n + slot[v]] for u, v in edges)
+    twin = range(n)  # twin[v] names v's twin class: v alone unless twins are found
+    if len(classes) < n:
+        twin = _twin_classes(adj) or twin
+        if len(set(twin)) == len(classes):
+            # every class is a twin class, whose orders are all automorphisms
+            classes = [1 << v for v in chain.from_iterable(map(mask_bits, classes))]
     best = full + 1
 
     def place(cells: list[int], s: int, code: int) -> None:
@@ -135,10 +143,12 @@ def canonical_code(n: int, mask: int) -> int:
             return
         cands: list[int] = []
         rows: list[int] = []
+        tried = 0  # the twin classes of the candidates so far
         for v in mask_bits(cells[-1]):
-            nb = adj[v]
-            if any((adj[u] ^ nb) & ~(1 << u | 1 << v) == 0 for u in cands):
+            if tried >> twin[v] & 1:
                 continue
+            tried |= 1 << twin[v]
+            nb = adj[v]
             row = lo = 0
             for c in cells:
                 row |= ((1 << (nb & c).bit_count()) - 1) << lo
@@ -157,18 +167,6 @@ def canonical_code(n: int, mask: int) -> int:
 
     place(classes, n - 1, 0)
     return best
-
-
-def _twins(adj: list[int], cls: int) -> bool:
-    """Whether the members of the class mask ``cls`` are pairwise twins.
-
-    Twins have the same neighbours outside the class and either no edges or
-    all edges among themselves, so every permutation of the class is an
-    automorphism and leaves the minimum code unchanged.
-    """
-    members = mask_bits(cls)
-    out = adj[members[0]] & ~cls
-    return all(adj[v] == out for v in members) or all(adj[v] | 1 << v == out | cls for v in members)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +288,9 @@ def _twin_classes(adj: list[int]) -> list[int] | None:
     Twins have equal open neighbourhoods (apart) or equal closed ones
     (adjacent).  No vertex has both kinds: a true twin u and a false twin w
     of v would make w adjacent to u, hence to v.  N(u) never equals N[w]: it
-    would hold w, so u would be w's neighbour and its own.  One dict keyed
-    by both kinds thus finds the least member of every class.
+    would hold w, so u would be w's neighbour and its own.  So the twin
+    relation is an equivalence, and one dict keyed by both kinds finds the
+    least member of every class.
     """
     least: dict[int, int] = {}
     for v, a in enumerate(adj):
@@ -329,10 +328,10 @@ def _invariant(adj: list[int], deg: list[int]) -> tuple[int, ...]:
 
 
 def _has_largest_key(adj: list[int], deg: list[int], u: int, v: int) -> bool:
-    """Whether edge uv has the largest (max deg, min deg, common neighbours) key."""
+    """Whether edge uv has the largest (max deg, min deg, common neighbours)
+    key, given that no degree exceeds u's and v's larger one, as the
+    generator's degree pre-check ensures."""
     hi, lo = (deg[u], deg[v]) if deg[u] >= deg[v] else (deg[v], deg[u])
-    if max(deg) > hi:
-        return False
     common = (adj[u] & adj[v]).bit_count()
     for a, da in enumerate(deg):
         if da != hi:
@@ -349,6 +348,6 @@ def _has_largest_key(adj: list[int], deg: list[int], u: int, v: int) -> bool:
 @cache
 def graphs_by_edge_count(n: int) -> tuple[tuple[int, ...], ...]:
     """All graphs on n vertices up to isomorphism, grouped by edge count."""
-    if n > 8:
-        raise ValueError("full isomorph-free generation capped at n=8")
+    if n > FULL_CATALOGUE_LIMIT:
+        raise ValueError(f"full isomorph-free generation capped at n={FULL_CATALOGUE_LIMIT}")
     return tuple(tuple(level) for level in generate_by_edge_count(n))

@@ -195,6 +195,8 @@ def exclusive_star(mapping: EdgeMapping, v: int, r: int) -> Certificate:
         raise ValueError("r must be positive")
     if mapping.n < 4:
         raise ValueError("strong-shifted edges need n >= 4")
+    if not 0 <= v < mapping.n:
+        raise ValueError(f"center {v} is not a vertex of K_{mapping.n}")
     leaves = [x for x in range(mapping.n) if x != v]
     deg = len(leaves)
     if deg < 5 * r - 4:

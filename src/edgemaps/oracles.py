@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .canon import generate_by_edge_count, graphs_by_edge_count
+from .canon import FULL_CATALOGUE_LIMIT, generate_by_edge_count, graphs_by_edge_count
 from .graphs import (
     PatternGraph,
     SimpleGraph,
@@ -21,7 +21,6 @@ from .graphs import (
     mask_bits,
 )
 
-FULL_CATALOGUE_LIMIT = 8
 EX_LIMIT = 9
 PAIR_COVER_LIMIT = 9
 

@@ -249,6 +249,30 @@ class _Timeout(Exception):
     pass
 
 
+def _check_deadline(deadline: float | None) -> None:
+    """Raise ``_Timeout`` once ``deadline``, a ``time.perf_counter()``
+    reading, has passed; without a deadline, do nothing."""
+    if deadline is not None and time.perf_counter() > deadline:
+        raise _Timeout
+
+
+class _Unkeyed:
+    """An argument of a cached function that bears on whether a call ends,
+    not on what it returns: any two compare equal and hash alike, so the
+    cache key is that of the other arguments."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value) -> None:
+        self.value = value
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Unkeyed)
+
+    def __hash__(self) -> int:
+        return 0
+
+
 @cache
 def _symmetry(n: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The walk's symmetry group at depth 0 and the masks that narrow it.
@@ -330,16 +354,24 @@ _KILLS = {
 
 
 @lru_cache(maxsize=64)
-def _copy_table(rel: str, P: SimpleGraph, n: int) -> tuple[tuple[int, ...], ...]:
+def _copy_table(
+    rel: str, P: SimpleGraph, n: int, deadline: _Unkeyed
+) -> tuple[tuple[int, ...], ...]:
     """The copies of P in K_n as engines read them under ``rel``, numbered
     from 0 in ``enumerate_copies`` order, built once per process and never
     written to: per edge, the copies through it, those whose second-to-last
     edge it is and the images its one-edge copies allow; per vertex, the
-    copies at it; per copy, its last edge and its destroyers there."""
+    copies at it; per copy, its last edge and its destroyers there.
+
+    The enumeration polls ``deadline.value`` every 1024 copies and raises
+    ``_Timeout`` once it has passed, so a build cut short is not cached.
+    """
     m, ids, pairs = edge_count(n), pair_ids(n), P.pairs()
     through, second, at = [0] * m, [0] * m, [0] * n
     ends, edges, embs = [], [], []
     for emb in enumerate_copies(P, SimpleGraph.complete(n)):
+        if not len(ends) & 1023:
+            _check_deadline(deadline.value)
         bit, emask = 1 << len(ends), 0
         for a, b in pairs:
             e = ids[emb[a] * n + emb[b]]
@@ -370,8 +402,11 @@ class _Engine:
     ``_copy_table``, which a process builds once per (relation, pattern, n).
 
     ``deadline`` is a ``time.perf_counter()`` reading; the walk stops with
-    TIMEOUT once it has passed.  ``root`` restricts edge 0 to that one
-    image, as in one root branch of ``workers``, if edge 0 may take it.
+    TIMEOUT once it has passed.  The table build polls it too, at every
+    16th edge of each pass over the edges and every 1024 copies
+    enumerated, and a build it cuts short leaves ``run`` a TIMEOUT with no
+    node walked.  ``root`` restricts edge 0 to that one image, as in one
+    root branch of ``workers``, if edge 0 may take it.
     ``stop`` is that branch's stop signal, an event set once an earlier
     branch has a witness; the walk polls it on the deadline's tick and
     ends as TIMEOUT too, an outcome ``_parallel`` never reads.
@@ -407,7 +442,21 @@ class _Engine:
         self.assign = [-1] * m
         self.moved = 0  # edges assigned an image other than their own
 
-        self.pools = self._build_pools()
+        try:
+            self.pools = self._build_pools()
+            self._compose_tables()
+        except _Timeout:
+            pass  # the deadline has passed, so run() answers TIMEOUT at once
+        self.destroyed = 0  # the bitmask of the destroyed copies
+        self.group, self.fix, self.lower = _symmetry(n)
+        self.stats.table_time = time.perf_counter() - start
+
+    # -- construction-time tables ------------------------------------------
+
+    def _compose_tables(self) -> None:
+        """Compose the walk's tables from every avoided pattern's
+        ``_copy_table``, then cut the pools and derive the counting tables."""
+        spec, n, m, deadline = self.spec, self.n, self.m_edges, self.deadline
         # per edge, the images its pending copies still allow; carried down
         # the walk, copied on write and restored after each subtree
         self.allowed = [(1 << m) - 1] * m
@@ -421,9 +470,12 @@ class _Engine:
         for rel, P in spec.avoid:
             if P.k > n:
                 continue
-            p_through, p_second, p_allowed, at, ends, destroyers = _copy_table(rel, P.graph, n)
+            table = _copy_table(rel, P.graph, n, _Unkeyed(deadline))
+            p_through, p_second, p_allowed, at, ends, destroyers = table
             off, rows = len(self.ends), _KILLS[rel][0](p_through, at, n)
             for e, (te, row) in enumerate(zip(p_through, rows)):
+                if not e & 15:
+                    _check_deadline(deadline)
                 through[e] |= te << off
                 self.second[e] |= p_second[e] << off
                 self.allowed[e] &= p_allowed[e]
@@ -432,11 +484,6 @@ class _Engine:
             self.destroyers += destroyers
         self._cut_pools()
         self.floor, self.maxdiff = self._counting_tables(len(self.ends), through, self.kill)
-        self.destroyed = 0  # the bitmask of the destroyed copies
-        self.group, self.fix, self.lower = _symmetry(n)
-        self.stats.table_time = time.perf_counter() - start
-
-    # -- construction-time tables ------------------------------------------
 
     def _build_pools(self) -> list[list[int]]:
         """Each edge's admissible images, split into its own image and the
@@ -445,6 +492,8 @@ class _Engine:
         pools = []
         shifted_first = self.objective is not None
         for e, images in enumerate(admissible_images(self.klass, self.n)):
+            if not e & 15:
+                _check_deadline(self.deadline)
             moved = [x for x in images if x != e]
             own = [e] if len(moved) < len(images) else []
             pools.append(moved + own if shifted_first else own + moved)
@@ -455,6 +504,8 @@ class _Engine:
         whether it moves the edge, and the copies it destroys there.  Images
         of one signature are interchangeable."""
         for e, (pool, row) in enumerate(zip(self.pools, self.kill)):
+            if not e & 15:
+                _check_deadline(self.deadline)
             kept = {}
             for x in pool:
                 kept.setdefault((x != e, row[x]), x)
@@ -471,13 +522,12 @@ class _Engine:
         moved_only = self.objective is not None
         # the most copies through e that one image destroys, counting only
         # moved images on the objective walk
-        best = [
-            max(
-                (kill[e][x].bit_count() for x in self.pools[e] if not (moved_only and x == e)),
-                default=0,
-            )
-            for e in range(m)
-        ]
+        best = []
+        for e in range(m):
+            if not e & 15:
+                _check_deadline(self.deadline)
+            counts = (kill[e][x].bit_count() for x in self.pools[e] if not (moved_only and x == e))
+            best.append(max(counts, default=0))
         maxdiff = 0
         if moved_only:
             maxdiff = max((through[e].bit_count() - best[e] for e in range(m)), default=0)
@@ -493,8 +543,7 @@ class _Engine:
     def _tick(self) -> None:
         """The poll on every 1024th node, made after the node's image is
         assigned: the deadline, the stop signal and the one hand-off."""
-        if self.deadline is not None and time.perf_counter() > self.deadline:
-            raise _Timeout
+        _check_deadline(self.deadline)
         if self.stop is not None and self.stop.is_set():
             raise _Timeout
         if self.hand_off is not None:
@@ -620,9 +669,8 @@ class _Engine:
         start = time.perf_counter()
         try:
             # a walk under 1024 nodes never ticks, so a table build that
-            # used up the budget is caught here
-            if self.deadline is not None and start > self.deadline:
-                raise _Timeout
+            # used up the budget, or was cut short by it, is caught here
+            _check_deadline(self.deadline)
             self._dfs(0, self.group)
             verdict = "EXHAUSTED" if self.witness is None else "WITNESS"
         except _Timeout:

@@ -426,6 +426,53 @@ def test_invariant_is_relabeling_invariant(args):
     assert values[0] == values[1]
 
 
+@given(
+    st.integers(min_value=1, max_value=9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(min_value=0, max_value=(1 << edge_count(n)) - 1),
+            st.permutations(range(n)),
+        )
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_twin_classes_lie_inside_invariant_classes(args):
+    # canonical_code skips its search when there are as many twin classes
+    # as invariant classes, which is sound only if each twin class lies in
+    # one invariant class
+    n, mask, perm = args
+    for g in (mask, _apply_perm(n, mask, perm)):
+        adj = adjacency_masks(n, mask_bits(g))
+        twin = _twin_classes(adj) or list(range(n))
+        cls = {v: i for i, c in enumerate(_wl_classes(n, adj)) for v in mask_bits(c)}
+        assert all(cls[v] == cls[t] for v, t in enumerate(twin)), (n, g)
+
+
+def _multipartite(n: int, parts: list[int]) -> int:
+    """The complete multipartite graph on parts of the given sizes, padded
+    with isolated vertices up to n."""
+    part = [i for i, size in enumerate(parts) for _ in range(size)]
+    k = len(part)
+    return sum(1 << edge_id(u, v) for u in range(k) for v in range(u) if part[u] != part[v])
+
+
+def test_canonical_code_without_twins_agrees(monkeypatch):
+    # with no twin classes there is neither the twin skip nor the shortcut
+    # past the search; the codes must not change
+    cases = [(n, g) for n in range(7, 10) for g in _random_masks(n, 100, 200 + n)]
+    for n in range(2, 10):
+        for k in range(1, n):
+            cases.append((n, sum(1 << edge_id(0, v) for v in range(1, k + 1))))  # star
+            cases.append((n, _multipartite(n, [1] * (k + 1))))  # clique
+        for parts in ([2, 2], [1, 3], [2, 3], [3, 3], [1, 2, 3], [2, 2, 2], [1, 1, 4], [4, 5]):
+            if sum(parts) <= n:
+                cases.append((n, _multipartite(n, parts)))
+    cases += [(n, (1 << edge_count(n)) - 1 ^ g) for n, g in list(cases)]  # complements
+    codes = [canonical_code(n, g) for n, g in cases]
+    monkeypatch.setattr(canon, "_twin_classes", lambda adj: None)
+    assert [canonical_code(n, g) for n, g in cases] == codes
+
+
 def test_canonical_code_refuses_negative_n():
     with pytest.raises(ValueError, match="need n >= 0"):
         canonical_code(-1, 0)

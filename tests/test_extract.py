@@ -160,3 +160,6 @@ def test_exclusive_star_contract_checks():
     with pytest.raises(ValueError):
         # every edge of K3 touches the other two, so none moves clear
         exclusive_star(EdgeMapping(3, (1, 2, 0)), 0, 1)
+    for v in (-1, 7, 9):
+        with pytest.raises(ValueError, match=f"center {v} is not a vertex of K_7"):
+            exclusive_star(f, v, 1)

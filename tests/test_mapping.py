@@ -35,7 +35,8 @@ def test_constructor_validation():
 
 
 def test_negative_vertex_count_refused():
-    # edge_count(-1) == 1 and edge_count(-3) == 6, so only the vertex count itself can refuse
+    # EdgeMapping checks n itself; identity and random_mapping reach
+    # edge_count first, which refuses a negative n as well
     with pytest.raises(ValueError, match="negative"):
         EdgeMapping(-1, (0,))
     with pytest.raises(ValueError, match="negative"):

@@ -80,18 +80,32 @@ def test_host_cap_refuses_what_the_walk_cannot_recurse_through():
 
 
 def test_budget_covers_the_table_build():
-    # free K3 on K_20 answers in 190 nodes, before the walk's first tick,
-    # so only the check at the start of the walk sees a build from a cold
-    # cache (tens of ms) overrun a 1 ms budget
+    # free K3 on K_20 answers in 190 nodes, before the walk's first tick;
+    # a build from a cold cache takes over 10 ms, so a 1 ms budget cuts it
+    # short and the walk starts past its deadline
     spec = AvoidanceSpec(20, ALL, (("free", make_pattern("K3")),))
     search._copy_table.cache_clear()
     out = exists_avoiding(spec, SearchOptions(budget=0.001))
-    assert out.stats.table_time > 0.001
     assert out.verdict == "TIMEOUT"
     assert out.stats.nodes == 0
+    # the deadline passed before the copy table was done, so none is cached
+    assert search._copy_table.cache_info().currsize == 0
     out = exists_avoiding(spec, SearchOptions(budget=30))
     assert out.verdict == "WITNESS"
     assert out.stats.nodes == 190
+
+
+def test_budget_cuts_a_long_table_build_short():
+    # from a cold cache, the free K4 tables on K_40 take seconds to build;
+    # the build polls the deadline and is not cached when cut short
+    spec = AvoidanceSpec(40, ALL, (("free", make_pattern("K4")),))
+    search._copy_table.cache_clear()
+    start = time.perf_counter()
+    out = exists_avoiding(spec, SearchOptions(budget=0.05))
+    assert time.perf_counter() - start < 1
+    assert out.verdict == "TIMEOUT"
+    assert out.stats.nodes == 0
+    assert search._copy_table.cache_info().currsize == 0
 
 
 def test_matching_threshold_scan():
