@@ -351,8 +351,8 @@ def w_bounds(k: int, m: int) -> BoundReport:
     clear of itself leaves an exclusive copy of some k-vertex, m-edge graph."""
     if k < 4:
         raise ValueError("need k >= 4")
-    if m < 1:
-        raise ValueError("need m >= 1")
+    if not 1 <= m <= math.comb(k, 2):
+        raise ValueError(f"need 1 <= m <= {math.comb(k, 2)}, the edges of K{k}")
     upper = Bound(2 * k * m - 4 * m + 2, "closed form")
     lower = None
     if m > 1:

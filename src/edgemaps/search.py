@@ -68,9 +68,11 @@ the most moved edges, since signatures keep the moved count.
 
 The walk keeps its state in a few ints, read against tables that a
 process builds once per (relation, pattern, n) (``_copy_table``) and each
-engine composes.  The copies of all avoided patterns are numbered in one
-sequence, pattern by pattern in ``spec.avoid`` order, so a number names a
-copy of one relation, and a set of copies is a bitmask over those numbers:
+engine builds from those in one pass over the edges: per edge, it ORs in
+every pattern's rows, cuts the pool and takes the counting rule's maximum.
+The copies of all avoided patterns are numbered in one sequence, pattern
+by pattern in ``spec.avoid`` order, so a number names a copy of one
+relation, and a set of copies is a bitmask over those numbers:
 
 * ``second[e]``: the copies of two or more edges whose second-largest edge
   id is e.  Edges are assigned in id order, so once e is assigned these
@@ -208,7 +210,7 @@ class SearchStats:
     nodes: int = 0
     prunes: dict[str, int] = field(default_factory=dict)
     wall_time: float = 0.0
-    table_time: float = 0.0  # seconds building the tables; a warm build only composes them
+    table_time: float = 0.0  # seconds building the tables; a warm build reuses the copy tables
 
     def bump(self, rule: str) -> None:
         self.prunes[rule] = self.prunes.get(rule, 0) + 1
@@ -322,29 +324,33 @@ def _edge_rule(images):
     """The kill forms of a relation that reads only an edge's own image: a
     copy through e dies at e when e's image is in ``images(e, n)``."""
 
-    def hits(through, at, n):
-        m = edge_count(n)
-        for e in range(m):
-            s = images(e, n)
-            yield [-(s >> x & 1) for x in range(m)]
+    def rows(through, at, n):
+        hits = [images(e, n) for e in range(len(through))]
+        return lambda e: [-(hits[e] >> x & 1) for x in range(len(through))]
 
-    return hits, lambda ends, edges, embs, n: [images(f, n) for f in ends]
+    return rows, lambda ends, edges, embs, n: [images(f, n) for f in ends]
+
+
+def _one_row(row):
+    """The kill rows of a relation whose copies die by one row at every edge."""
+    return lambda e: row
 
 
 # Per relation, its kill rule in closed form over one pattern's copies in
 # K_n.  By image x, the copies x destroys at an edge e of theirs:
-# kill[e][x] = through[e] & row[x], row being the e-th row that
-# hits(through, at, n) yields and -1 every copy; a free or exclusive copy
-# dies by a row that does not depend on e, so every edge shares one.  By
-# copy, from the copies' last edges, edge masks and embeddings, the images
-# that destroy it at its last edge: its column of that edge's row.
+# kill[e][x] = through[e] & rows(e)[x], rows being the function of e that
+# the first form returns for (through, at, n), and -1 every copy; a free or
+# exclusive copy dies by a row that does not depend on e, so every edge
+# shares one.  By copy, from the copies' last edges, edge masks and
+# embeddings, the images that destroy it at its last edge: its column of
+# that edge's row.
 _KILLS = {
     "free": (
-        lambda through, at, n: [through] * len(through),
+        lambda through, at, n: _one_row(through),
         lambda ends, edges, embs, n: edges,
     ),
     "exclusive": (
-        lambda through, at, n: [[at[u] | at[w] for u, w in edge_table(n)[0]]] * len(through),
+        lambda through, at, n: _one_row([at[u] | at[w] for u, w in edge_table(n)[0]]),
         lambda ends, edges, embs, n: [_touching(emb, n) for emb in embs],
     ),
     "fixed": _edge_rule(lambda e, n: (1 << edge_count(n)) - 1 ^ 1 << e),
@@ -398,12 +404,12 @@ class _Engine:
     """One depth-first walk.  Edges are assigned strictly in id order, so
     the recursion depth equals the id of the edge being assigned.  All
     avoided copies share one numbering, one set of tables and one mask.
-    Each engine composes lists of its own from every pattern's
+    Each engine builds lists of its own from every pattern's
     ``_copy_table``, which a process builds once per (relation, pattern, n).
 
     ``deadline`` is a ``time.perf_counter()`` reading; the walk stops with
     TIMEOUT once it has passed.  The table build polls it too, at every
-    16th edge of each pass over the edges and every 1024 copies
+    16th edge of its one pass over the edges and every 1024 copies
     enumerated, and a build it cuts short leaves ``run`` a TIMEOUT with no
     node walked.  ``root`` restricts edge 0 to that one image, as in one
     root branch of ``workers``, if edge 0 may take it.
@@ -430,7 +436,6 @@ class _Engine:
         self.deadline = deadline
         self.stop = stop
         self.hand_off = hand_off
-        self.polled = deadline is not None or stop is not None or hand_off is not None
         n = self.n = spec.n
         m = self.m_edges = edge_count(n)
         self.klass = spec.klass
@@ -443,8 +448,7 @@ class _Engine:
         self.moved = 0  # edges assigned an image other than their own
 
         try:
-            self.pools = self._build_pools()
-            self._compose_tables()
+            self._build_tables()
         except _Timeout:
             pass  # the deadline has passed, so run() answers TIMEOUT at once
         self.destroyed = 0  # the bitmask of the destroyed copies
@@ -453,87 +457,75 @@ class _Engine:
 
     # -- construction-time tables ------------------------------------------
 
-    def _compose_tables(self) -> None:
-        """Compose the walk's tables from every avoided pattern's
-        ``_copy_table``, then cut the pools and derive the counting tables."""
-        spec, n, m, deadline = self.spec, self.n, self.m_edges, self.deadline
-        # per edge, the images its pending copies still allow; carried down
-        # the walk, copied on write and restored after each subtree
-        self.allowed = [(1 << m) - 1] * m
-        # the tables of all avoided copies: each pattern's _copy_table, its
-        # bits shifted past the copies numbered before it
-        self.kill = [[0] * m for _ in range(m)]  # per edge and image, the copies it destroys
-        self.second = [0] * m  # per edge, the copies whose second-to-last edge it is
-        self.ends = ()  # per copy, its last edge
-        self.destroyers = ()  # per copy, the images that destroy it at its last edge
-        through = [0] * m  # per edge, the copies that contain it
-        for rel, P in spec.avoid:
+    def _build_tables(self) -> None:
+        """Build the walk's tables from every avoided pattern's
+        ``_copy_table`` in one pass over the edges, cutting each pool as it
+        goes, then derive the counting tables."""
+        n, m, deadline = self.n, self.m_edges, self.deadline
+        moved_only = self.objective is not None
+        # per avoided pattern, the number of its first copy, its copy table
+        # and its relation's kill rows; its bits are shifted past the copies
+        # numbered before it
+        parts = []
+        self.ends = self.destroyers = ()
+        for rel, P in self.spec.avoid:
             if P.k > n:
                 continue
             table = _copy_table(rel, P.graph, n, _Unkeyed(deadline))
-            p_through, p_second, p_allowed, at, ends, destroyers = table
-            off, rows = len(self.ends), _KILLS[rel][0](p_through, at, n)
-            for e, (te, row) in enumerate(zip(p_through, rows)):
-                if not e & 15:
-                    _check_deadline(deadline)
-                through[e] |= te << off
-                self.second[e] |= p_second[e] << off
-                self.allowed[e] &= p_allowed[e]
-                self.kill[e] = [k | (te & h) << off for k, h in zip(self.kill[e], row)]
-            self.ends += ends
-            self.destroyers += destroyers
-        self._cut_pools()
-        self.floor, self.maxdiff = self._counting_tables(len(self.ends), through, self.kill)
-
-    def _build_pools(self) -> list[list[int]]:
-        """Each edge's admissible images, split into its own image and the
-        moved ones; the own image goes first unless the walk has an
-        objective."""
-        pools = []
-        shifted_first = self.objective is not None
-        for e, images in enumerate(admissible_images(self.klass, self.n)):
+            parts.append((len(self.ends), table, _KILLS[rel][0](table[0], table[3], n)))
+            self.ends += table[4]
+            self.destroyers += table[5]
+        # the tables the module docstring lists, and per edge the pool the
+        # walk tries in order; the walk copies allowed on write
+        self.kill, self.second, self.pools, self.allowed = [], [], [], []
+        best, counts = [], []
+        for e, images in enumerate(admissible_images(self.klass, n)):
             if not e & 15:
-                _check_deadline(self.deadline)
-            moved = [x for x in images if x != e]
-            own = [e] if len(moved) < len(images) else []
-            pools.append(moved + own if shifted_first else own + moved)
-        return pools
+                _check_deadline(deadline)
+            row, second, allowed, count = [0] * m, 0, (1 << m) - 1, 0
+            for off, (through, p_second, p_allowed, *_), rows in parts:
+                te = through[e]
+                row = [k | (te & h) << off for k, h in zip(row, rows(e))]
+                second |= p_second[e] << off
+                allowed &= p_allowed[e]
+                count += te.bit_count()
+            # the pool keeps one image per signature: the first moved image
+            # of each kill row, and the own image, alone in its signature,
+            # first or, on the objective walk, last
+            moved = {}
+            for x in images:
+                if x != e:
+                    moved.setdefault(row[x], x)
+            pool = list(moved.values())
+            # the most copies through e that one pool image destroys, a
+            # moved one on the objective walk
+            most = max(map(int.bit_count, moved), default=0)
+            if e in images:
+                pool.insert(len(pool) if moved_only else 0, e)
+                if not moved_only:
+                    most = max(most, row[e].bit_count())
+            self.kill.append(row)
+            self.second.append(second)
+            self.pools.append(pool)
+            # what e's one-edge copies allow, of its pool
+            self.allowed.append(allowed & sum(1 << x for x in pool))
+            best.append(most)
+            counts.append(count)
+        self.floor, self.maxdiff = self._counting_tables(best, counts)
 
-    def _cut_pools(self) -> None:
-        """Keep, of each edge's pool, the first image of each signature:
-        whether it moves the edge, and the copies it destroys there.  Images
-        of one signature are interchangeable."""
-        for e, (pool, row) in enumerate(zip(self.pools, self.kill)):
-            if not e & 15:
-                _check_deadline(self.deadline)
-            kept = {}
-            for x in pool:
-                kept.setdefault((x != e, row[x]), x)
-            self.pools[e] = list(kept.values())
-        self.pool_masks = [sum(1 << x for x in pool) for pool in self.pools]
-        self.allowed = [a & p for a, p in zip(self.allowed, self.pool_masks)]
-
-    def _counting_tables(self, total: int, through: list[int], kill: list[list[int]]):
+    def _counting_tables(self, best: list[int], counts: list[int]):
         """``floor[e]``, the fewest copies that can be destroyed once edges
         0..e are assigned if the rest are to destroy every copy left, and
-        ``maxdiff`` for the objective walk (see ``_dfs``).  Static
-        per-edge maxima are sound even after pools narrow."""
-        m = self.m_edges
-        moved_only = self.objective is not None
-        # the most copies through e that one image destroys, counting only
-        # moved images on the objective walk
-        best = []
-        for e in range(m):
-            if not e & 15:
-                _check_deadline(self.deadline)
-            counts = (kill[e][x].bit_count() for x in self.pools[e] if not (moved_only and x == e))
-            best.append(max(counts, default=0))
+        ``maxdiff`` for the objective walk (see ``_dfs``), from ``best[e]``,
+        the most copies through e that one pool image destroys (moved images
+        only on the objective walk), and ``counts[e]``, the copies through e.
+        Static per-edge maxima are sound even after pools narrow."""
         maxdiff = 0
-        if moved_only:
-            maxdiff = max((through[e].bit_count() - best[e] for e in range(m)), default=0)
-        floor = [0] * m
-        later = 0
-        for e in range(m - 1, -1, -1):
+        if self.objective is not None:
+            maxdiff = max((c - b for c, b in zip(counts, best)), default=0)
+        floor = [0] * len(best)
+        total, later = len(self.ends), 0
+        for e in range(len(best) - 1, -1, -1):
             floor[e] = total - later
             later += best[e]
         return floor, maxdiff
@@ -542,7 +534,8 @@ class _Engine:
 
     def _tick(self) -> None:
         """The poll on every 1024th node, made after the node's image is
-        assigned: the deadline, the stop signal and the one hand-off."""
+        assigned: the deadline, the stop signal and the one hand-off.  A
+        walk with none of them passes it doing nothing."""
         _check_deadline(self.deadline)
         if self.stop is not None and self.stop.is_set():
             raise _Timeout
@@ -594,7 +587,7 @@ class _Engine:
             self.roots = pool
             self.root_stab = stab
         stats, prunes, assign = self.stats, self.stats.prunes, self.assign
-        fix, lower, polled = self.fix, self.lower, self.polled
+        fix, lower = self.fix, self.lower
         kill, pending_at = self.kill[i], self.second[i]
         ends, destroyers = self.ends, self.destroyers
         floor, maxdiff = self.floor[i], self.maxdiff
@@ -606,7 +599,7 @@ class _Engine:
                 continue
             stats.nodes += 1
             assign[i] = x
-            if polled and not stats.nodes & 1023:
+            if not stats.nodes & 1023:
                 self._tick()
             # x destroys every copy that i completes; copies left with one
             # unassigned edge narrow that edge's images, in a copy of
@@ -1023,8 +1016,9 @@ def compute_parameter(
     certifier would close the same value.  Each host's search runs under
     ``options``, 60 s by default; ``SearchOptions()`` lifts the budget.
     ``n_max``, when given, lowers the host scan's cap to it and is the last
-    host the certifier scan tries (64 otherwise); the closed-form upper
-    bounds depend on no host and are read whatever ``n_max`` is.
+    host the certifier scan tries (64 otherwise); it must be at least 2,
+    the least host scanned.  The closed-form upper bounds depend on no host
+    and are read whatever ``n_max`` is.
 
     Every parameter is one avoidance form, its ``PARAMETERS`` row, decided
     by ``exists_avoiding``.  ``_builders`` yields the witness builders that
@@ -1040,6 +1034,8 @@ def compute_parameter(
     klass, avoid = _avoidance_form(name, G, H, d)
     label = _parameter_label(name, G, H, d)
     _deadline(options.budget)  # refuse a nonsense budget even if no host is searched
+    if n_max is not None and n_max < 2:
+        raise ValueError(f"n_max must be at least 2, the least host searched, not {n_max}")
 
     scan_cap = ENVELOPE[klass.kind]
     if name == "z" and options.budget is not None:

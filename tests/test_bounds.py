@@ -205,9 +205,13 @@ def test_w_closed_forms():
         rep = w_clique_bounds(k)
         assert rep.upper.value == k * (k - 1) * (k - 2) + 4 - k // 2
         assert rep.lower.value <= rep.upper.value
-    for k, m in ((4, 3), (5, 4)):
+    for k, m in ((4, 3), (5, 4), (4, 6)):
         rep = w_bounds(k, m)
         assert rep.upper.value == 2 * m * (k - 2) + 2
+    # no graph on k vertices has more than C(k, 2) edges, or none
+    for k, m in ((4, 7), (5, 11), (4, 0)):
+        with pytest.raises(ValueError, match="edges of K"):
+            w_bounds(k, m)
 
 
 def test_bound_report_status():

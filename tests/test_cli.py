@@ -169,6 +169,10 @@ def test_bound_report_shapes(capsys):
     assert (record["k"], record["m"]) == (4, 3)
     assert record["report"]["parameter"] == "w(k=4,m=3)"
     assert record["report"]["upper"] == {"value": 14, "provenance": "closed form", "flags": []}
+    # K4 has six edges, so no 4-vertex graph has seven
+    code, _, err = run_cli(capsys, "bound", "w-general", "--k", "4", "--m", "7")
+    assert code == cli.EXIT_USAGE
+    assert "edges of K4" in err
     code, raw, _ = run_cli(
         capsys, "bound", "capacity", "--n", "4", "--pattern", "K1,2", "--exclusive", "--json"
     )

@@ -137,10 +137,10 @@ def test_empty_class_reports_exhausted_without_search():
 _COUNTING_TABLES = search._Engine._counting_tables
 
 
-def _no_counting(self, total, through, kill):
+def _no_counting(self, best, counts):
     """The counting rule's tables with a floor every destroyed-copy count
     meets, which switches the rule off."""
-    floor, _ = _COUNTING_TABLES(self, total, through, kill)
+    floor, _ = _COUNTING_TABLES(self, best, counts)
     return [0] * len(floor), 0
 
 
@@ -293,7 +293,7 @@ def test_kill_rows_read_every_relation(specs):
 
 
 def _tables(engine):
-    names = "kill second ends destroyers allowed pools pool_masks floor maxdiff"
+    names = "kill second ends destroyers allowed pools floor maxdiff"
     return [getattr(engine, name) for name in names.split()]
 
 
@@ -345,8 +345,44 @@ def test_pools_keep_one_image_per_signature(rel, kind):
                     firsts.setdefault(sig, x)
                 # one image per signature, the first in pool order
                 assert engine.pools[e] == list(firsts.values()), (n, objective, e)
-                assert engine.pool_masks[e] == sum(1 << x for x in firsts.values())
+                # no one-edge copy narrows allowed, so it is the pool's mask
+                assert engine.allowed[e] == sum(1 << x for x in firsts.values())
                 assert klass.value_ok(e, e) == (e in engine.pools[e])
+
+
+# the kill-row specs, and one whose one-edge copies of fixed K2 bar the own
+# image, which destroys the most free K1,2 copies
+COUNTING_SPECS = [avoid for specs in KILL_SPECS.values() for avoid in specs]
+COUNTING_SPECS.append((("fixed", "K2"), ("free", "K1,2")))
+
+
+@pytest.mark.parametrize("kind", MappingClass.KINDS)
+def test_counting_tables_follow_their_definition(kind):
+    # best[e] is the most copies through e that one admissible image
+    # destroys, a moved one on the objective walk, whatever narrows
+    # allowed; floor[e] is the copies less best summed over the edges after
+    # e, and maxdiff the most copies through an edge beyond its best
+    klass = MappingClass(kind)
+    for n, avoid, objective in itertools.product((4, 5), COUNTING_SPECS, (None, 0)):
+        avoid = tuple((rel, make_pattern(p)) for rel, p in avoid)
+        copies = [(rel, eids, verts) for rel, P in avoid for eids, verts in _copies(P, n)]
+        engine = search._Engine(AvoidanceSpec(n, klass, avoid), objective=objective)
+        best, through = [], []
+        for e, pool in enumerate(_pools(klass, n)):
+            mine = [(rel, eids, verts) for rel, eids, verts in copies if e in eids]
+            kills = [
+                sum(not _edge_holds(rel, e, x, eids, verts) for rel, eids, verts in mine)
+                for x in pool
+                if objective is None or x != e
+            ]
+            best.append(max(kills, default=0))
+            through.append(len(mine))
+        case = (n, avoid, objective)
+        assert engine.floor == [len(copies) - sum(best[e + 1 :]) for e in range(len(best))], case
+        maxdiff = 0
+        if objective is not None:
+            maxdiff = max(t - b for t, b in zip(through, best))
+        assert engine.maxdiff == maxdiff, case
 
 
 MAX_SPACE = 59049
@@ -1061,6 +1097,15 @@ def test_compute_parameter_flags_assumed_density():
     )
     assert rep.upper is not None
     assert any("assumed" in fl for fl in rep.upper.flags)
+
+
+def test_compute_parameter_refuses_a_host_cap_below_two():
+    # the scan starts at n = 2, so a lower cap would search nothing and
+    # still report its lower bound as searched
+    for n_max in (1, 0, -3):
+        with pytest.raises(ValueError, match="n_max must be at least 2"):
+            compute_parameter("g", make_pattern("K2"), n_max=n_max)
+    assert compute_parameter("g", make_pattern("K2"), n_max=2).lower.value == 3
 
 
 def test_compute_parameter_rejects_unknown_name():
