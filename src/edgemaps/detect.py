@@ -6,16 +6,17 @@ Fixed / shifted / strong-shifted copies are copies whose every edge e has
 |e ∩ f(e)| equal to 2 / at most 1 / exactly 0.
 
 Absence results from the ``find_*`` functions are exhaustive, so a ``None``
-return is a proof over all copies.  Every finder but the star path walks the
-copy plan of ``graphs`` (see ``enumerate_copies``), which reaches each copy
-once, with its candidates cut to the rows of one of the relation graphs
-that ``EdgeMapping.relation_graphs`` caches per mapping: fixed, moved, or
-moved clear, the last two also holding every edge of a free and an
-exclusive copy.  The free and exclusive walks then check the relation on
-each edge as it closes, reading edge ids from the per-n ``pair_ids``.  Free
-and exclusive stars take their own path: per center, one exact maximum
-independent set of the conflict graph among the eligible leaves, a row of
-the same graphs.
+return is a proof over all copies, and every finder's certificate is the
+lex-least copy.  The finders walk the copy plan of ``graphs`` (see
+``enumerate_copies``), which reaches each copy once, with its candidates cut
+to the rows of one of the relation graphs that
+``EdgeMapping.relation_graphs`` caches per mapping: fixed, moved, or moved
+clear, the last two also holding every edge of a free and an exclusive
+copy.  The free and exclusive walks then check the relation on each edge as
+it closes, reading edge ids from the per-n ``pair_ids``.  Free and exclusive
+stars skip the walk but return its first copy: per center, one search over
+bitmasks of the eligible leaves, a row of the same graphs, for the lex-least
+r of them with no two in conflict.
 
 ``FINDERS`` is the one table from relation name to finder, and
 ``RELATIONS`` lists its keys; every other module looks relations up there.
@@ -28,7 +29,6 @@ from .graphs import (
     PatternGraph,
     SimpleGraph,
     _copy_plan,
-    adjacency_components,
     edge_id,
     edge_table,
     edge_vertex_mask,
@@ -124,6 +124,8 @@ def _first_copy(mapping: EdgeMapping, P: PatternGraph, kind: str) -> Certificate
     carries two edge masks (its edges, their images), an exclusive copy two
     vertex masks (its vertices, the endpoints of its images), and a
     placement is dropped as soon as an edge it closes breaks the relation.
+    A free or exclusive star goes to ``_star_copy``, which returns the same
+    certificate without the walk's growth in r on absences.
     """
     n = mapping.n
     pg = P.graph
@@ -193,71 +195,64 @@ def _first_copy(mapping: EdgeMapping, P: PatternGraph, kind: str) -> Certificate
 def _star_copy(
     mapping: EdgeMapping, P: PatternGraph, r: int, graph: int, exclusive: bool
 ) -> Certificate | None:
-    """A free (or exclusive) K1,r at the first center that holds one.
+    """The lex-least free (or exclusive) K1,r: the ``_copy_plan`` walk's first copy.
 
     At center c, the eligible leaves l, those whose edge cl alone is free
     (moved) or exclusive (moved clear), are row c of ``graph``.  Two of
     them conflict when the image of one star edge is the other star edge
-    (free) or touches the other leaf (exclusive).  A largest conflict-free
-    leaf set is an exact maximum independent set of that conflict graph.
+    (free) or touches the other leaf (exclusive): the test the walk makes
+    as each edge closes.  The walk's first copy is at the first center
+    whose lex-least r conflict-free eligible leaves exist.
     """
     n = mapping.n
     images = mapping.images
     vmask = edge_table(n)[1]
     ids = pair_ids(n)
     full = (1 << n) - 1
+    conf = [0] * n
     for c in range(n):
         eligible = graph >> c * n & full
         if eligible.bit_count() < r:
             continue
-        ends = {}
-        for l in range(n):
-            if eligible >> l & 1:
-                iv = vmask[images[ids[c * n + l]]]
-                ends[l] = iv if exclusive else (iv & ~(1 << c) if iv >> c & 1 else 0)
-        adj = {l: set() for l in ends}
-        for l, iv in ends.items():
-            for t in mask_bits(iv):
-                if t in adj:
-                    adj[l].add(t)
-                    adj[t].add(l)
-        leaves: list[int] = []
-        for comp in adjacency_components(ends, adj):
-            leaves.extend(_mis_exact(comp, adj))
-        if len(leaves) >= r:
+        leaves = mask_bits(eligible)
+        for l in leaves:
+            conf[l] = 0
+        for l in leaves:
+            iv = vmask[images[ids[c * n + l]]]
+            if not exclusive:
+                iv = iv ^ 1 << c if iv >> c & 1 else 0
+            for t in mask_bits(iv & eligible):
+                conf[l] |= 1 << t
+                conf[t] |= 1 << l
+        found = _least_leaves(conf, eligible, r)
+        if found is not None:
             kind = "exclusive" if exclusive else "free"
-            return Certificate(kind, P, _star_embedding(P, c, tuple(sorted(leaves)[:r])))
+            return Certificate(kind, P, _star_embedding(P, c, found))
     return None
 
 
-def _mis_exact(vertices: list[int], adj: dict[int, set]) -> list[int]:
-    """Exact maximum independent set by branch and bound; fine for sparse graphs."""
-    best: list[int] = []
+def _least_leaves(conf: list[int], cand: int, k: int) -> tuple[int, ...] | None:
+    """The lex-least k vertices of ``cand``, no two in conflict, or None.
 
-    def bb(cand: set, cur: list[int]) -> None:
-        nonlocal best
-        if len(cur) + len(cand) <= len(best):
-            return
-        if not cand:
-            best = cur[:]
-            return
-        v = max(cand, key=lambda x: len(adj[x] & cand))
-        if len(adj[v] & cand) <= 1:
-            # max degree 1: a matching plus isolated vertices, solvable greedily
-            res = cur[:]
-            pool = set(cand)
-            while pool:
-                x = pool.pop()
-                res.append(x)
-                pool -= adj[x]
-            if len(res) > len(best):
-                best = res
-            return
-        bb(cand - adj[v] - {v}, cur + [v])
-        bb(cand - {v}, cur)
-
-    bb(set(vertices), [])
-    return best
+    ``conf[v]`` is v's symmetric conflict row.  The search takes the lowest
+    candidate v first, then leaves it out; a branch stops when fewer than k
+    candidates are left.  One cut is exact: when v conflicts with at most one
+    other candidate u and no k-set takes v, no k-set exists at all.  Any
+    k-set S without v could trade u for v (if u is in S) or else its largest
+    vertex for v, and stay conflict-free, so a k-set would take v.
+    """
+    if not k:
+        return ()
+    while cand.bit_count() >= k:
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        rest = _least_leaves(conf, cand & ~conf[v], k - 1)
+        if rest is not None:
+            return (v, *rest)
+        if (conf[v] & cand).bit_count() < 2:
+            return None
+    return None
 
 
 def validate(mapping: EdgeMapping, cert: Certificate) -> bool:

@@ -254,6 +254,14 @@ def test_euler_partition_avoids_free_star():
     assert find_free(f, star(r)) is None
 
 
+def test_chromatic_blocks_large_r_builds():
+    # _emit checks the free K1,10 absence on K_38, where a walk over the
+    # copy plan grows about fourfold per leaf
+    res = chromatic_blocks(3, 10)
+    assert res.mapping.n == 38
+    assert find_free(res.mapping, star(10)) is None
+
+
 def test_euler_partition_validates_inputs():
     with pytest.raises(ValueError):
         euler_partition(SimpleGraph.empty(4), SimpleGraph.empty(4), 2)

@@ -1,6 +1,6 @@
 import hashlib
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from edgemaps.detect import (
     FINDERS,
     Certificate,
+    _least_leaves,
     find_exclusive,
     find_fixed,
     find_free,
@@ -108,6 +109,7 @@ def test_finders_agree_with_definition(relation):
 # vertex, and one with more vertices than any host drawn below
 CERT_PATTERNS = [make_pattern(s) for s in ("K3", "2K2", "P4", "K1,3", "K4-K2", "3K2", "C4", "5K2")]
 CERT_PATTERNS.append(from_edge_list(4, [(0, 1), (1, 2)]))
+STARS = [make_pattern(s) for s in ("K1,2", "K1,4")]
 
 
 @st.composite
@@ -135,28 +137,64 @@ def _meets(f, P, relation, emb):
 def test_fixed_and_shifted_certificates_are_the_first_copy(f):
     for kind in ("fixed", "shifted", "strong_shifted"):
         host = _relation_graph(f, kind)
-        for P in CERT_PATTERNS:
+        for P in CERT_PATTERNS + STARS:
             emb = next(enumerate_copies(P, host), None)
             want = None if emb is None else Certificate(kind, P, emb)
             assert FINDERS[kind](f, P) == want, (kind, str(P), f.images)
-    # a free or exclusive certificate of a non-star pattern is the first
-    # copy in K_n, along the same walk, that meets the definition
+    # a free or exclusive certificate, stars included, is the first copy in
+    # K_n, along the same walk, that meets the definition
     host = SimpleGraph.complete(f.n)
     for kind in ("free", "exclusive"):
-        for P in CERT_PATTERNS:
-            if P.as_star() is not None:
-                continue
+        for P in CERT_PATTERNS + STARS:
             emb = next((e for e in enumerate_copies(P, host) if _meets(f, P, kind, e)), None)
             want = None if emb is None else Certificate(kind, P, emb)
             assert FINDERS[kind](f, P) == want, (kind, str(P), f.images)
+
+
+def _conflict_rows(n, pairs):
+    conf = [0] * n
+    for a, b in pairs:
+        conf[a] |= 1 << b
+        conf[b] |= 1 << a
+    return conf
+
+
+def _least_by_brute_force(conf, cand, k):
+    pool = [v for v in range(len(conf)) if cand >> v & 1]
+    for S in combinations(pool, k):
+        if all(not conf[a] >> b & 1 for a, b in combinations(S, 2)):
+            return S
+    return None
+
+
+def test_least_leaves_match_brute_force():
+    rng = random.Random(37)
+    cases = []
+    for _ in range(300):
+        n = rng.randint(0, 12)
+        p = rng.choice((0.1, 0.3, 0.6))
+        pairs = [(a, b) for a, b in combinations(range(n), 2) if rng.random() < p]
+        cand = rng.getrandbits(n) if rng.random() < 0.3 else (1 << n) - 1
+        cases.append((n, pairs, cand))
+    # perfect matchings and paths, in order and relabelled, where the cut on a
+    # candidate with at most one conflict decides absences
+    for n in (2, 5, 8, 12):
+        for perm in (list(range(n)), rng.sample(range(n), n)):
+            cases.append((n, [(perm[v], perm[v + 1]) for v in range(0, n - 1, 2)], (1 << n) - 1))
+            cases.append((n, [(perm[v], perm[v + 1]) for v in range(n - 1)], (1 << n) - 1))
+    for n, pairs, cand in cases:
+        conf = _conflict_rows(n, pairs)
+        for k in range(7):
+            want = _least_by_brute_force(conf, cand, k)
+            assert _least_leaves(conf, cand, k) == want, (n, pairs, cand, k)
 
 
 # every finder's certificate on seeded mappings of each class at n = 4..11,
 # the second of each pair with about 30% of its edges then fixed where the
 # class allows it; the patterns add two stars and a 5K2, which has more
 # vertices than the hosts up to n = 9
-DIGEST_PATTERNS = CERT_PATTERNS + [make_pattern(s) for s in ("K1,2", "K1,4")]
-CERTIFICATE_DIGEST = "44ca9dfb9c615e9ea2f946066d6271a9a526e6d5be61dbd0f8a2e00618051d0a"
+DIGEST_PATTERNS = CERT_PATTERNS + STARS
+CERTIFICATE_DIGEST = "e1d42e6d6e58daf456b8c9068e8838d82408f68ac54d9a5dbe73051490126486"
 
 
 def test_certificates_keep_their_digest():
