@@ -141,13 +141,6 @@ def _peel_order(rows) -> list[int]:
     return peel
 
 
-def largest_color_class(colors: list[int]) -> list[int]:
-    by: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        by.setdefault(c, []).append(v)
-    return max(by.values(), key=lambda cls: (len(cls), -cls[0]), default=[])
-
-
 def independent_set_d1(D: FunctionalDigraph) -> list[int]:
     """Independent set of size >= m + ceil((n-2m)/3), m = zero-out-degree count.
 

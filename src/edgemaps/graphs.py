@@ -10,7 +10,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb, isqrt
+from math import comb, inf, isqrt
 
 
 def edge_id(u: int, v: int) -> int:
@@ -563,15 +563,53 @@ def enumerate_copies(P: PatternGraph | SimpleGraph, host: SimpleGraph):
     yield from extend(0, 0)
 
 
+def _count_rows(P: SimpleGraph, n: int, adj, cap: int | float) -> int:
+    """Copies of P in the graph on 0..n-1 with adjacency rows ``adj``.
+
+    The walk of ``enumerate_copies``, reading its last level as one bit
+    count of the candidates.  It stops once the count reaches ``cap``, so
+    it returns the exact count below ``cap`` and some number >= ``cap``
+    otherwise.
+    """
+    if P.n > n:
+        return 0
+    if not P.n:
+        return 1
+    order, back, above = _copy_plan(P)
+    last = len(order) - 1
+    free = (1 << n) - 1
+    emb = [0] * len(order)
+
+    def walk(i: int, used: int, count: int) -> int:
+        cand = free & ~used
+        for j in back[i]:
+            cand &= adj[emb[j]]
+        for j in above[i]:
+            cand &= -2 << emb[j]
+        if i == last:
+            return count + cand.bit_count()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            emb[i] = low.bit_length() - 1
+            count = walk(i + 1, used | low, count)
+            if count >= cap:
+                break
+        return count
+
+    return walk(0, 0, 0)
+
+
 def count_copies(P: PatternGraph | SimpleGraph, host: SimpleGraph) -> int:
-    """Number of distinct copies (subgraphs isomorphic to P) in host."""
-    return sum(1 for _ in enumerate_copies(P, host))
+    """Number of distinct copies (subgraphs isomorphic to P) in host, by
+    the uncapped counting walk on the host's adjacency rows."""
+    pg = P.graph if isinstance(P, PatternGraph) else P
+    return _count_rows(pg, host.n, host.adj, inf)
 
 
 def contains_copy(P: PatternGraph | SimpleGraph, host: SimpleGraph) -> bool:
-    for _ in enumerate_copies(P, host):
-        return True
-    return False
+    pg = P.graph if isinstance(P, PatternGraph) else P
+    return _count_rows(pg, host.n, host.adj, 1) > 0
 
 
 # ---------------------------------------------------------------------------

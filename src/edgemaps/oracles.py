@@ -3,18 +3,22 @@
 These deliberately avoid the closed-form routes in ``bounds`` so the two can
 cross-check each other.  Enumeration is isomorph-free via ``canon``; the full
 graph catalogue is kept to n <= 8, extremal numbers go one further by pruned
-ascent over pattern-free graphs only.
+ascent over pattern-free graphs only.  Copies in a catalogue class are
+counted by the capped walk ``graphs._count_rows`` on the class's adjacency
+rows: ``ex_bruteforce`` asks with cap 1, ``supersat_table`` with the running
+minimum of the level.
 """
 from __future__ import annotations
 
 from functools import lru_cache
+from math import inf
 
 from .canon import FULL_CATALOGUE_LIMIT, generate_by_edge_count, graphs_by_edge_count
 from .graphs import (
     PatternGraph,
     SimpleGraph,
-    contains_copy,
-    count_copies,
+    _count_rows,
+    adjacency_masks,
     edge_count,
     edge_id,
     enumerate_copies,
@@ -41,10 +45,6 @@ def count_perfect_matchings(n: int) -> int:
     return out
 
 
-def _host(n: int, mask: int) -> SimpleGraph:
-    return SimpleGraph(n, frozenset(mask_bits(mask)))
-
-
 def ex_bruteforce(n: int, G: PatternGraph) -> int:
     """Max edges of an n-vertex graph with no copy of G, by exhaustive search."""
     if n < 0:
@@ -55,16 +55,18 @@ def ex_bruteforce(n: int, G: PatternGraph) -> int:
         raise ValueError("ex is undefined for edgeless patterns")
     if G.k > n:
         return edge_count(n)
+
+    def avoids(mask: int) -> bool:
+        return not _count_rows(G.graph, n, adjacency_masks(n, mask_bits(mask)), 1)
+
     if n <= FULL_CATALOGUE_LIMIT:
         levels = graphs_by_edge_count(n)
         for m in range(len(levels) - 1, -1, -1):
-            for mask in levels[m]:
-                if not contains_copy(G, _host(n, mask)):
-                    return m
+            if any(map(avoids, levels[m])):
+                return m
         return 0
     # n = 9: grow pattern-free graphs only; the last nonempty level is ex
-    levels = generate_by_edge_count(n, keep=lambda mask: not contains_copy(G, _host(n, mask)))
-    return len(levels) - 1
+    return len(generate_by_edge_count(n, keep=avoids)) - 1
 
 
 def supersat_min(n: int, m: int, H: PatternGraph) -> int:
@@ -77,17 +79,28 @@ def supersat_min(n: int, m: int, H: PatternGraph) -> int:
 
 @lru_cache(maxsize=128)
 def supersat_table(n: int, H: PatternGraph) -> tuple[int, ...]:
-    """supersat_min for every edge count 0..C(n,2) at once."""
+    """supersat_min for every edge count 0..C(n,2) at once.
+
+    Each class of a level is counted with the level's running minimum as
+    the cap.  A walk cut at the cap reports at least that minimum, so it
+    cannot become the new one, and the minimum stays exact; a level ends
+    once its minimum is 0.
+    """
     if n < 0:
         raise ValueError("need n >= 0")
     if n > FULL_CATALOGUE_LIMIT:
         raise OracleLimitError(
             f"supersaturation needs the full catalogue, capped at n={FULL_CATALOGUE_LIMIT}"
         )
-    levels = graphs_by_edge_count(n)
-    return tuple(
-        min(count_copies(H, _host(n, mask)) for mask in level) for level in levels
-    )
+    table = []
+    for level in graphs_by_edge_count(n):
+        least = inf
+        for mask in level:
+            least = min(least, _count_rows(H.graph, n, adjacency_masks(n, mask_bits(mask)), least))
+            if not least:
+                break
+        table.append(least)
+    return tuple(table)
 
 
 @lru_cache(maxsize=128)

@@ -522,8 +522,8 @@ def _run_extraction_trials(ctx: RunContext) -> list[ClaimResult]:
         arcs = []
         for v in range(n):
             k = rng.randrange(0, d + 1)
-            targets = [u for u in range(n) if u != v]
-            arcs.append(rng.sample(targets, min(k, len(targets))))
+            # the other vertices by index: index j is vertex j + (j >= v)
+            arcs.append([j + (j >= v) for j in rng.sample(range(n - 1), min(k, n - 1))])
         D = FunctionalDigraph.from_arcs(n, arcs, d=d)
         colors = color_bounded(D)
         classes = [0] * (max(colors) + 1)
@@ -549,7 +549,8 @@ def _run_extraction_trials(ctx: RunContext) -> list[ClaimResult]:
             if rng.random() < 0.3:
                 arcs.append([])
             else:
-                arcs.append([rng.choice([u for u in range(n) if u != v])])
+                j = rng.randrange(n - 1)
+                arcs.append([j + (j >= v)])
         D = FunctionalDigraph.from_arcs(n, arcs, d=1)
         m = D.zero_outdeg_count
         S = independent_set_d1(D)

@@ -12,7 +12,6 @@ from edgemaps.extract import (
     _peel_order,
     exclusive_star,
     independent_set_d1,
-    largest_color_class,
 )
 from edgemaps.graphs import edge_id, edges_overlap, mask_bits, star
 from edgemaps.mapping import ContractError, EdgeMapping, MappingClass, random_mapping
@@ -98,6 +97,14 @@ def _greedy_by_sets(adj: list[set]) -> list[int]:
     return colors
 
 
+def _largest_color_class(colors: list[int]) -> list[int]:
+    """The vertices of the largest color class, least first vertex on a tie."""
+    by: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by.setdefault(c, []).append(v)
+    return max(by.values(), key=lambda cls: (len(cls), -cls[0]), default=[])
+
+
 def _exclusive_star_by_sets(f: EdgeMapping, v: int, r: int) -> tuple[int, ...]:
     """The star ``exclusive_star`` extracts, from the definition: leaves l
     and t conflict when the image of vl touches t; the first r leaves of the
@@ -111,7 +118,7 @@ def _exclusive_star_by_sets(f: EdgeMapping, v: int, r: int) -> tuple[int, ...]:
             if edges_overlap(img, edge_id(v, t)):
                 adj[i].add(j)
                 adj[j].add(i)
-    cls = largest_color_class(_greedy_by_sets(adj))
+    cls = _largest_color_class(_greedy_by_sets(adj))
     return _star_embedding(star(r), v, tuple(sorted(leaves[i] for i in cls)[:r]))
 
 
@@ -144,7 +151,7 @@ def test_extraction_equals_the_set_based_reference():
 @given(digraphs())
 @settings(max_examples=80, deadline=None)
 def test_largest_color_class_meets_pigeonhole(D):
-    cls = largest_color_class(color_bounded(D))
+    cls = _largest_color_class(color_bounded(D))
     assert len(cls) * (2 * D.d + 1) >= D.n
 
 

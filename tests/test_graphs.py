@@ -4,9 +4,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edgemaps.canon import graphs_by_edge_count
 from edgemaps.graphs import (
     PatternGraph,
     SimpleGraph,
+    _count_rows,
     _embedding_order,
     all_trees,
     chromatic_number,
@@ -27,6 +29,7 @@ from edgemaps.graphs import (
     join,
     load_pattern,
     make_pattern,
+    mask_bits,
     matching,
     max_clique_size,
     multi,
@@ -308,6 +311,42 @@ def test_enumerate_copies_matches_reference_on_cliques_and_named_patterns():
         P = make_pattern(spec)
         for host in hosts:
             assert list(enumerate_copies(P, host)) == list(_reference_copies(P, host)), spec
+
+
+def _count_walk_cases():
+    """Every graph of the n <= 6 catalogue against a spread of patterns, one
+    larger than every host and the empty pattern included."""
+    patterns = [make_pattern(s) for s in ("K2", "K3", "P4", "P5", "C4", "K1,3", "2K2", "3K2", "K4-K2")]
+    patterns += [complete(7), PatternGraph(SimpleGraph(0, frozenset()), "empty")]
+    for n in range(7):
+        for level in graphs_by_edge_count(n):
+            for mask in level:
+                host = SimpleGraph(n, frozenset(mask_bits(mask)))
+                for P in patterns:
+                    yield P, host
+
+
+def test_count_walk_equals_the_enumeration():
+    cases = 0
+    for P, host in _count_walk_cases():
+        want = len(list(enumerate_copies(P, host)))
+        assert _count_rows(P.graph, host.n, host.adj, math.inf) == want, (P, host)
+        assert count_copies(P, host) == want
+        assert contains_copy(P, host) == (want > 0)
+        cases += 1
+    assert cases == 11 * sum(len(level) for n in range(7) for level in graphs_by_edge_count(n))
+
+
+def test_count_walk_cap_contract():
+    # exact below the cap, at least the cap otherwise
+    for P, host in _count_walk_cases():
+        want = count_copies(P, host)
+        for cap in range(want + 2):
+            got = _count_rows(P.graph, host.n, host.adj, cap)
+            if want < cap:
+                assert got == want, (P, host, cap)
+            else:
+                assert got >= cap, (P, host, cap)
 
 
 def test_clique_and_chromatic():

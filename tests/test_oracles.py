@@ -3,7 +3,8 @@ import math
 import pytest
 
 from edgemaps.bounds import turan_count
-from edgemaps.graphs import complete, make_pattern, matching
+from edgemaps.canon import graphs_by_edge_count
+from edgemaps.graphs import SimpleGraph, complete, enumerate_copies, make_pattern, mask_bits, matching
 from edgemaps.oracles import (
     OracleLimitError,
     count_perfect_matchings,
@@ -71,6 +72,19 @@ def test_supersat_table_monotone():
         assert len(table) == math.comb(n, 2) + 1
         assert table[0] == 0 and table[-1] == math.comb(n, 3)
         assert all(a <= b for a, b in zip(table, table[1:]))
+
+
+def test_supersat_table_equals_the_uncapped_enumeration():
+    # the capped walk must leave every level's minimum exact
+    for spec in ("K3", "P4", "C4", "K1,3", "2K2"):
+        H = make_pattern(spec)
+        for n in range(8):
+            want = tuple(
+                min(len(list(enumerate_copies(H, SimpleGraph(n, frozenset(mask_bits(mask))))))
+                    for mask in level)
+                for level in graphs_by_edge_count(n)
+            )
+            assert supersat_table(n, H) == want, (spec, n)
 
 
 def test_pair_cover_matches_closed_form_on_cliques():
